@@ -195,8 +195,8 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
       minoragg::Ledger ledger;
       mincut::ExactMinCutResult result;
       try {
-        result = mincut::exact_mincut_resumable(g, rng, ledger, cfg_.packing, cfg_.num_threads,
-                                                ckpt, hook);
+        result = mincut::exact_mincut(g, rng, ledger, cfg_.packing, cfg_.num_threads, &ckpt,
+                                      hook);
       } catch (const mincut::crash_error& e) {
         spent_rounds += ledger.rounds();
         record(SolveTier::kExact, attempt++, std::string("crash: ") + e.what(), ledger.rounds(),

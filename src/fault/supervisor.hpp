@@ -10,7 +10,10 @@
 // instead of a from-scratch re-solve, answers guard failures with a bounded
 // number of reseeded-packing retries, and only then walks down the ladder
 //
-//   kExact            Theorem 1 pipeline, certified by the guard battery
+//   kExact            Theorem 1 pipeline (exact_mincut with a
+//                     SolveCheckpoint journal — the same pipelined session
+//                     cold solves and the stream full tier run), certified
+//                     by the guard battery
 //   kCheckpointReplay same answer, but at least one crash retry resumed
 //                     from the journal (cost excludes the replayed prefix)
 //   kKargerStein      centralized recursive contraction (Monte Carlo),

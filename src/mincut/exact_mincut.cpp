@@ -5,6 +5,7 @@
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 
@@ -50,15 +51,19 @@ ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledge
 }
 
 ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
-                               const PackingConfig& config, int num_threads) {
+                               const PackingConfig& config, int num_threads,
+                               SolveCheckpoint* journal, const CrashHook& hook,
+                               PerTreeCuts* per_tree) {
   UMC_ASSERT(g.n() >= 2);
   UMC_OBS_SPAN_VAR_L(obs_exact, "mincut/exact", "mincut", ledger.rounds());
   obs_exact.arg("n", g.n());
   obs_exact.arg("m", g.m());
+  if (journal != nullptr) obs_exact.arg("committed_solves", journal->committed_solves());
   ExactMinCutResult out;
 
   if (g.n() == 2) {
-    // Single possible cut; one aggregation round reads it off.
+    // Single possible cut; one aggregation round reads it off (nothing
+    // worth journaling).
     ledger.charge(1);
     out.value = g.total_weight();
     out.num_trees = 0;
@@ -81,26 +86,59 @@ ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledge
   // any thread width. `ledger` and `rng` are touched only by the producer
   // during the session. The producer also records the packing into the
   // PackingCache, which the guarded self-check's same-seed replay hits
-  // instead of repacking (see run_guards).
+  // instead of repacking (see verify_mincut_result).
+  //
+  // A journal adds two taps: trees whose solve already committed are filled
+  // from it instead of spawning, and every live solve commits its (result,
+  // ledger) under the journal mutex before finishing. A producer exception
+  // is captured so the already-spawned solves still run — and commit —
+  // before it propagates; a solve exception is captured by the session
+  // (which drains, then rethrows).
   std::deque<std::vector<EdgeId>> trees;
   std::deque<CutResult> results;
   std::deque<minoragg::Ledger> tree_ledgers;
+  std::mutex journal_mu;
+  std::exception_ptr producer_error;
   const int width = std::max(1, num_threads);
   const TaskGraph::Stats stats = TaskGraph::session(width, [&] {
     TaskGroup solves;
-    (void)tree_packing(g, rng, ledger, config, [&](std::vector<EdgeId> tree) {
+    const TreeSink solve_tree = [&](std::vector<EdgeId> tree) {
       trees.push_back(std::move(tree));
       const std::vector<EdgeId>& edges = trees.back();
       CutResult& slot = results.emplace_back();
       minoragg::Ledger& tree_ledger = tree_ledgers.emplace_back();
       const auto index = static_cast<std::int64_t>(results.size()) - 1;
-      solves.spawn([&g, &edges, &slot, &tree_ledger, index] {
+      if (journal != nullptr) {
+        const auto i = static_cast<std::size_t>(index);
+        const std::lock_guard<std::mutex> lock(journal_mu);
+        journal->note_tree_count(results.size());
+        if (journal->solved_mask[i] != 0) {
+          slot = journal->solved[i];
+          tree_ledger = journal->solve_charges[i];
+          ++journal->replayed_units;
+          return;  // journal replay: no solve task
+        }
+      }
+      solves.spawn([&g, &edges, &slot, &tree_ledger, index, journal, &journal_mu, &hook] {
         UMC_OBS_SPAN_VAR_L(obs_tree, "mincut/two_respect_tree", "mincut", index);
         obs_tree.arg("pool_thread", ThreadPool::current_index());
         (void)minoragg::orient_tree(g, edges, /*root=*/0, tree_ledger);
         slot = two_respecting_mincut(g, edges, /*root=*/0, tree_ledger);
+        if (journal == nullptr) return;
+        if (hook) hook(SolvePhase::kTreeSolve, index);
+        const auto i = static_cast<std::size_t>(index);
+        const std::lock_guard<std::mutex> lock(journal_mu);
+        journal->solved[i] = slot;
+        journal->solve_charges[i] = tree_ledger;
+        journal->solved_mask[i] = 1;
       });
-    });
+    };
+    try {
+      (void)tree_packing(g, rng, ledger, config, solve_tree,
+                         journal != nullptr ? &journal->packing : nullptr, hook);
+    } catch (...) {
+      producer_error = std::current_exception();
+    }
     solves.join();
   });
 #if !defined(UMC_OBS_DISABLED)
@@ -110,6 +148,8 @@ ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledge
 #else
   (void)stats;
 #endif
+  if (producer_error) std::rethrow_exception(producer_error);
+
   const std::size_t num_trees = results.size();
   out.num_trees = static_cast<int>(num_trees);
   for (std::size_t i = 0; i < num_trees; ++i) {
@@ -126,100 +166,11 @@ ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledge
     }
   }
   UMC_ASSERT_MSG(out.value < kInfWeight, "a packing always yields at least one cut");
-  return out;
-}
-
-ExactMinCutResult exact_mincut_resumable(const WeightedGraph& g, Rng& rng,
-                                         minoragg::Ledger& ledger, const PackingConfig& config,
-                                         int num_threads, SolveCheckpoint& ckpt,
-                                         const CrashHook& hook) {
-  UMC_ASSERT(g.n() >= 2);
-  UMC_OBS_SPAN_VAR_L(obs_exact, "mincut/exact_resumable", "mincut", ledger.rounds());
-  obs_exact.arg("n", g.n());
-  obs_exact.arg("committed_solves", ckpt.committed_solves());
-  ExactMinCutResult out;
-
-  if (g.n() == 2) {
-    // Single possible cut; nothing worth journaling.
-    ledger.charge(1);
-    out.value = g.total_weight();
-    out.num_trees = 0;
-    return out;
+  if (per_tree != nullptr) {
+    per_tree->trees.assign(std::make_move_iterator(trees.begin()),
+                           std::make_move_iterator(trees.end()));
+    per_tree->cuts.assign(results.begin(), results.end());
   }
-
-  // Same pipelined session as exact_mincut, with two journal taps: trees
-  // whose solve already committed are filled from the journal instead of
-  // spawning, and every live solve commits its (result, ledger) under the
-  // checkpoint mutex before finishing. A producer crash is captured so the
-  // already-spawned solves still run — and commit — before it propagates;
-  // a solve crash is captured by the session (which drains, then rethrows).
-  std::deque<std::vector<EdgeId>> trees;
-  std::deque<CutResult> results;
-  std::deque<minoragg::Ledger> tree_ledgers;
-  std::mutex ckpt_mu;
-  std::exception_ptr producer_crash;
-  const int width = std::max(1, num_threads);
-  const TaskGraph::Stats stats = TaskGraph::session(width, [&] {
-    TaskGroup solves;
-    try {
-      (void)tree_packing_resumable(
-          g, rng, ledger, config,
-          [&](std::vector<EdgeId> tree) {
-            trees.push_back(std::move(tree));
-            const std::vector<EdgeId>& edges = trees.back();
-            CutResult& slot = results.emplace_back();
-            minoragg::Ledger& tree_ledger = tree_ledgers.emplace_back();
-            const auto index = static_cast<std::int64_t>(results.size()) - 1;
-            {
-              const std::lock_guard<std::mutex> lock(ckpt_mu);
-              ckpt.note_tree_count(results.size());
-              if (ckpt.solved_mask[static_cast<std::size_t>(index)] != 0) {
-                slot = ckpt.solved[static_cast<std::size_t>(index)];
-                tree_ledger = ckpt.solve_charges[static_cast<std::size_t>(index)];
-                ++ckpt.replayed_units;
-                return;  // journal replay: no solve task
-              }
-            }
-            solves.spawn([&g, &edges, &slot, &tree_ledger, index, &ckpt, &ckpt_mu, &hook] {
-              UMC_OBS_SPAN_VAR_L(obs_tree, "mincut/two_respect_tree", "mincut", index);
-              obs_tree.arg("pool_thread", ThreadPool::current_index());
-              (void)minoragg::orient_tree(g, edges, /*root=*/0, tree_ledger);
-              slot = two_respecting_mincut(g, edges, /*root=*/0, tree_ledger);
-              if (hook) hook(SolvePhase::kTreeSolve, index);
-              const std::lock_guard<std::mutex> lock(ckpt_mu);
-              ckpt.solved[static_cast<std::size_t>(index)] = slot;
-              ckpt.solve_charges[static_cast<std::size_t>(index)] = tree_ledger;
-              ckpt.solved_mask[static_cast<std::size_t>(index)] = 1;
-            });
-          },
-          ckpt.packing, hook);
-    } catch (...) {
-      producer_crash = std::current_exception();
-    }
-    solves.join();
-  });
-#if !defined(UMC_OBS_DISABLED)
-  mincut_task_metrics().spawned.inc(stats.spawned);
-  mincut_task_metrics().helped.inc(stats.helped);
-  if (stats.width > 1) mincut_task_metrics().sessions.inc();
-#else
-  (void)stats;
-#endif
-  if (producer_crash) std::rethrow_exception(producer_crash);
-
-  const std::size_t num_trees = results.size();
-  out.num_trees = static_cast<int>(num_trees);
-  for (std::size_t i = 0; i < num_trees; ++i) {
-    ledger.charge_sequential(tree_ledgers[i]);
-    const CutResult& r = results[i];
-    if (r.value < out.value) {  // strict: ties keep the lowest tree index
-      out.value = r.value;
-      out.e = r.e;
-      out.f = r.f;
-      out.winning_tree = static_cast<int>(i);
-    }
-  }
-  UMC_ASSERT_MSG(out.value < kInfWeight, "a packing always yields at least one cut");
   return out;
 }
 

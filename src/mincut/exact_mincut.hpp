@@ -42,28 +42,34 @@ struct ExactMinCutResult {
                                              minoragg::Ledger& ledger,
                                              const PackingConfig& config = {});
 
+/// Per-tree outputs of one solve, index-aligned in packing order.
+struct PerTreeCuts {
+  std::vector<std::vector<EdgeId>> trees;  // packing trees, input-graph edge ids
+  std::vector<CutResult> cuts;             // each tree's 2-respecting minimum
+};
+
 /// Same, with an explicit thread width for the per-tree solves instead of
 /// the UMC_THREADS knob (which is read once per process — this overload is
 /// what width-sweep tests and benches use).
-[[nodiscard]] ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng,
-                                             minoragg::Ledger& ledger,
-                                             const PackingConfig& config, int num_threads);
-
-/// Checkpoint-resumable solve: the same pipelined packing + per-tree
-/// 2-respecting fan-out, journaling every committed unit into `ckpt` so a
-/// crash_error thrown by `hook` (or escaping the producer) loses only
-/// in-flight work. Re-entering with the same (graph, config, seed) and the
-/// surviving `ckpt` replays the journal and recomputes the rest; the final
-/// result, `ledger` charges, and `rng` exit state are bit-identical to an
-/// uninterrupted exact_mincut run no matter where (or whether) crashes
+///
+/// Checkpointing: with a `journal`, every committed unit — the packing
+/// setup, each packing iteration, each tree's 2-respecting result — is
+/// recorded into it, so a crash_error thrown by `hook` (or escaping the
+/// producer) loses only in-flight work. Re-entering with the same (graph,
+/// config, seed) and the surviving journal replays it and recomputes the
+/// rest; the final result, `ledger` charges, and `rng` exit state are
+/// bit-identical to an unjournaled run no matter where (or whether) crashes
 /// struck. A crash propagates out of this function after every already-
 /// spawned tree solve finished committing — the pipelined units are not
-/// thrown away with the exception.
-[[nodiscard]] ExactMinCutResult exact_mincut_resumable(const WeightedGraph& g, Rng& rng,
-                                                       minoragg::Ledger& ledger,
-                                                       const PackingConfig& config,
-                                                       int num_threads, SolveCheckpoint& ckpt,
-                                                       const CrashHook& hook = nullptr);
+/// thrown away with the exception. Without a journal the hook never fires.
+///
+/// `per_tree`, when set, receives the packing trees and their cuts.
+[[nodiscard]] ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng,
+                                             minoragg::Ledger& ledger,
+                                             const PackingConfig& config, int num_threads,
+                                             SolveCheckpoint* journal = nullptr,
+                                             const CrashHook& hook = nullptr,
+                                             PerTreeCuts* per_tree = nullptr);
 
 // ---------------------------------------------------------------------------
 // Graceful degradation: guarded execution with runtime self-checks.

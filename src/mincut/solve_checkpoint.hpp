@@ -11,11 +11,13 @@
 // write-ahead journal of those units: the packing setup (λ seed and, on the
 // sampled route, the Karger sample and generator state), every packed tree
 // with its ledger charges, and every solved tree's CutResult. A crash
-// between commits loses at most the in-flight unit; the resumable entry
+// between commits loses at most the in-flight unit; the journaled entry
 // points replay the journal — same trees, same order, same charges, same
 // generator exit state as an uninterrupted run — and continue live from the
-// first uncommitted unit. That is what turns the supervisor's "retry" tier
-// into checkpoint replay instead of a from-scratch re-solve.
+// first uncommitted unit (exact_mincut and tree_packing take the journal
+// as an optional pointer; null is the plain solve). That is what turns the
+// supervisor's "retry" tier into checkpoint replay instead of a
+// from-scratch re-solve.
 //
 // Crashes are simulated through a CrashHook fired just BEFORE each commit:
 // throwing crash_error loses exactly that unit. Hooks must decide from
@@ -37,7 +39,7 @@
 
 namespace umc::mincut {
 
-/// Commit points of the resumable solve (and crash-hook fire sites).
+/// Commit points of the journaled solve (and crash-hook fire sites).
 enum class SolvePhase {
   kPackingSetup,      // λ seed + (case B) Karger sample committed
   kPackingIteration,  // one greedy Borůvka iteration committed (index = iteration)
@@ -107,7 +109,7 @@ struct SolveCheckpoint {
   std::vector<CutResult> solved;
   std::vector<char> solved_mask;
   std::vector<minoragg::Ledger> solve_charges;
-  /// Journal entries replayed (not recomputed) by resumable runs so far —
+  /// Journal entries replayed (not recomputed) by journaled runs so far —
   /// observability for the supervisor's recovery accounting.
   std::int64_t replayed_units = 0;
 

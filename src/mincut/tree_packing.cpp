@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <span>
 
 #include "baseline/stoer_wagner.hpp"
 #include "graph/properties.hpp"
@@ -61,48 +62,135 @@ Weight binomial_sample(Weight w, double p, Rng& rng) {
   return std::clamp<Weight>(static_cast<Weight>(std::llround(value)), 0, w);
 }
 
-/// Greedy Thorup packing: I iterations of minimum-cost spanning tree where
-/// the cost of an edge is its packing load normalized by multiplicity. Each
-/// finished tree is handed to `emit` — in streaming mode that pipelines it
-/// straight into a solve task; in retaining mode the caller just collects.
-///
-/// Two producers, one contract. The reference (`fast == false`) drives a
-/// full Minor-Aggregation simulation per Borůvka phase and recomputes all m
-/// costs per iteration. The fast path selects the same (cost, edge id)-
-/// minimal trees through the reusable BoruvkaPacker — per-phase candidate
-/// folds run chunk-parallel on the ambient TaskGraph session — and between
-/// iterations repairs only the <= n-1 costs whose load changed. Both paths
-/// charge the ledger identically: one Definition 9 round per phase, one
-/// termination-check round, one boruvka_iterations bump per phase (the fast
-/// path replays those charges from its own — provably equal — phase count).
-void greedy_pack(const WeightedGraph& g, std::span<const Weight> multiplicity, int iterations,
-                 minoragg::Ledger& ledger, const PackingConfig& config, const TreeSink& emit) {
-  const auto m = static_cast<std::size_t>(g.m());
-  if (!config.use_fast_path) {
-    std::vector<std::int64_t> load(m, 0);
-    std::vector<std::int64_t> cost(m, 0);
-    for (int it = 0; it < iterations; ++it) {
-      // cost = load / multiplicity, in fixed point (2^20) so Borůvka can use
-      // integer keys; ties broken by edge id inside Borůvka.
-      for (EdgeId e = 0; e < g.m(); ++e) {
-        cost[static_cast<std::size_t>(e)] =
-            (load[static_cast<std::size_t>(e)] << 20) / multiplicity[static_cast<std::size_t>(e)];
-      }
-#if !defined(UMC_OBS_DISABLED)
-      packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
-#endif
-      std::vector<EdgeId> tree = minoragg::boruvka_mst(g, cost, ledger);
-      for (const EdgeId e : tree) ++load[static_cast<std::size_t>(e)];
-      ledger.bump("packing_iterations");
-      emit(std::move(tree));
-    }
-    return;
+/// What the greedy loop packs: g itself in case A, the Karger sample in
+/// case B, with one multiplicity per packed edge.
+struct Substrate {
+  WeightedGraph sample;
+  std::vector<EdgeId> present;  // sample edge id -> original edge id, ascending
+  std::vector<Weight> multiplicity;
+};
+
+Substrate full_substrate(const WeightedGraph& g) {
+  Substrate s;
+  s.multiplicity.reserve(static_cast<std::size_t>(g.m()));
+  for (EdgeId e = 0; e < g.m(); ++e) s.multiplicity.push_back(g.edge(e).w);
+  return s;
+}
+
+/// The sample graph on the original topology restricted to edges with a
+/// nonzero sampled multiplicity (indexed by original edge id).
+Substrate sampled_substrate(const WeightedGraph& g, std::span<const Weight> multiplicity) {
+  Substrate s;
+  s.sample = WeightedGraph(g.n());
+  for (EdgeId e = 0; e < g.m(); ++e) {
+    const Weight w = multiplicity[static_cast<std::size_t>(e)];
+    if (w == 0) continue;
+    s.present.push_back(e);
+    s.multiplicity.push_back(w);
+    s.sample.add_edge(g.edge(e).u, g.edge(e).v, w);
+  }
+  return s;
+}
+
+/// The setup unit: the λ̄ seed, the case A/B choice, the Karger sample (the
+/// only randomness of the whole solve) and the greedy iteration target.
+/// Assigns every setup field of `unit` except the commit marks
+/// (`setup_done`, `rng_after_setup`) and returns the substrate to pack.
+Substrate setup(const WeightedGraph& g, Rng& rng, const PackingConfig& config,
+                PackingCheckpoint& unit) {
+  // Seed lambda (substitution for the [17] approx black box; see header).
+  unit.lambda_seed = baseline::stoer_wagner(g).value;
+  const std::int64_t logn = ceil_log2(static_cast<std::uint64_t>(g.n()) + 1) + 1;
+  const std::int64_t logm = ceil_log2(static_cast<std::uint64_t>(g.m()) + 2) + 1;
+  unit.setup_charges = minoragg::Ledger();
+  unit.setup_charges.charge(logn * logn);  // the approx-min-cut's polylog round budget
+  unit.multiplicity.clear();
+
+  const auto cap = [&config](std::int64_t iters) {
+    iters = std::max<std::int64_t>(iters, 1);
+    if (config.max_trees > 0) iters = std::min<std::int64_t>(iters, config.max_trees);
+    return static_cast<int>(iters);
+  };
+
+  unit.sampled = static_cast<double>(unit.lambda_seed) >
+                 config.direct_threshold_c * static_cast<double>(logn);
+  if (!unit.sampled) {
+    // Case (A): lambda = O(log n) — direct greedy packing.
+    unit.iterations = cap(2 * unit.lambda_seed * logm);
+    return full_substrate(g);
   }
 
-  // Fast path. All scratch lives on thread-local arenas: the packer's DSU,
-  // worklists, and chunk slots, plus the load/cost rows here, are checked
-  // out once per call and keep their capacity across packing sessions, so
-  // steady-state iterations allocate only the emitted tree itself.
+  // Case (B): Karger-sample with p = C log n / lambda, then pack the sample.
+  const double base_p =
+      config.sample_c * static_cast<double>(logn) / static_cast<double>(unit.lambda_seed);
+  for (double p = base_p;; p = std::min(1.0, 2 * p)) {
+    unit.multiplicity.assign(static_cast<std::size_t>(g.m()), 0);
+    for (EdgeId e = 0; e < g.m(); ++e)
+      unit.multiplicity[static_cast<std::size_t>(e)] = binomial_sample(g.edge(e).w, p, rng);
+    Substrate s = sampled_substrate(g, unit.multiplicity);
+    if (!is_connected(s.sample)) {
+      UMC_ASSERT_MSG(p < 1.0, "sampling at p = 1 keeps the graph connected");
+      continue;  // resample denser (whp never needed at the theorem's C)
+    }
+    // The sampled min-cut value = Theta(C log n) whp; seed the iteration
+    // count from it exactly (same substitution as above).
+    unit.iterations = cap(2 * baseline::stoer_wagner(s.sample).value * logm);
+    return s;
+  }
+}
+
+/// The producer proper: the setup unit, then greedy Thorup packing — I
+/// iterations of minimum-cost spanning tree where the cost of an edge is
+/// its packing load normalized by multiplicity. Charges into `pack_ledger`
+/// (all packing charges are additive, so one sequential absorption by the
+/// caller is bit-identical to direct charging) and hands each tree, in
+/// original edge ids, to `emit`.
+///
+/// With a `journal`, every unit commits into it (firing `hook` just before
+/// the commit) with its own ledger, so a replayed prefix absorbs exactly
+/// what the live run charged: a committed setup is not re-run, and the
+/// committed iterations replay through `emit` before packing continues
+/// live. Without one, nothing is journaled and `hook` never fires.
+///
+/// Two loop bodies, one contract. The reference (`use_fast_path == false`)
+/// drives a full Minor-Aggregation simulation per Borůvka phase and
+/// recomputes all costs per iteration. The fast path selects the same
+/// (cost, edge id)-minimal trees through the reusable BoruvkaPacker —
+/// per-phase candidate folds run chunk-parallel on the ambient TaskGraph
+/// session — and between iterations repairs only the <= n-1 costs whose
+/// load changed. Both charge the ledger identically: one Definition 9 round
+/// per phase, one termination-check round, one boruvka_iterations bump per
+/// phase (the fast path replays those charges from its own — provably
+/// equal — phase count).
+TreePacking pack(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger,
+                 const PackingConfig& config, const TreeSink& emit, PackingCheckpoint* journal,
+                 const CrashHook& hook) {
+  PackingCheckpoint unjournaled;
+  PackingCheckpoint& ckpt = journal != nullptr ? *journal : unjournaled;
+  Substrate sub;
+  if (!ckpt.setup_done) {
+    sub = setup(g, rng, config, ckpt);
+    if (journal != nullptr && hook) hook(SolvePhase::kPackingSetup, 0);
+    ckpt.setup_done = true;
+    ckpt.rng_after_setup = rng.state();
+  } else {
+    // Resume: the setup is journaled; skip straight past its randomness.
+    rng.set_state(ckpt.rng_after_setup);
+    sub = ckpt.sampled ? sampled_substrate(g, ckpt.multiplicity) : full_substrate(g);
+  }
+  pack_ledger.charge_sequential(ckpt.setup_charges);
+  const WeightedGraph& pack_g = ckpt.sampled ? sub.sample : g;
+  const auto to_pack_id = [&](EdgeId original) {
+    if (!ckpt.sampled) return original;
+    return static_cast<EdgeId>(std::lower_bound(sub.present.begin(), sub.present.end(), original) -
+                               sub.present.begin());
+  };
+
+  // All scratch lives on thread-local arenas: the packer's DSU, worklists,
+  // and chunk slots, plus the load/cost rows here, are checked out once per
+  // call and keep their capacity across packing sessions, so steady-state
+  // iterations allocate only the emitted tree itself.
+  const auto m = static_cast<std::size_t>(pack_g.m());
   ScratchLease<BoruvkaPacker> packer;
   packer->set_min_chunk_edges(static_cast<std::size_t>(std::max(config.chunk_min_edges, 1)));
   ScratchLease<std::vector<std::int64_t>> load_lease;
@@ -110,33 +198,72 @@ void greedy_pack(const WeightedGraph& g, std::span<const Weight> multiplicity, i
   std::vector<std::int64_t>& load = *load_lease;
   std::vector<std::int64_t>& cost = *cost_lease;
   load.assign(m, 0);
-  cost.assign(m, 0);  // load 0 => cost 0 for every multiplicity: the full
-                      // initial re-cost, done once instead of per iteration
+  // cost = load / multiplicity, in fixed point (2^20) so Borůvka can use
+  // integer keys; ties broken by edge id inside Borůvka.
+  const auto recost = [&](std::size_t i) { cost[i] = (load[i] << 20) / sub.multiplicity[i]; };
+
+  // Replay the committed prefix (loads rebuilt from the journaled trees).
+  const int committed = ckpt.committed_iterations();
+  for (int it = 0; it < committed; ++it) {
+    pack_ledger.charge_sequential(ckpt.iteration_charges[static_cast<std::size_t>(it)]);
+    for (const EdgeId e : ckpt.trees[static_cast<std::size_t>(it)])
+      ++load[static_cast<std::size_t>(to_pack_id(e))];
+    emit(std::vector<EdgeId>(ckpt.trees[static_cast<std::size_t>(it)]));
+  }
+  cost.resize(m);
+  for (std::size_t i = 0; i < m; ++i) recost(i);
 #if !defined(UMC_OBS_DISABLED)
-  packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
+  // The fast path's full initial re-cost, done once instead of per iteration.
+  if (config.use_fast_path && committed < ckpt.iterations)
+    packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
 #endif
-  for (int it = 0; it < iterations; ++it) {
+
+  for (int it = committed; it < ckpt.iterations; ++it) {
     UMC_OBS_SPAN_VAR_L(obs_iter, "mincut/packing_iter", "mincut", it);
     obs_iter.arg("pool_thread", ThreadPool::current_index());
-    const BoruvkaPacker::Result r = packer->run(g, cost);
-    // Replay the Minor-Aggregation producer's charges from the (identical)
-    // phase structure: one round per selection phase, one final round that
-    // observes the single supernode, one iteration bump per phase.
-    ledger.charge(r.phases + 1);
-    ledger.bump("boruvka_iterations", r.phases);
-    std::vector<EdgeId> tree(r.tree.begin(), r.tree.end());
-    // Incremental re-costing: only the tree's n-1 edges changed load.
-    for (const EdgeId e : tree) {
-      const auto i = static_cast<std::size_t>(e);
-      ++load[i];
-      cost[i] = (load[i] << 20) / multiplicity[i];
-    }
+    minoragg::Ledger unit;  // journaled runs charge per iteration
+    minoragg::Ledger& charged = journal != nullptr ? unit : pack_ledger;
+    std::vector<EdgeId> tree;
+    if (config.use_fast_path) {
+      const BoruvkaPacker::Result r = packer->run(pack_g, cost);
+      // Replay the Minor-Aggregation producer's charges from the (identical)
+      // phase structure: one round per selection phase, one final round that
+      // observes the single supernode, one iteration bump per phase.
+      charged.charge(r.phases + 1);
+      charged.bump("boruvka_iterations", r.phases);
+      tree.assign(r.tree.begin(), r.tree.end());
+      // Incremental re-costing: only the tree's n-1 edges changed load.
+      for (const EdgeId e : tree) {
+        ++load[static_cast<std::size_t>(e)];
+        recost(static_cast<std::size_t>(e));
+      }
 #if !defined(UMC_OBS_DISABLED)
-    packing_metrics().resort_edges.inc(static_cast<std::int64_t>(tree.size()));
+      packing_metrics().resort_edges.inc(static_cast<std::int64_t>(tree.size()));
 #endif
-    ledger.bump("packing_iterations");
+    } else {
+      for (std::size_t i = 0; i < m; ++i) recost(i);
+#if !defined(UMC_OBS_DISABLED)
+      packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
+#endif
+      tree = minoragg::boruvka_mst(pack_g, cost, charged);
+      for (const EdgeId e : tree) ++load[static_cast<std::size_t>(e)];
+    }
+    charged.bump("packing_iterations");
+    if (ckpt.sampled)
+      for (EdgeId& e : tree) e = sub.present[static_cast<std::size_t>(e)];
+    if (journal != nullptr) {
+      if (hook) hook(SolvePhase::kPackingIteration, it);
+      journal->trees.push_back(tree);
+      journal->iteration_charges.push_back(unit);
+      pack_ledger.charge_sequential(unit);
+    }
     emit(std::move(tree));
   }
+
+  TreePacking out;
+  out.lambda_seed = ckpt.lambda_seed;
+  out.sampled = ckpt.sampled;
+  return out;
 }
 
 /// The cache a config resolves to: its session-scoped instance when set,
@@ -161,231 +288,6 @@ std::uint64_t packing_config_fingerprint(const PackingConfig& config) {
   return h;
 }
 
-namespace {
-
-std::uint64_t config_fingerprint(const PackingConfig& config) {
-  return packing_config_fingerprint(config);
-}
-
-/// The producer proper: packs into `pack_ledger` (all packing charges are
-/// additive, so a single sequential absorption by the caller is
-/// bit-identical to direct charging) and emits through `sink`.
-TreePacking pack_uncached(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger,
-                          const PackingConfig& config, const TreeSink& sink) {
-  TreePacking out;
-
-  // Seed lambda (substitution for the [17] approx black box; see header).
-  out.lambda_seed = baseline::stoer_wagner(g).value;
-  const std::int64_t logn = ceil_log2(static_cast<std::uint64_t>(g.n()) + 1) + 1;
-  const std::int64_t logm = ceil_log2(static_cast<std::uint64_t>(g.m()) + 2) + 1;
-  pack_ledger.charge(logn * logn);  // the approx-min-cut's polylog round budget
-
-  const auto cap = [&config](std::int64_t iters) {
-    iters = std::max<std::int64_t>(iters, 1);
-    if (config.max_trees > 0) iters = std::min<std::int64_t>(iters, config.max_trees);
-    return static_cast<int>(iters);
-  };
-
-  if (static_cast<double>(out.lambda_seed) <=
-      config.direct_threshold_c * static_cast<double>(logn)) {
-    // Case (A): lambda = O(log n) — direct greedy packing.
-    std::vector<Weight> multiplicity(static_cast<std::size_t>(g.m()));
-    for (EdgeId e = 0; e < g.m(); ++e) multiplicity[static_cast<std::size_t>(e)] = g.edge(e).w;
-    greedy_pack(g, multiplicity, cap(2 * out.lambda_seed * logm), pack_ledger, config, sink);
-    return out;
-  }
-
-  // Case (B): Karger-sample with p = C log n / lambda, then pack the sample.
-  out.sampled = true;
-  const double base_p =
-      config.sample_c * static_cast<double>(logn) / static_cast<double>(out.lambda_seed);
-  for (double p = base_p;; p = std::min(1.0, 2 * p)) {
-    std::vector<Weight> multiplicity(static_cast<std::size_t>(g.m()));
-    WeightedGraph sample(g.n());
-    for (EdgeId e = 0; e < g.m(); ++e) {
-      const Weight s = binomial_sample(g.edge(e).w, p, rng);
-      multiplicity[static_cast<std::size_t>(e)] = s;
-      if (s > 0) sample.add_edge(g.edge(e).u, g.edge(e).v, s);
-    }
-    if (!is_connected(sample)) {
-      UMC_ASSERT_MSG(p < 1.0, "sampling at p = 1 keeps the graph connected");
-      continue;  // resample denser (whp never needed at the theorem's C)
-    }
-    // The sampled min-cut value = Theta(C log n) whp; seed the iteration
-    // count from it exactly (same substitution as above).
-    const Weight lambda_sample = baseline::stoer_wagner(sample).value;
-    // Pack on the original graph topology restricted to sampled edges.
-    std::vector<EdgeId> present;  // sample edge -> original edge id
-    for (EdgeId e = 0; e < g.m(); ++e)
-      if (multiplicity[static_cast<std::size_t>(e)] > 0) present.push_back(e);
-    std::vector<Weight> sample_mult;
-    sample_mult.reserve(present.size());
-    for (const EdgeId e : present) sample_mult.push_back(multiplicity[static_cast<std::size_t>(e)]);
-    // Map each tree back to original edge ids before it leaves the packer.
-    greedy_pack(sample, sample_mult, cap(2 * lambda_sample * logm), pack_ledger, config,
-                [&present, &sink](std::vector<EdgeId> tree) {
-                  for (EdgeId& e : tree) e = present[static_cast<std::size_t>(e)];
-                  sink(std::move(tree));
-                });
-    return out;
-  }
-}
-
-/// Resumable core: mirrors pack_uncached, but commits each unit of work
-/// into `ckpt` (firing `hook` just before the commit) and charges each
-/// unit into its own ledger so a replayed prefix absorbs exactly what the
-/// live run charged. Bit-equality with pack_uncached holds because the
-/// setup and the greedy loop are deterministic given (graph, config, rng
-/// entry state) and charge_sequential is associative over the unit split.
-TreePacking pack_resumable(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger,
-                           const PackingConfig& config, const TreeSink& sink,
-                           PackingCheckpoint& ckpt, const CrashHook& hook) {
-  TreePacking out;
-  const std::int64_t logn = ceil_log2(static_cast<std::uint64_t>(g.n()) + 1) + 1;
-  const std::int64_t logm = ceil_log2(static_cast<std::uint64_t>(g.m()) + 2) + 1;
-  const auto cap = [&config](std::int64_t iters) {
-    iters = std::max<std::int64_t>(iters, 1);
-    if (config.max_trees > 0) iters = std::min<std::int64_t>(iters, config.max_trees);
-    return static_cast<int>(iters);
-  };
-
-  if (!ckpt.setup_done) {
-    minoragg::Ledger setup;
-    out.lambda_seed = baseline::stoer_wagner(g).value;
-    setup.charge(logn * logn);  // the approx-min-cut's polylog round budget
-    std::vector<Weight> multiplicity;
-    int iterations = 0;
-    if (static_cast<double>(out.lambda_seed) <=
-        config.direct_threshold_c * static_cast<double>(logn)) {
-      // Case (A): direct greedy packing on the full multiplicities; nothing
-      // worth journaling beyond the iteration target (rng untouched).
-      iterations = cap(2 * out.lambda_seed * logm);
-    } else {
-      // Case (B): Karger-sample (the only randomness of the whole solve).
-      out.sampled = true;
-      const double base_p =
-          config.sample_c * static_cast<double>(logn) / static_cast<double>(out.lambda_seed);
-      for (double p = base_p;; p = std::min(1.0, 2 * p)) {
-        multiplicity.assign(static_cast<std::size_t>(g.m()), 0);
-        WeightedGraph sample(g.n());
-        for (EdgeId e = 0; e < g.m(); ++e) {
-          const Weight s = binomial_sample(g.edge(e).w, p, rng);
-          multiplicity[static_cast<std::size_t>(e)] = s;
-          if (s > 0) sample.add_edge(g.edge(e).u, g.edge(e).v, s);
-        }
-        if (!is_connected(sample)) {
-          UMC_ASSERT_MSG(p < 1.0, "sampling at p = 1 keeps the graph connected");
-          continue;  // resample denser (whp never needed at the theorem's C)
-        }
-        iterations = cap(2 * baseline::stoer_wagner(sample).value * logm);
-        break;
-      }
-    }
-    if (hook) hook(SolvePhase::kPackingSetup, 0);
-    ckpt.setup_done = true;
-    ckpt.lambda_seed = out.lambda_seed;
-    ckpt.sampled = out.sampled;
-    ckpt.multiplicity = std::move(multiplicity);
-    ckpt.rng_after_setup = rng.state();
-    ckpt.setup_charges = setup;
-    ckpt.iterations = iterations;
-  } else {
-    // Resume: the setup is journaled; skip straight past its randomness.
-    rng.set_state(ckpt.rng_after_setup);
-  }
-  out.lambda_seed = ckpt.lambda_seed;
-  out.sampled = ckpt.sampled;
-  pack_ledger.charge_sequential(ckpt.setup_charges);
-
-  // Rebuild the packing substrate: the sample graph for case B (with the
-  // sample-id -> original-id map), g itself for case A.
-  WeightedGraph sample_storage(0);
-  const WeightedGraph* pack_g = &g;
-  std::vector<EdgeId> present;           // pack edge id -> original edge id
-  std::vector<EdgeId> original_to_pack;  // inverse (case B only)
-  std::vector<Weight> multiplicity(static_cast<std::size_t>(g.m()));
-  if (ckpt.sampled) {
-    sample_storage = WeightedGraph(g.n());
-    original_to_pack.assign(static_cast<std::size_t>(g.m()), kNoEdge);
-    std::vector<Weight> pack_mult;
-    for (EdgeId e = 0; e < g.m(); ++e) {
-      const Weight s = ckpt.multiplicity[static_cast<std::size_t>(e)];
-      if (s == 0) continue;
-      original_to_pack[static_cast<std::size_t>(e)] = static_cast<EdgeId>(present.size());
-      present.push_back(e);
-      pack_mult.push_back(s);
-      sample_storage.add_edge(g.edge(e).u, g.edge(e).v, s);
-    }
-    pack_g = &sample_storage;
-    multiplicity = std::move(pack_mult);
-  } else {
-    for (EdgeId e = 0; e < g.m(); ++e) multiplicity[static_cast<std::size_t>(e)] = g.edge(e).w;
-  }
-  const auto to_pack_id = [&](EdgeId original) {
-    return ckpt.sampled ? original_to_pack[static_cast<std::size_t>(original)] : original;
-  };
-  const auto to_original_id = [&](EdgeId pack) {
-    return ckpt.sampled ? present[static_cast<std::size_t>(pack)] : pack;
-  };
-
-  // Replay the committed prefix (loads rebuilt from the journaled trees),
-  // then continue live from the first uncommitted iteration.
-  const auto pack_m = static_cast<std::size_t>(pack_g->m());
-  std::vector<std::int64_t> load(pack_m, 0);
-  const int committed = ckpt.committed_iterations();
-  for (int it = 0; it < committed; ++it) {
-    pack_ledger.charge_sequential(ckpt.iteration_charges[static_cast<std::size_t>(it)]);
-    for (const EdgeId e : ckpt.trees[static_cast<std::size_t>(it)])
-      ++load[static_cast<std::size_t>(to_pack_id(e))];
-    sink(std::vector<EdgeId>(ckpt.trees[static_cast<std::size_t>(it)]));
-  }
-
-  std::vector<std::int64_t> cost(pack_m, 0);
-  for (std::size_t i = 0; i < pack_m; ++i) cost[i] = (load[i] << 20) / multiplicity[i];
-#if !defined(UMC_OBS_DISABLED)
-  if (config.use_fast_path && committed < ckpt.iterations)
-    packing_metrics().resort_edges.inc(static_cast<std::int64_t>(pack_m));
-#endif
-  ScratchLease<BoruvkaPacker> packer;
-  packer->set_min_chunk_edges(static_cast<std::size_t>(std::max(config.chunk_min_edges, 1)));
-  for (int it = committed; it < ckpt.iterations; ++it) {
-    UMC_OBS_SPAN_VAR_L(obs_iter, "mincut/packing_iter", "mincut", it);
-    obs_iter.arg("pool_thread", ThreadPool::current_index());
-    minoragg::Ledger iter_ledger;
-    std::vector<EdgeId> tree;
-    if (config.use_fast_path) {
-      const BoruvkaPacker::Result r = packer->run(*pack_g, cost);
-      iter_ledger.charge(r.phases + 1);
-      iter_ledger.bump("boruvka_iterations", r.phases);
-      tree.assign(r.tree.begin(), r.tree.end());
-      for (const EdgeId e : tree) {
-        const auto i = static_cast<std::size_t>(e);
-        ++load[i];
-        cost[i] = (load[i] << 20) / multiplicity[i];
-      }
-#if !defined(UMC_OBS_DISABLED)
-      packing_metrics().resort_edges.inc(static_cast<std::int64_t>(tree.size()));
-#endif
-    } else {
-      for (std::size_t i = 0; i < pack_m; ++i) cost[i] = (load[i] << 20) / multiplicity[i];
-#if !defined(UMC_OBS_DISABLED)
-      packing_metrics().resort_edges.inc(static_cast<std::int64_t>(pack_m));
-#endif
-      tree = minoragg::boruvka_mst(*pack_g, cost, iter_ledger);
-      for (const EdgeId e : tree) ++load[static_cast<std::size_t>(e)];
-    }
-    iter_ledger.bump("packing_iterations");
-    for (EdgeId& e : tree) e = to_original_id(e);
-    if (hook) hook(SolvePhase::kPackingIteration, it);
-    ckpt.trees.push_back(tree);
-    ckpt.iteration_charges.push_back(iter_ledger);
-    pack_ledger.charge_sequential(iter_ledger);
-    sink(std::move(tree));
-  }
-  return out;
-}
-
-}  // namespace
 
 TreePacking tree_packing(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
                          const PackingConfig& config) {
@@ -400,76 +302,37 @@ TreePacking tree_packing(const WeightedGraph& g, Rng& rng, minoragg::Ledger& led
 }
 
 TreePacking tree_packing(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
-                         const PackingConfig& config, const TreeSink& sink) {
+                         const PackingConfig& config, const TreeSink& sink,
+                         PackingCheckpoint* journal, const CrashHook& hook) {
   UMC_ASSERT(g.n() >= 2);
   UMC_OBS_SPAN_VAR_L(obs_pack, "mincut/tree_packing", "mincut", ledger.rounds());
   obs_pack.arg("n", g.n());
 
   PackingKey key;
-  if (config.use_cache) {
+  if (config.use_cache || journal != nullptr) {
     key.graph_fp = graph_fingerprint(g);
-    key.config_fp = config_fingerprint(config);
+    key.config_fp = packing_config_fingerprint(config);
     key.rng_state = rng.state();
-    if (const std::shared_ptr<const PackingEntry> hit = cache_for(config).lookup(key)) {
-      // Replay: same trees in the same order, same charges, same generator
-      // exit state — indistinguishable from a recompute, at output cost.
-#if !defined(UMC_OBS_DISABLED)
-      packing_metrics().cache_hits.inc();
-#endif
-      obs_pack.arg("cache_hit", 1);
-      for (const std::vector<EdgeId>& tree : hit->trees) sink(std::vector<EdgeId>(tree));
-      ledger.charge_sequential(hit->charges);
-      rng.set_state(hit->rng_after);
-      TreePacking out;
-      out.lambda_seed = hit->lambda_seed;
-      out.sampled = hit->sampled;
-      return out;
-    }
   }
-#if !defined(UMC_OBS_DISABLED)
-  packing_metrics().cache_misses.inc();
-#endif
-
-  minoragg::Ledger pack_ledger;
-  TreePacking out;
-  if (config.use_cache) {
-    auto entry = std::make_shared<PackingEntry>();
-    out = pack_uncached(g, rng, pack_ledger, config,
-                        [&entry, &sink](std::vector<EdgeId> tree) {
-                          entry->trees.push_back(tree);
-                          sink(std::move(tree));
-                        });
-    entry->lambda_seed = out.lambda_seed;
-    entry->sampled = out.sampled;
-    entry->charges = pack_ledger;
-    entry->rng_after = rng.state();
-    cache_for(config).insert(key, std::move(entry));
+  if (journal != nullptr && !journal->empty()) {
+    // A journal binds to exactly one solve: resuming with a different
+    // graph, config, or generator entry state is a caller bug, and replaying
+    // across it would be a silent wrong answer.
+    obs_pack.arg("committed", journal->committed_iterations());
+    UMC_ASSERT_MSG(journal->graph_fp == key.graph_fp && journal->config_fp == key.config_fp &&
+                       journal->rng_entry == key.rng_state,
+                   "PackingCheckpoint resumed against a different (graph, config, seed)");
   } else {
-    out = pack_uncached(g, rng, pack_ledger, config, sink);
-  }
-  ledger.charge_sequential(pack_ledger);
-  return out;
-}
-
-TreePacking tree_packing_resumable(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
-                                   const PackingConfig& config, const TreeSink& sink,
-                                   PackingCheckpoint& ckpt, const CrashHook& hook) {
-  UMC_ASSERT(g.n() >= 2);
-  UMC_OBS_SPAN_VAR_L(obs_pack, "mincut/tree_packing_resumable", "mincut", ledger.rounds());
-  obs_pack.arg("n", g.n());
-  obs_pack.arg("committed", ckpt.committed_iterations());
-
-  PackingKey key;
-  key.graph_fp = graph_fingerprint(g);
-  key.config_fp = config_fingerprint(config);
-  key.rng_state = rng.state();
-  if (ckpt.empty()) {
-    ckpt.graph_fp = key.graph_fp;
-    ckpt.config_fp = key.config_fp;
-    ckpt.rng_entry = key.rng_state;
+    if (journal != nullptr) {
+      journal->graph_fp = key.graph_fp;
+      journal->config_fp = key.config_fp;
+      journal->rng_entry = key.rng_state;
+    }
     if (config.use_cache) {
       if (const std::shared_ptr<const PackingEntry> hit = cache_for(config).lookup(key)) {
-        // Full replay from the cache — strictly better than any journal.
+        // Replay: same trees in the same order, same charges, same generator
+        // exit state — indistinguishable from a recompute, at output cost,
+        // and strictly better than any journal.
 #if !defined(UMC_OBS_DISABLED)
         packing_metrics().cache_hits.inc();
 #endif
@@ -486,20 +349,18 @@ TreePacking tree_packing_resumable(const WeightedGraph& g, Rng& rng, minoragg::L
 #if !defined(UMC_OBS_DISABLED)
     packing_metrics().cache_misses.inc();
 #endif
-  } else {
-    // A journal binds to exactly one solve: resuming with a different
-    // graph, config, or generator entry state is a caller bug, and replaying
-    // across it would be a silent wrong answer.
-    UMC_ASSERT_MSG(ckpt.graph_fp == key.graph_fp && ckpt.config_fp == key.config_fp &&
-                       ckpt.rng_entry == key.rng_state,
-                   "PackingCheckpoint resumed against a different (graph, config, seed)");
   }
 
   minoragg::Ledger pack_ledger;
-  const TreePacking out = pack_resumable(g, rng, pack_ledger, config, sink, ckpt, hook);
-  if (config.use_cache) {
-    auto entry = std::make_shared<PackingEntry>();
-    entry->trees = ckpt.trees;
+  std::shared_ptr<PackingEntry> entry;
+  if (config.use_cache) entry = std::make_shared<PackingEntry>();
+  const TreeSink recording = [&entry, &sink](std::vector<EdgeId> tree) {
+    entry->trees.push_back(tree);
+    sink(std::move(tree));
+  };
+  const TreePacking out =
+      pack(g, rng, pack_ledger, config, entry ? recording : sink, journal, hook);
+  if (entry) {
     entry->lambda_seed = out.lambda_seed;
     entry->sampled = out.sampled;
     entry->charges = pack_ledger;

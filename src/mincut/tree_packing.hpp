@@ -45,9 +45,10 @@ struct PackingConfig {
   bool use_fast_path = true;
   /// Consult/populate the global PackingCache, keyed by (graph fingerprint,
   /// rng state, config): a hit replays the recorded trees, charges, and rng
-  /// fast-forward instead of recomputing — how exact_mincut_guarded's
-  /// deterministic re-run self-check avoids paying for the packing twice,
-  /// and how warm-started sessions will reuse packings.
+  /// fast-forward instead of recomputing — how verify_mincut_result's
+  /// same-seed replay avoids paying for the packing twice. (Warm stream
+  /// sessions keep their own delta-aware entries in the same cache; see
+  /// src/stream.)
   bool use_cache = true;
   /// Minimum live edges per Borůvka fold chunk on the fast path. Pure
   /// wall-time granularity: chunking cannot change any output (per-component
@@ -95,27 +96,23 @@ using TreeSink = std::function<void(std::vector<EdgeId>)>;
 /// sink is purely an output channel. The sink is invoked on the calling
 /// thread; `rng` is touched only between sink calls, and `ledger` absorbs
 /// the packing's (all-additive) charges once after the final sink call.
+///
+/// Checkpointing: with a `journal`, every committed unit (setup, then each
+/// greedy iteration) is recorded into it; when it already holds work for
+/// this exact (graph, config, entry rng state) — asserted — the committed
+/// prefix is REPLAYED through the sink and packing continues live from the
+/// first uncommitted iteration. Trees, emit order, ledger charges, and the
+/// generator exit state are bit-identical to an unjournaled call regardless
+/// of how many crash/resume cycles happened. `hook` fires before each commit
+/// (kPackingSetup once, kPackingIteration per iteration) and may throw
+/// crash_error; the caller must then reset the rng to the entry state before
+/// resuming (setup consumes randomness). Without a journal the hook never
+/// fires. The PackingCache is consulted only when there is no journal or it
+/// is empty — a hit is a full replay, the cheapest resume of all — and
+/// populated on completion.
 [[nodiscard]] TreePacking tree_packing(const WeightedGraph& g, Rng& rng,
                                        minoragg::Ledger& ledger, const PackingConfig& config,
-                                       const TreeSink& sink);
-
-/// Checkpoint-resumable producer. Journals every committed unit (setup,
-/// then each greedy iteration) into `ckpt`; when `ckpt` already holds work
-/// for this exact (graph, config, entry rng state) — asserted — the
-/// committed prefix is REPLAYED through the sink and packing continues live
-/// from the first uncommitted iteration. Trees, emit order, ledger charges,
-/// and the generator exit state are bit-identical to an uninterrupted
-/// tree_packing call regardless of how many crash/resume cycles happened.
-///
-/// `hook` fires before each commit (kPackingSetup once, kPackingIteration
-/// per iteration) and may throw crash_error; the caller must then reset the
-/// rng to the entry state before resuming (setup consumes randomness).
-/// The PackingCache is consulted only when `ckpt` is empty — a hit is a
-/// full replay, the cheapest resume of all — and populated on completion.
-[[nodiscard]] TreePacking tree_packing_resumable(const WeightedGraph& g, Rng& rng,
-                                                 minoragg::Ledger& ledger,
-                                                 const PackingConfig& config,
-                                                 const TreeSink& sink, PackingCheckpoint& ckpt,
-                                                 const CrashHook& hook = nullptr);
+                                       const TreeSink& sink, PackingCheckpoint* journal = nullptr,
+                                       const CrashHook& hook = nullptr);
 
 }  // namespace umc::mincut

@@ -93,7 +93,13 @@ void FairScheduler::worker_loop() {
       t = pick_locked(&name);
       return t != nullptr;
     });
-    if (t == nullptr) return;  // closed and drained
+    if (t == nullptr) {
+      // Closed and drained. Dispatching the last queued job does not
+      // notify, so a worker still parked behind a tenant's in-flight cap
+      // would wait forever: wake every worker to see the drained state.
+      work_cv_.notify_all();
+      return;
+    }
 
     Job job = std::move(t->queue.front());
     t->queue.pop_front();

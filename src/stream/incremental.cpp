@@ -9,9 +9,7 @@
 #include "fault/supervisor.hpp"
 #include "mincut/cut_oracle.hpp"
 #include "mincut/packing_cache.hpp"
-#include "mincut/two_respect.hpp"
 #include "mincut/witness.hpp"
-#include "minoragg/tree_primitives.hpp"
 #include "obs/metrics.hpp"
 #include "tree/rooted_tree.hpp"
 #include "tree/spanning.hpp"
@@ -90,7 +88,7 @@ const char* to_string(StreamTier t) {
 }
 
 IncrementalMinCut::IncrementalMinCut(const WeightedGraph& base, StreamConfig cfg)
-    : sg_(base), cfg_(std::move(cfg)), detector_(cfg_.sketch_capacity) {
+    : sg_(base), cfg_(std::move(cfg)) {
   UMC_ASSERT_MSG(base.n() >= 2, "incremental min-cut needs n >= 2");
 }
 
@@ -102,24 +100,24 @@ Expected<BatchDelta> IncrementalMinCut::apply(const UpdateBatch& batch) {
   ++counters_.batches;
   counters_.updates += static_cast<std::int64_t>(delta.ops.size());
 
-  // Fold the batch through a batch-local detector first, then merge — the
-  // same mergeable-summary motion a distributed ingest would use, and what
-  // test_stream exercises against single-shot recording.
-  ChangeDetector local(cfg_.sketch_capacity);
   for (const AppliedOp& op : delta.ops) {
-    const auto key = static_cast<std::uint64_t>(op.slot);
+    // Inserts and deletes are pure increases and decreases: old_w/new_w
+    // are 0 on the missing side.
+    const Weight dw = op.new_w - op.old_w;
+    if (dw < 0) {
+      decrease_mass_ -= dw;
+    } else {
+      increase_mass_ += dw;
+    }
     switch (op.kind) {
       case UpdateKind::kReweight:
         ++counters_.reweights;
-        local.record_reweight(key, op.old_w, op.new_w);
         break;
       case UpdateKind::kInsert:
         ++counters_.inserts;
-        local.record_insert(key, op.new_w);
         break;
       case UpdateKind::kDelete:
         ++counters_.deletes;
-        local.record_delete(key, op.old_w);
         if (packed_) {
           // A tombstoned slot breaks every tree that selected it; repairs
           // happen lazily at the next warm solve. Trees keep sorted slot
@@ -146,7 +144,6 @@ Expected<BatchDelta> IncrementalMinCut::apply(const UpdateBatch& batch) {
       }
     }
   }
-  detector_.merge_from(local);
 
 #if !defined(UMC_OBS_DISABLED)
   stream_metrics().batches.inc();
@@ -179,8 +176,10 @@ StreamSolveReport IncrementalMinCut::solve() {
 
   if (!packed_) {
     if (!adopt_from_cache(rep)) full_solve(rep, "cold start");
-  } else if (detector_.exceeds(lambda_pack_, cfg_.rebuild_mass_fraction)) {
-    full_solve(rep, "update mass " + std::to_string(detector_.total_mass()) +
+  } else if (cfg_.rebuild_mass_fraction <= 0.0 ||
+             static_cast<double>(decrease_mass_ + increase_mass_) >
+                 cfg_.rebuild_mass_fraction * static_cast<double>(lambda_pack_)) {
+    full_solve(rep, "update mass " + std::to_string(decrease_mass_ + increase_mass_) +
                         " exceeded the certificate margin (lambda " +
                         std::to_string(lambda_pack_) + ")");
   } else {
@@ -208,11 +207,10 @@ StreamSolveReport IncrementalMinCut::solve() {
   return rep;
 }
 
-// Mirrors exact_mincut's pipelined session charge-for-charge (same packing
-// producer, same per-tree ledgers merged in index order) while additionally
-// capturing each tree's solved value — the warm state the next batches
-// start from. Certified by the same guard battery; a guard failure lands on
-// the SolveSupervisor ladder and the packing is NOT adopted.
+// Runs exact_mincut's pipelined session itself and adopts its per-tree
+// trees and values — the warm state the next batches start from. Certified
+// by the same guard battery; a guard failure lands on the SolveSupervisor
+// ladder and the packing is NOT adopted.
 void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& reason) {
   const WeightedGraph& g = sg_.current();
   rep.tier = StreamTier::kFullSolve;
@@ -230,39 +228,10 @@ void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& re
   Rng rng(seed);
   const Rng::State entry_state = rng.state();
 
-  std::deque<std::vector<EdgeId>> trees;
-  std::deque<mincut::CutResult> results;
-  std::deque<minoragg::Ledger> tree_ledgers;
-  const int width = std::max(1, cfg_.num_threads);
-  (void)TaskGraph::session(width, [&] {
-    TaskGroup solves;
-    (void)mincut::tree_packing(g, rng, rep.ledger, cfg_.packing, [&](std::vector<EdgeId> tree) {
-      trees.push_back(std::move(tree));
-      const std::vector<EdgeId>& edges = trees.back();
-      mincut::CutResult& slot = results.emplace_back();
-      minoragg::Ledger& tree_ledger = tree_ledgers.emplace_back();
-      solves.spawn([&g, &edges, &slot, &tree_ledger] {
-        (void)minoragg::orient_tree(g, edges, /*root=*/0, tree_ledger);
-        slot = mincut::two_respecting_mincut(g, edges, /*root=*/0, tree_ledger);
-      });
-    });
-    solves.join();
-  });
-
-  mincut::ExactMinCutResult best;
-  const std::size_t num_trees = results.size();
-  best.num_trees = static_cast<int>(num_trees);
-  for (std::size_t i = 0; i < num_trees; ++i) {
-    rep.ledger.charge_sequential(tree_ledgers[i]);
-    const mincut::CutResult& r = results[i];
-    if (r.value < best.value) {  // strict: ties keep the lowest tree index
-      best.value = r.value;
-      best.e = r.e;
-      best.f = r.f;
-      best.winning_tree = static_cast<int>(i);
-    }
-  }
-  UMC_ASSERT_MSG(best.value < mincut::kInfWeight, "a packing always yields at least one cut");
+  mincut::PerTreeCuts per_tree;
+  const mincut::ExactMinCutResult best = mincut::exact_mincut(
+      g, rng, rep.ledger, cfg_.packing, cfg_.num_threads, nullptr, nullptr, &per_tree);
+  const std::size_t num_trees = per_tree.trees.size();
 
   rep.exact = best;
   rep.value = best.value;
@@ -313,18 +282,18 @@ void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& re
 
   // Adopt: trees move to stable slot-id space (slot order preserves the
   // materialized id order, so sortedness carries over), the journal
-  // re-bases, and the detector forgets — the packing is the new base
+  // re-bases, and the mass counters restart — the packing is the new base
   // certificate.
   trees_.clear();
   trees_.reserve(num_trees);
-  for (const std::vector<EdgeId>& tree : trees) {
+  for (const std::vector<EdgeId>& tree : per_tree.trees) {
     std::vector<EdgeId> slots;
     slots.reserve(tree.size());
     for (const EdgeId e : tree) slots.push_back(sg_.slot_of_current(e));
     trees_.push_back(std::move(slots));
   }
   tree_value_.resize(num_trees);
-  for (std::size_t i = 0; i < num_trees; ++i) tree_value_[i] = results[i].value;
+  for (std::size_t i = 0; i < num_trees; ++i) tree_value_[i] = per_tree.cuts[i].value;
   tree_dec_at_.assign(num_trees, 0);
   tree_broken_.assign(num_trees, 0);
   tree_runner_.assign(num_trees, mincut::kInfWeight);
@@ -338,7 +307,8 @@ void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& re
   packed_ = true;
   adopt_winner(g, best.winning_tree, best);
   sg_.rebase();
-  detector_.reset();
+  decrease_mass_ = 0;
+  increase_mass_ = 0;
   store_delta_entry();
 }
 
@@ -389,7 +359,7 @@ bool IncrementalMinCut::adopt_from_cache(StreamSolveReport& rep) {
 
     trees_ = hit->trees;
     tree_value_ = hit->tree_values;
-    tree_dec_at_.assign(trees_.size(), detector_.decrease_mass());
+    tree_dec_at_.assign(trees_.size(), decrease_mass_);
     tree_broken_.assign(trees_.size(), 0);
     tree_runner_.assign(trees_.size(), mincut::kInfWeight);
     tree_tracked_.assign(trees_.size(), mincut::kInfWeight);
@@ -474,7 +444,7 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
   const Weight bound = surviving_witness_bound(g);
   ledger.charge(1);  // re-pricing the surviving witness: one aggregation round
   {
-    const Weight dec = detector_.decrease_mass();
+    const Weight dec = decrease_mass_;
     if (bound + dec >= lambda_pack_ + lambda_pack_ / 2)
       return {false, "coverage margin exhausted: witness bound " + std::to_string(bound) +
                          " + decrease mass " + std::to_string(dec) +
@@ -484,7 +454,7 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
 
   const std::size_t num_trees = trees_.size();
   UMC_ASSERT(num_trees > 0);
-  const Weight dec_now = detector_.decrease_mass();
+  const Weight dec_now = decrease_mass_;
 
   std::vector<std::vector<EdgeId>> cur_trees(num_trees);
   for (std::size_t i = 0; i < num_trees; ++i) {

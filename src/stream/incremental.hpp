@@ -33,16 +33,19 @@
 //                     the answer is the true min over trees. The solve set
 //                     is decided in one width-independent pass and ledgers
 //                     merge in tree-index order.
-//   kFullSolve        re-pack + full pipelined solve (mirrors exact_mincut
-//                     charge-for-charge), certified by the guard battery,
-//                     then the journal re-bases and the cache is primed.
+//   kFullSolve        re-pack + full pipelined solve (exact_mincut itself,
+//                     handing back its per-tree trees and values),
+//                     certified by the guard battery, then the journal
+//                     re-bases and the cache is primed.
 //
 // The cheap change-detection tier (Nanongkai–Su style) decides when warm
-// answers stop being trustworthy: a mergeable Misra–Gries ChangeDetector
-// (src/sketch) accumulates touched-edge weight mass since the last full
-// pack, and once it exceeds `rebuild_mass_fraction · λ` — or deletions broke
+// answers stop being trustworthy: two exact counters accumulate the
+// decrease and increase weight mass touched since the last full pack, and
+// once their sum exceeds `rebuild_mass_fraction · λ` — or deletions broke
 // (cumulatively, repairs included) more than `rebuild_tree_fraction` of the
-// pack-time trees — the solve goes full.
+// pack-time trees — the solve goes full. The decrease mass also drives the
+// per-tree skip bound (stale value − decrease mass since that tree's solve),
+// which is why both counters are exact, never sketched.
 // Every warm answer is still validated before it is served: the coverage
 // margin U + D < 1.5·λ_pack must hold (U = the surviving previous witness
 // cut re-priced at current weights, D = decrease mass since the pack; the
@@ -63,7 +66,6 @@
 #include "mincut/exact_mincut.hpp"
 #include "mincut/tree_packing.hpp"
 #include "minoragg/ledger.hpp"
-#include "sketch/change_detector.hpp"
 #include "stream/update_stream.hpp"
 #include "util/rng.hpp"
 
@@ -88,8 +90,6 @@ struct StreamConfig {
   double rebuild_mass_fraction = 2.0;
   /// Full re-solve once deletions broke more than this fraction of trees.
   double rebuild_tree_fraction = 0.5;
-  /// Misra–Gries capacity of the change detector.
-  int sketch_capacity = 16;
   /// Certify full-tier answers with verify_mincut_result (warm tiers are
   /// always witness-validated regardless).
   bool verify_full = true;
@@ -148,7 +148,7 @@ class IncrementalMinCut {
   IncrementalMinCut(const WeightedGraph& base, StreamConfig cfg = {});
 
   /// Journals + applies one batch (see StreamGraph::apply for rejection
-  /// rules; on error nothing changes, including the detector).
+  /// rules; on error nothing changes, including the mass counters).
   [[nodiscard]] Expected<BatchDelta> apply(const UpdateBatch& batch);
 
   /// Solves the resident graph at its current state, choosing the cheapest
@@ -160,7 +160,6 @@ class IncrementalMinCut {
   [[nodiscard]] const WeightedGraph& graph() const { return sg_.current(); }
   [[nodiscard]] const StreamGraph& stream_graph() const { return sg_; }
   [[nodiscard]] const StreamCounters& counters() const { return counters_; }
-  [[nodiscard]] const ChangeDetector& detector() const { return detector_; }
   [[nodiscard]] const StreamConfig& config() const { return cfg_; }
 
  private:
@@ -182,8 +181,11 @@ class IncrementalMinCut {
 
   StreamGraph sg_;
   StreamConfig cfg_;
-  ChangeDetector detector_;
   StreamCounters counters_;
+  // Σ max(0, w_old − w_new) and Σ max(0, w_new − w_old) over every applied
+  // op since the last full pack.
+  Weight decrease_mass_ = 0;
+  Weight increase_mass_ = 0;
 
   // Resident packing state (slot-id space; empty until the first full pack).
   bool packed_ = false;
@@ -191,7 +193,7 @@ class IncrementalMinCut {
   Rng::State base_rng_state_{};   // rng entry state of the base pack
   std::vector<std::vector<EdgeId>> trees_;  // sorted slot ids
   std::vector<Weight> tree_value_;  // last solved 2-respecting min (kInfWeight = unsolved)
-  std::vector<Weight> tree_dec_at_;  // detector_.decrease_mass() at that solve
+  std::vector<Weight> tree_dec_at_;  // decrease_mass_ at that solve
   std::vector<char> tree_broken_;    // contains a tombstoned slot
   // Tracked argmin state from the tree's last oracle eval (empty side =
   // none yet: cache-adopted or repaired trees re-earn theirs on the next

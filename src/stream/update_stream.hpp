@@ -65,7 +65,7 @@ struct UpdateBatch {
 };
 
 /// One committed op, reported back with the endpoints and weights it
-/// actually changed — what the change detector, the packing-repair logic,
+/// actually changed — what the mass counters, the packing-repair logic,
 /// and the tracked-cut re-pricer consume (a cut's value moves by new_w -
 /// old_w exactly when {u, v} crosses its bipartition).
 struct AppliedOp {

@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/stoer_wagner.hpp"
@@ -235,6 +240,46 @@ TEST(FairScheduler, AdmissionControlRejectsStructurally) {
   EXPECT_EQ(stats.rejected_tenant_overload, 1);
   EXPECT_EQ(stats.rejected_queue_full, 1);
   EXPECT_EQ(stats.rejected_shutting_down, 1);
+}
+
+TEST(FairScheduler, CloseReleasesWorkersParkedBehindAnInflightCap) {
+  // Two idle workers park while tenant x's first job holds its in-flight
+  // cap and its second job waits. Once close() has landed and that second
+  // job is dispatched, every worker must leave run() — not just the one the
+  // first job's completion happened to wake.
+  SchedulerConfig cfg;
+  cfg.width = 3;
+  FairScheduler sched(cfg);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  ASSERT_EQ(sched.submit("x",
+                         [&] {
+                           std::unique_lock<std::mutex> lock(mu);
+                           cv.wait(lock, [&] { return release; });
+                         }),
+            Admit::kAdmitted);
+  ASSERT_EQ(sched.submit("x", [] {}), Admit::kAdmitted);
+
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    sched.run();
+    done.set_value();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // idle workers park
+  sched.close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // ...and re-park
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  const bool drained =
+      finished.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!drained) sched.resume();  // wake the parked worker so the test fails instead of hanging
+  runner.join();
+  EXPECT_TRUE(drained) << "a worker stayed parked after close() drained the queue";
 }
 
 // ---- engine: session lifecycle ---------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -62,24 +63,32 @@ struct Recovered {
   int attempts = 0;
 };
 
-/// Runs the resumable solve to completion, crashing once at each site in
-/// `crashes` (each fired at most once), with a FRESH ledger per attempt —
-/// a crashed attempt's partial charges are discarded, like a dead process's.
-void solve_with_crashes(const WeightedGraph& g, std::uint64_t seed, const PackingConfig& config,
-                        int threads, std::set<Site> crashes, Recovered& r) {
-  const CrashHook hook = [&](SolvePhase phase, std::int64_t index) {
+/// Crashes once at each site of `crashes`. Tree-solve hooks fire on session
+/// threads concurrently with the producer's, so the set is locked.
+CrashHook crash_once_at(std::set<Site>& crashes, std::mutex& mu) {
+  return [&crashes, &mu](SolvePhase phase, std::int64_t index) {
+    const std::lock_guard<std::mutex> lock(mu);
     const auto it = crashes.find({phase, index});
     if (it == crashes.end()) return;
     crashes.erase(it);  // at most once per plan
     throw crash_error(phase, index);
   };
+}
+
+/// Runs the resumable solve to completion, crashing once at each site in
+/// `crashes` (each fired at most once), with a FRESH ledger per attempt —
+/// a crashed attempt's partial charges are discarded, like a dead process's.
+void solve_with_crashes(const WeightedGraph& g, std::uint64_t seed, const PackingConfig& config,
+                        int threads, std::set<Site> crashes, Recovered& r) {
+  std::mutex mu;
+  const CrashHook hook = crash_once_at(crashes, mu);
   for (;;) {
     ++r.attempts;
     ASSERT_LE(r.attempts, 64) << "crash protocol failed to converge";
     r.rng = Rng(seed);  // crash contract: reset the generator to entry state
     r.ledger = minoragg::Ledger();
     try {
-      r.result = exact_mincut_resumable(g, r.rng, r.ledger, config, threads, r.ckpt, hook);
+      r.result = exact_mincut(g, r.rng, r.ledger, config, threads, &r.ckpt, hook);
       return;
     } catch (const crash_error&) {
       continue;
@@ -104,7 +113,7 @@ TEST(SolveCheckpoint, UninterruptedResumableMatchesExactMincut) {
   Rng rng(7);
   minoragg::Ledger ledger;
   SolveCheckpoint ckpt;
-  const ExactMinCutResult got = exact_mincut_resumable(g, rng, ledger, config, 2, ckpt);
+  const ExactMinCutResult got = exact_mincut(g, rng, ledger, config, 2, &ckpt);
   expect_same(want, got, ledger, rng, "no crashes");
   EXPECT_EQ(ckpt.replayed_units, 0);
   EXPECT_TRUE(ckpt.packing.complete());
@@ -122,7 +131,7 @@ TEST(SolveCheckpoint, ResumableHitsPackingCacheWhenCheckpointEmpty) {
   Rng rng(9);
   minoragg::Ledger ledger;
   SolveCheckpoint ckpt;
-  const ExactMinCutResult got = exact_mincut_resumable(g, rng, ledger, config, 1, ckpt);
+  const ExactMinCutResult got = exact_mincut(g, rng, ledger, config, 1, &ckpt);
   expect_same(want, got, ledger, rng, "cache replay");
   EXPECT_GT(PackingCache::global().hits(), hits_before);
 }
@@ -130,29 +139,41 @@ TEST(SolveCheckpoint, ResumableHitsPackingCacheWhenCheckpointEmpty) {
 TEST(SolveCheckpoint, CrashAtEveryCommitPointResumesBitIdentical) {
   PackingCache::global().clear();
   const WeightedGraph g = test_graph(107, 20, 0.3);
-  PackingConfig config;
-  config.use_cache = false;  // force the live resume path on every attempt
-  const Baseline want = uninterrupted(g, 11, config, 2);
+  // Both greedy loop bodies: the BoruvkaPacker fast path and the simulated
+  // Minor-Aggregation reference.
+  for (const bool fast : {true, false}) {
+    SCOPED_TRACE(fast ? "fast path" : "reference path");
+    PackingConfig config;
+    config.use_cache = false;  // force the live resume path on every attempt
+    config.use_fast_path = fast;
+    // The reference simulates every Borůvka phase; a short packing keeps
+    // its every-site enumeration (sites x solves) cheap.
+    if (!fast) config.max_trees = 16;
+    const Baseline want = uninterrupted(g, 11, config, 2);
 
-  // Enumerate the commit sites one crash-free run fires.
-  std::vector<Site> sites;
-  {
-    SolveCheckpoint probe;
-    Rng rng(11);
-    minoragg::Ledger ledger;
-    (void)exact_mincut_resumable(g, rng, ledger, config, 2, probe,
-                                 [&](SolvePhase phase, std::int64_t index) {
-                                   sites.emplace_back(phase, index);
-                                 });
-  }
-  ASSERT_GE(sites.size(), 3u);
+    // Enumerate the commit sites one crash-free run fires.
+    std::vector<Site> sites;
+    {
+      SolveCheckpoint probe;
+      Rng rng(11);
+      minoragg::Ledger ledger;
+      std::mutex mu;
+      (void)exact_mincut(g, rng, ledger, config, 2, &probe,
+                         [&](SolvePhase phase, std::int64_t index) {
+                           const std::lock_guard<std::mutex> lock(mu);
+                           sites.emplace_back(phase, index);
+                         });
+      EXPECT_FALSE(probe.packing.sampled);  // case A
+    }
+    ASSERT_GE(sites.size(), 3u);
 
-  for (const Site& site : sites) {
-    SCOPED_TRACE(std::string(to_string(site.first)) + " #" + std::to_string(site.second));
-    Recovered r;
-    solve_with_crashes(g, 11, config, 2, {site}, r);
-    EXPECT_EQ(r.attempts, 2);  // one crash, one clean resume
-    expect_same(want, r.result, r.ledger, r.rng, "crash site");
+    for (const Site& site : sites) {
+      SCOPED_TRACE(std::string(to_string(site.first)) + " #" + std::to_string(site.second));
+      Recovered r;
+      solve_with_crashes(g, 11, config, 2, {site}, r);
+      EXPECT_EQ(r.attempts, 2);  // one crash, one clean resume
+      expect_same(want, r.result, r.ledger, r.rng, "crash site");
+    }
   }
 }
 
@@ -173,14 +194,14 @@ TEST(SolveCheckpoint, MidPackingCrashResumesFromLastCommittedIteration) {
     Rng rng(13);
     minoragg::Ledger ledger;
     try {
-      (void)exact_mincut_resumable(g, rng, ledger, config, 2, ckpt,
-                                   [&](SolvePhase phase, std::int64_t index) {
-                                     if (phase == SolvePhase::kPackingIteration &&
-                                         index == crash_at && !crashed) {
-                                       crashed = true;
-                                       throw crash_error(phase, index);
-                                     }
-                                   });
+      (void)exact_mincut(g, rng, ledger, config, 2, &ckpt,
+                         [&](SolvePhase phase, std::int64_t index) {
+                           if (phase == SolvePhase::kPackingIteration && index == crash_at &&
+                               !crashed) {
+                             crashed = true;
+                             throw crash_error(phase, index);
+                           }
+                         });
       FAIL() << "crash hook did not fire";
     } catch (const crash_error& e) {
       EXPECT_EQ(e.phase(), SolvePhase::kPackingIteration);
@@ -196,8 +217,8 @@ TEST(SolveCheckpoint, MidPackingCrashResumesFromLastCommittedIteration) {
   // prefix), and the merged outcome is bit-identical to never crashing.
   Rng rng(13);
   minoragg::Ledger ledger;
-  const ExactMinCutResult got = exact_mincut_resumable(
-      g, rng, ledger, config, 2, ckpt, [&](SolvePhase phase, std::int64_t) {
+  const ExactMinCutResult got = exact_mincut(
+      g, rng, ledger, config, 2, &ckpt, [&](SolvePhase phase, std::int64_t) {
         if (phase == SolvePhase::kPackingIteration) ++resumed_live;
       });
   EXPECT_EQ(resumed_live, iterations - crash_at);
@@ -236,44 +257,43 @@ TEST(SolveCheckpoint, MultiCrashProtocolAcrossAllPhasesConverges) {
 TEST(SolveCheckpoint, SampledRouteCrashResumesBitIdentical) {
   PackingCache::global().clear();
   const WeightedGraph g = test_graph(127, 26, 0.5);
-  PackingConfig config;
-  config.use_cache = false;
-  config.direct_threshold_c = 0.0;  // force the Karger-sampling route (case B)
-  const Baseline want = uninterrupted(g, 19, config, 2);
+  for (const bool fast : {true, false}) {
+    SCOPED_TRACE(fast ? "fast path" : "reference path");
+    PackingConfig config;
+    config.use_cache = false;
+    config.use_fast_path = fast;
+    config.direct_threshold_c = 0.0;  // force the Karger-sampling route (case B)
+    const Baseline want = uninterrupted(g, 19, config, 2);
 
-  // Crash after setup committed (so the sample + rng snapshot must carry the
-  // resume) and again mid-iterations.
-  SolveCheckpoint ckpt;
-  std::set<Site> crashes{{SolvePhase::kPackingIteration, 0},
-                         {SolvePhase::kPackingIteration, 2}};
-  ExactMinCutResult got;
-  Rng rng(19);
-  minoragg::Ledger ledger;
-  int attempts = 0;
-  for (;;) {
-    ++attempts;
-    ASSERT_LE(attempts, 8);
-    rng = Rng(19);
-    ledger = minoragg::Ledger();
-    try {
-      got = exact_mincut_resumable(g, rng, ledger, config, 2, ckpt,
-                                   [&](SolvePhase phase, std::int64_t index) {
-                                     const auto it = crashes.find({phase, index});
-                                     if (it == crashes.end()) return;
-                                     crashes.erase(it);
-                                     throw crash_error(phase, index);
-                                   });
-      break;
-    } catch (const crash_error&) {
-      EXPECT_TRUE(ckpt.packing.sampled);
-      continue;
+    // Crash after setup committed (so the sample + rng snapshot must carry
+    // the resume) and again mid-iterations.
+    SolveCheckpoint ckpt;
+    std::set<Site> crashes{{SolvePhase::kPackingIteration, 0},
+                           {SolvePhase::kPackingIteration, 2}};
+    std::mutex mu;
+    ExactMinCutResult got;
+    Rng rng(19);
+    minoragg::Ledger ledger;
+    int attempts = 0;
+    for (;;) {
+      ++attempts;
+      ASSERT_LE(attempts, 8);
+      rng = Rng(19);
+      ledger = minoragg::Ledger();
+      try {
+        got = exact_mincut(g, rng, ledger, config, 2, &ckpt, crash_once_at(crashes, mu));
+        break;
+      } catch (const crash_error&) {
+        EXPECT_TRUE(ckpt.packing.sampled);
+        continue;
+      }
     }
+    EXPECT_EQ(attempts, 3);
+    EXPECT_TRUE(ckpt.packing.sampled);
+    EXPECT_FALSE(ckpt.packing.multiplicity.empty());
+    expect_same(want, got, ledger, rng, "sampled-route resume");
+    EXPECT_EQ(got.value, baseline::stoer_wagner(g).value);
   }
-  EXPECT_EQ(attempts, 3);
-  EXPECT_TRUE(ckpt.packing.sampled);
-  EXPECT_FALSE(ckpt.packing.multiplicity.empty());
-  expect_same(want, got, ledger, rng, "sampled-route resume");
-  EXPECT_EQ(got.value, baseline::stoer_wagner(g).value);
 }
 
 TEST(SolveCheckpoint, ResumingAgainstDifferentSolveIsRejected) {
@@ -288,14 +308,13 @@ TEST(SolveCheckpoint, ResumingAgainstDifferentSolveIsRejected) {
     Rng rng(23);
     minoragg::Ledger ledger;
     bool crashed = false;
-    EXPECT_THROW((void)exact_mincut_resumable(g1, rng, ledger, config, 1, ckpt,
-                                              [&](SolvePhase phase, std::int64_t index) {
-                                                if (phase == SolvePhase::kPackingIteration &&
-                                                    !crashed) {
-                                                  crashed = true;
-                                                  throw crash_error(phase, index);
-                                                }
-                                              }),
+    EXPECT_THROW((void)exact_mincut(g1, rng, ledger, config, 1, &ckpt,
+                                    [&](SolvePhase phase, std::int64_t index) {
+                                      if (phase == SolvePhase::kPackingIteration && !crashed) {
+                                        crashed = true;
+                                        throw crash_error(phase, index);
+                                      }
+                                    }),
                  crash_error);
   }
   ASSERT_FALSE(ckpt.empty());
@@ -303,8 +322,7 @@ TEST(SolveCheckpoint, ResumingAgainstDifferentSolveIsRejected) {
   // Same checkpoint, different graph: the binding assertion must fire.
   Rng rng(23);
   minoragg::Ledger ledger;
-  EXPECT_THROW((void)exact_mincut_resumable(g2, rng, ledger, config, 1, ckpt),
-               invariant_error);
+  EXPECT_THROW((void)exact_mincut(g2, rng, ledger, config, 1, &ckpt), invariant_error);
 }
 
 // ---------------------------------------------------------------------------

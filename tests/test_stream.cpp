@@ -352,21 +352,31 @@ TEST(IncrementalMinCut, ColdSolveMirrorsExactMinCutChargeForCharge) {
   Rng rng(76);
   WeightedGraph g = erdos_renyi_connected(20, 0.3, rng);
   randomize_weights(g, 1, 10, rng);
-  StreamConfig cfg = stream_config(21, 1);
-  cfg.verify_full = false;  // compare the solve itself, not the guard battery
-  IncrementalMinCut inc(g, cfg);
-  const StreamSolveReport rep = inc.solve();
+  // Case A at the default threshold; threshold 0 forces the Karger-sampled
+  // route (case B).
+  for (const double direct_threshold_c : {4.0, 0.0}) {
+    for (const int width : {1, 4, 8}) {
+      SCOPED_TRACE("direct_threshold_c " + std::to_string(direct_threshold_c) + " width " +
+                   std::to_string(width));
+      StreamConfig cfg = stream_config(21, width);
+      cfg.packing.direct_threshold_c = direct_threshold_c;
+      cfg.verify_full = false;  // compare the solve itself, not the guard battery
+      IncrementalMinCut inc(g, cfg);
+      const StreamSolveReport rep = inc.solve();
 
-  Rng solver_rng(mix64(cfg.seed ^ 0));  // pack epoch 0 lineage
-  minoragg::Ledger ledger;
-  mincut::ExactMinCutResult ref;
-  (void)TaskGraph::session(1, [&] {
-    ref = mincut::exact_mincut(g, solver_rng, ledger, cfg.packing);
-  });
-  EXPECT_EQ(rep.value, ref.value);
-  EXPECT_EQ(rep.exact.winning_tree, ref.winning_tree);
-  EXPECT_EQ(rep.ledger.rounds(), ledger.rounds());
-  EXPECT_EQ(rep.ledger.counters(), ledger.counters());
+      Rng solver_rng(mix64(cfg.seed ^ 0));  // pack epoch 0 lineage
+      minoragg::Ledger ledger;
+      const mincut::ExactMinCutResult ref =
+          mincut::exact_mincut(g, solver_rng, ledger, cfg.packing, width);
+      EXPECT_EQ(rep.value, ref.value);
+      EXPECT_EQ(rep.exact.e, ref.e);
+      EXPECT_EQ(rep.exact.f, ref.f);
+      EXPECT_EQ(rep.exact.winning_tree, ref.winning_tree);
+      EXPECT_EQ(rep.exact.num_trees, ref.num_trees);
+      EXPECT_EQ(rep.ledger.rounds(), ledger.rounds());
+      EXPECT_EQ(rep.ledger.counters(), ledger.counters());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
