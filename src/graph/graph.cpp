@@ -1,6 +1,32 @@
 #include "graph/graph.hpp"
 
+#include <utility>
+
+#include "util/scratch.hpp"
+
 namespace umc {
+
+WeightedGraph::WeightedGraph(NodeId n, std::vector<Edge> edges)
+    : edges_(std::move(edges)), adj_(static_cast<std::size_t>(n)) {
+  UMC_ASSERT(n >= 0);
+  ScratchLease<std::vector<std::int32_t>> degree_s;
+  std::vector<std::int32_t>& degree = *degree_s;
+  degree.assign(static_cast<std::size_t>(n), 0);
+  for (const Edge& e : edges_) {
+    UMC_ASSERT(e.u >= 0 && e.u < n);
+    UMC_ASSERT(e.v >= 0 && e.v < n);
+    UMC_ASSERT_MSG(e.u != e.v, "self-loops are not representable");
+    UMC_ASSERT_MSG(e.w > 0, "edge weights must be positive");
+    ++degree[static_cast<std::size_t>(e.u)];
+    ++degree[static_cast<std::size_t>(e.v)];
+  }
+  for (std::size_t v = 0; v < adj_.size(); ++v) adj_[v].reserve(static_cast<std::size_t>(degree[v]));
+  for (EdgeId id = 0; id < m(); ++id) {
+    const Edge& e = edges_[static_cast<std::size_t>(id)];
+    adj_[static_cast<std::size_t>(e.u)].push_back(AdjEntry{e.v, id});
+    adj_[static_cast<std::size_t>(e.v)].push_back(AdjEntry{e.u, id});
+  }
+}
 
 void WeightedGraph::reserve(NodeId nodes, EdgeId edges) {
   UMC_ASSERT(nodes >= 0 && edges >= 0);

@@ -63,6 +63,12 @@ class WeightedGraph {
   WeightedGraph() = default;
   explicit WeightedGraph(NodeId n) : adj_(static_cast<std::size_t>(n)) { UMC_ASSERT(n >= 0); }
 
+  /// Builds the graph on n nodes from a complete edge list in one sized
+  /// pass: each adjacency row is reserved exactly. Edge ids and adjacency
+  /// order equal those of add_edge() called on `edges` in order, with the
+  /// same self-loop and weight checks.
+  WeightedGraph(NodeId n, std::vector<Edge> edges);
+
   [[nodiscard]] NodeId n() const { return static_cast<NodeId>(adj_.size()); }
   [[nodiscard]] EdgeId m() const { return static_cast<EdgeId>(edges_.size()); }
 

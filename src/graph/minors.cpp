@@ -1,5 +1,7 @@
 #include "graph/minors.hpp"
 
+#include <utility>
+
 #include "graph/dsu.hpp"
 
 namespace umc {
@@ -21,16 +23,24 @@ DerivedGraph contract_edges(const WeightedGraph& g, const std::vector<bool>& con
       rep_to_id[static_cast<std::size_t>(r)] = next++;
     out.node_map[static_cast<std::size_t>(v)] = rep_to_id[static_cast<std::size_t>(r)];
   }
-  out.graph = WeightedGraph(next);
+  std::size_t kept = 0;
+  for (EdgeId e = 0; e < g.m(); ++e)
+    kept += !contract[static_cast<std::size_t>(e)] &&
+            out.node_map[static_cast<std::size_t>(g.edge(e).u)] !=
+                out.node_map[static_cast<std::size_t>(g.edge(e).v)];
+  std::vector<Edge> edges;
+  edges.reserve(kept);
+  out.edge_origin.reserve(kept);
   for (EdgeId e = 0; e < g.m(); ++e) {
     if (contract[static_cast<std::size_t>(e)]) continue;
     const Edge& ed = g.edge(e);
     const NodeId u = out.node_map[static_cast<std::size_t>(ed.u)];
     const NodeId v = out.node_map[static_cast<std::size_t>(ed.v)];
     if (u == v) continue;  // became a self-loop
-    out.graph.add_edge(u, v, ed.w);
+    edges.push_back(Edge{u, v, ed.w});
     out.edge_origin.push_back(e);
   }
+  out.graph = WeightedGraph(next, std::move(edges));
   return out;
 }
 
@@ -41,15 +51,16 @@ DerivedGraph induced_subgraph(const WeightedGraph& g, const std::vector<bool>& k
   NodeId next = 0;
   for (NodeId v = 0; v < g.n(); ++v)
     if (keep[static_cast<std::size_t>(v)]) out.node_map[static_cast<std::size_t>(v)] = next++;
-  out.graph = WeightedGraph(next);
+  std::vector<Edge> edges;
   for (EdgeId e = 0; e < g.m(); ++e) {
     const Edge& ed = g.edge(e);
     const NodeId u = out.node_map[static_cast<std::size_t>(ed.u)];
     const NodeId v = out.node_map[static_cast<std::size_t>(ed.v)];
     if (u == kNoNode || v == kNoNode) continue;
-    out.graph.add_edge(u, v, ed.w);
+    edges.push_back(Edge{u, v, ed.w});
     out.edge_origin.push_back(e);
   }
+  out.graph = WeightedGraph(next, std::move(edges));
   return out;
 }
 

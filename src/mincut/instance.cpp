@@ -1,5 +1,7 @@
 #include "mincut/instance.hpp"
 
+#include <utility>
+
 namespace umc::mincut {
 
 Instance make_root_instance(const WeightedGraph& g, std::span<const EdgeId> tree_edges,
@@ -19,17 +21,26 @@ RemappedGraph remap_graph(const WeightedGraph& src, std::span<const EdgeId> src_
   UMC_ASSERT(static_cast<NodeId>(node_map.size()) == src.n());
   UMC_ASSERT(static_cast<EdgeId>(src_origin.size()) == src.m());
   RemappedGraph out;
-  out.graph = WeightedGraph(new_n);
   out.edge_map.assign(static_cast<std::size_t>(src.m()), kNoEdge);
+  // Size the edge rows exactly: branch instances of one centroid level are
+  // all alive at once, so reserving src.m() each would hold k copies of it.
+  std::size_t kept = 0;
+  for (const Edge& ed : src.edges())
+    kept += node_map[static_cast<std::size_t>(ed.u)] != node_map[static_cast<std::size_t>(ed.v)];
+  std::vector<Edge> edges;
+  edges.reserve(kept);
+  out.origin.reserve(kept);
   for (EdgeId e = 0; e < src.m(); ++e) {
     const Edge& ed = src.edge(e);
     const NodeId u = node_map[static_cast<std::size_t>(ed.u)];
     const NodeId v = node_map[static_cast<std::size_t>(ed.v)];
     UMC_ASSERT(u >= 0 && u < new_n && v >= 0 && v < new_n);
     if (u == v) continue;  // region-internal edge: self-loop, dropped
-    out.edge_map[static_cast<std::size_t>(e)] = out.graph.add_edge(u, v, ed.w);
+    out.edge_map[static_cast<std::size_t>(e)] = static_cast<EdgeId>(edges.size());
+    edges.push_back(Edge{u, v, ed.w});
     out.origin.push_back(src_origin[static_cast<std::size_t>(e)]);
   }
+  out.graph = WeightedGraph(new_n, std::move(edges));
   return out;
 }
 

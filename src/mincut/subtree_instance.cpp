@@ -20,8 +20,9 @@ namespace {
 struct Chain {
   int branch = -1;  // child-of-root branch index
   int hl_depth = 0;
-  std::vector<NodeId> nodes;  // top → bottom (host node ids)
-  std::vector<EdgeId> edges;  // parent edges of `nodes` (host edge ids)
+  /// Top → bottom host node ids, root excluded (a view into the chain
+  /// layout); the path's edges are these nodes' parent edges.
+  std::span<const NodeId> nodes;
 };
 
 }  // namespace
@@ -55,23 +56,17 @@ CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId>
     return best;  // no cross-branch pairs exist
   }
 
-  // HL-chains of the instance tree (the prospective star paths).
+  // HL-chains of the instance tree (the prospective star paths). The
+  // layout outlives every star task below, which only read it.
+  ScratchLease<minoragg::ChainLayout> layout_s;
+  minoragg::build_chain_layout(t, hld, *layout_s);
   std::vector<Chain> chains;
-  {
-    const auto by_depth = minoragg::chains_by_hl_depth(t, hld);
-    for (std::size_t d = 0; d < by_depth.size(); ++d) {
-      for (const auto& node_chain : by_depth[d]) {
-        Chain c;
-        c.hl_depth = static_cast<int>(d);
-        for (const NodeId v : node_chain) {
-          if (t.parent_edge(v) == kNoEdge) continue;  // the root heads its chain
-          c.nodes.push_back(v);
-          c.edges.push_back(t.parent_edge(v));
-        }
-        if (c.edges.empty()) continue;
-        c.branch = branch[static_cast<std::size_t>(c.nodes.front())];
-        chains.push_back(std::move(c));
-      }
+  for (int d = 0; d < layout_s->levels(); ++d) {
+    for (std::size_t ci = layout_s->first_chain(d); ci < layout_s->end_chain(d); ++ci) {
+      std::span<const NodeId> nodes = layout_s->chain(ci);
+      if (nodes.front() == root) nodes = nodes.subspan(1);  // the root heads its chain
+      if (nodes.empty()) continue;
+      chains.push_back(Chain{branch[static_cast<std::size_t>(nodes.front())], d, nodes});
     }
   }
 
@@ -162,9 +157,9 @@ CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId>
           if (c.hl_depth != target(c.branch)) continue;
           std::vector<NodeId> nodes;
           std::vector<EdgeId> edges;
-          for (std::size_t x = 0; x < c.nodes.size(); ++x) {
-            nodes.push_back(minor.node_map[static_cast<std::size_t>(c.nodes[x])]);
-            const EdgeId me = to_minor_edge[static_cast<std::size_t>(c.edges[x])];
+          for (const NodeId v : c.nodes) {
+            nodes.push_back(minor.node_map[static_cast<std::size_t>(v)]);
+            const EdgeId me = to_minor_edge[static_cast<std::size_t>(t.parent_edge(v))];
             UMC_ASSERT_MSG(me != kNoEdge, "kept tree edge survives the minor");
             edges.push_back(me);
           }

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "util/assert.hpp"
+#include "util/scratch.hpp"
 
 namespace umc::minoragg {
 
@@ -25,7 +26,16 @@ int pick_not_in(int banned1, int banned2) {
 
 std::vector<int> cole_vishkin_3color(std::span<const int> out, Ledger& ledger) {
   const std::size_t n = out.size();
-  std::vector<std::uint64_t> color(n);
+  // The color tables are per-thread scratch (star merging calls this once
+  // per merge iteration, thousands of times per solve): every iteration
+  // writes the fresh table in full and swaps it in, so nothing reallocates.
+  ScratchLease<std::vector<std::uint64_t>> color_s, next_s, shifted_s;
+  std::vector<std::uint64_t>& color = *color_s;
+  std::vector<std::uint64_t>& next = *next_s;
+  std::vector<std::uint64_t>& shifted = *shifted_s;
+  color.resize(n);
+  next.resize(n);
+  shifted.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
     UMC_ASSERT_MSG(out[v] != static_cast<int>(v), "self-loops are not allowed");
     color[v] = static_cast<std::uint64_t>(v);  // unique initial colors
@@ -34,7 +44,6 @@ std::vector<int> cole_vishkin_3color(std::span<const int> out, Ledger& ledger) {
   // Bit-index reduction: colors drop to {0..5} in O(log* n) iterations.
   bool big = n > 0;
   while (big) {
-    std::vector<std::uint64_t> next(n);
     for (std::size_t v = 0; v < n; ++v) {
       const std::uint64_t mine = color[v];
       // Roots compare against a fake neighbor differing at bit 0.
@@ -43,7 +52,7 @@ std::vector<int> cole_vishkin_3color(std::span<const int> out, Ledger& ledger) {
       const int i = first_diff_bit(mine, theirs);
       next[v] = 2 * static_cast<std::uint64_t>(i) + ((mine >> i) & 1);
     }
-    color = std::move(next);
+    color.swap(next);
     ledger.charge(1);
     ledger.bump("cv_iterations");
     big = std::any_of(color.begin(), color.end(), [](std::uint64_t c) { return c >= 6; });
@@ -53,22 +62,23 @@ std::vector<int> cole_vishkin_3color(std::span<const int> out, Ledger& ledger) {
   // node adopts its out-neighbor's color, making in-neighborhoods
   // monochromatic), then class-c nodes pick a free color in {0,1,2}.
   for (int c = 5; c >= 3; --c) {
-    std::vector<std::uint64_t> shifted(n);
     for (std::size_t v = 0; v < n; ++v) {
       shifted[v] = out[v] >= 0 ? color[static_cast<std::size_t>(out[v])]
                                : static_cast<std::uint64_t>(pick_not_in(
                                      static_cast<int>(color[v]), -1));
     }
-    std::vector<std::uint64_t> next = shifted;
     for (std::size_t v = 0; v < n; ++v) {
-      if (shifted[v] != static_cast<std::uint64_t>(c)) continue;
+      if (shifted[v] != static_cast<std::uint64_t>(c)) {
+        next[v] = shifted[v];
+        continue;
+      }
       // In-neighbors now all carry v's pre-shift color; out-neighbor has its
       // shifted color. Avoid both.
       const int out_color =
           out[v] >= 0 ? static_cast<int>(shifted[static_cast<std::size_t>(out[v])]) : -1;
       next[v] = static_cast<std::uint64_t>(pick_not_in(static_cast<int>(color[v]), out_color));
     }
-    color = std::move(next);
+    color.swap(next);
     ledger.charge(2);  // one round to shift, one to recolor the class
   }
 

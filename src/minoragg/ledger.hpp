@@ -24,11 +24,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -36,6 +37,9 @@ namespace umc::minoragg {
 
 class Ledger {
  public:
+  /// Experiment counters as (key, value) pairs in ascending key order.
+  using Counters = std::vector<std::pair<std::string, std::int64_t>>;
+
   /// Sequential charge of `r` Minor-Aggregation rounds.
   void charge(std::int64_t r) {
     UMC_ASSERT(r >= 0);
@@ -49,7 +53,7 @@ class Ledger {
     std::int64_t mx = 0;
     for (const Ledger& c : children) {
       mx = std::max(mx, c.rounds_);
-      for (const auto& [k, v] : c.counters_) absorb_counter(k, v);
+      absorb_counters(c);
     }
     rounds_ += mx;
   }
@@ -57,7 +61,7 @@ class Ledger {
   /// Sequential absorption of a child ledger.
   void charge_sequential(const Ledger& child) {
     rounds_ += child.rounds_;
-    for (const auto& [k, v] : child.counters_) absorb_counter(k, v);
+    absorb_counters(child);
   }
 
   [[nodiscard]] std::int64_t rounds() const { return rounds_; }
@@ -65,24 +69,23 @@ class Ledger {
   /// Experiment counters. Two kinds, distinguished by name: keys starting
   /// with "max_" hold maxima (depths, degrees) and merge by max across any
   /// composition; all others are additive work counts and merge by sum.
-  /// Keys are string_views looked up heterogeneously — hot-path bumps from
-  /// string literals allocate only on a key's first appearance.
+  /// Keys are string_views looked up by binary search in a flat, key-sorted
+  /// table — hot-path bumps from string literals allocate only on a key's
+  /// first appearance.
   void bump(std::string_view key, std::int64_t v = 1) {
-    UMC_ASSERT(key.substr(0, 4) != "max_");
-    slot(key) += v;
+    UMC_ASSERT(!is_max_key(key));
+    slot(key)->second += v;
   }
   void set_max(std::string_view key, std::int64_t v) {
-    UMC_ASSERT(key.substr(0, 4) == "max_");
-    auto& s = slot(key);
+    UMC_ASSERT(is_max_key(key));
+    auto& s = slot(key)->second;
     s = std::max(s, v);
   }
   [[nodiscard]] std::int64_t counter(std::string_view key) const {
-    const auto it = counters_.find(key);
-    return it == counters_.end() ? 0 : it->second;
+    const auto it = std::lower_bound(counters_.begin(), counters_.end(), key, KeyLess{});
+    return it != counters_.end() && it->first == key ? it->second : 0;
   }
-  [[nodiscard]] const std::map<std::string, std::int64_t, std::less<>>& counters() const {
-    return counters_;
-  }
+  [[nodiscard]] const Counters& counters() const { return counters_; }
 
   /// JSON rendering of rounds + counters, for experiment pipelines:
   /// {"rounds": 123, "counters": {"cv_iterations": 4, ...}}.
@@ -102,25 +105,44 @@ class Ledger {
   /// Merge one counter by its kind ("max_" prefix = max, else sum). Used
   /// when transferring counters between ledgers.
   void absorb_counter(std::string_view key, std::int64_t v) {
-    auto& s = slot(key);
-    if (key.substr(0, 4) == "max_") {
-      s = std::max(s, v);
-    } else {
-      s += v;
+    merge_into(slot(key)->second, key, v);
+  }
+
+  /// Merge every counter of `child` by kind, straight from its sorted
+  /// table: one forward walk, since both tables share the key order.
+  void absorb_counters(const Ledger& child) {
+    std::size_t from = 0;
+    for (const auto& [k, v] : child.counters_) {
+      const auto it = slot(k, from);
+      merge_into(it->second, k, v);
+      from = static_cast<std::size_t>(it - counters_.begin()) + 1;
     }
   }
 
  private:
-  /// Heterogeneous find-or-insert: materializes a std::string key only when
-  /// the counter does not exist yet.
-  std::int64_t& slot(std::string_view key) {
-    const auto it = counters_.find(key);
-    if (it != counters_.end()) return it->second;
-    return counters_.emplace(std::string(key), 0).first->second;
+  struct KeyLess {
+    bool operator()(const Counters::value_type& a, std::string_view b) const {
+      return std::string_view(a.first) < b;
+    }
+  };
+
+  static bool is_max_key(std::string_view key) { return key.substr(0, 4) == "max_"; }
+  static void merge_into(std::int64_t& s, std::string_view key, std::int64_t v) {
+    s = is_max_key(key) ? std::max(s, v) : s + v;
+  }
+
+  /// Find-or-insert at the key's sorted position, searching from index
+  /// `from` on: materializes a std::string key only when the counter does
+  /// not exist yet.
+  Counters::iterator slot(std::string_view key, std::size_t from = 0) {
+    auto it = std::lower_bound(counters_.begin() + static_cast<std::ptrdiff_t>(from),
+                               counters_.end(), key, KeyLess{});
+    if (it == counters_.end() || it->first != key) it = counters_.emplace(it, key, 0);
+    return it;
   }
 
   std::int64_t rounds_ = 0;
-  std::map<std::string, std::int64_t, std::less<>> counters_;
+  Counters counters_;
 };
 
 }  // namespace umc::minoragg

@@ -95,7 +95,9 @@ class Network {
       std::span<const typename CAgg::value_type> node_input) const;
 
   /// One aggregation-only round: every node learns ⊗ over its incident
-  /// edges of z-values computed edge-locally (no contraction).
+  /// edges of z-values computed edge-locally (no contraction). Folded
+  /// directly, bypassing the engine's plan cache; `edge_values(e)` runs
+  /// once per edge, in ascending id order, on the calling thread.
   template <Aggregator XAgg, typename EdgeFn>
   std::vector<typename XAgg::value_type> neighborhood_aggregate(EdgeFn&& edge_values) const;
 
@@ -143,12 +145,27 @@ std::vector<typename CAgg::value_type> Network::part_aggregate(
 template <Aggregator XAgg, typename EdgeFn>
 std::vector<typename XAgg::value_type> Network::neighborhood_aggregate(
     EdgeFn&& edge_values) const {
-  const std::vector<bool> contract(static_cast<std::size_t>(g_->m()), false);
-  const std::vector<std::uint8_t> node_input(static_cast<std::size_t>(g_->n()), 0);
-  const auto res = round<OrAgg, XAgg>(contract, node_input,
-                                      [&edge_values](EdgeId e, const std::uint8_t&,
-                                                     const std::uint8_t&) { return edge_values(e); });
-  return res.aggregate;
+  using Z = typename XAgg::value_type;
+  // With no contraction every node is its own supernode and, graphs holding
+  // no self-loops, every edge survives: the plan is the identity. So the
+  // round folds incident edges directly, in the engine's reference order
+  // (ascending edge id, u side before v side), with no plan to build or
+  // cache. Same result and the same single charged round as round().
+  const WeightedGraph& g = *g_;
+  UMC_OBS_SPAN_VAR_L(obs_round, "ma/round", "ma", ledger_->rounds());
+  obs_round.arg("n", g.n());
+  obs_round.arg("minor_edges", g.m());
+  std::vector<Z> out(static_cast<std::size_t>(g.n()), XAgg::identity());
+  for (EdgeId e = 0; e < g.m(); ++e) {
+    const Edge& ed = g.edge(e);
+    auto [zu, zv] = edge_values(e);
+    Z& au = out[static_cast<std::size_t>(ed.u)];
+    au = XAgg::merge(std::move(au), std::move(zu));
+    Z& av = out[static_cast<std::size_t>(ed.v)];
+    av = XAgg::merge(std::move(av), std::move(zv));
+  }
+  ledger_->charge(1);
+  return out;
 }
 
 }  // namespace umc::minoragg

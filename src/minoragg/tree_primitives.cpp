@@ -10,29 +10,41 @@
 
 namespace umc::minoragg {
 
-std::vector<std::vector<std::vector<NodeId>>> chains_by_hl_depth(
-    const RootedTree& t, const HeavyLightDecomposition& hld) {
-  std::vector<std::vector<std::vector<NodeId>>> chains(
-      static_cast<std::size_t>(hld.max_hl_depth()) + 1);
-  for (const NodeId v : t.preorder()) {
-    if (hld.chain_head(v) != v) continue;  // not a chain head
-    std::vector<NodeId> chain;
-    NodeId cur = v;
-    while (cur != kNoNode) {
-      chain.push_back(cur);
-      // Descend to the heavy child, if any.
-      NodeId next = kNoNode;
-      for (const NodeId c : t.children(cur)) {
-        if (hld.chain_head(c) != c) {
-          next = c;
-          break;
-        }
-      }
-      cur = next;
-    }
-    chains[static_cast<std::size_t>(hld.hl_depth(v))].push_back(std::move(chain));
+void build_chain_layout(const RootedTree& t, const HeavyLightDecomposition& hld,
+                        ChainLayout& out) {
+  const std::size_t levels = static_cast<std::size_t>(hld.max_hl_depth()) + 1;
+  // Pass 1: chains and nodes per level (a chain's nodes share its HL-depth),
+  // prefix-summed into each level's first chain and first node slot.
+  ScratchLease<std::vector<std::int32_t>> node_cursor_s;
+  std::vector<std::int32_t>& node_cursor = *node_cursor_s;
+  out.level_begin.assign(levels + 1, 0);
+  node_cursor.assign(levels + 1, 0);
+  for (NodeId v = 0; v < t.n(); ++v) {
+    const std::size_t d = static_cast<std::size_t>(hld.hl_depth(v));
+    if (hld.chain_head(v) == v) ++out.level_begin[d + 1];
+    ++node_cursor[d + 1];
   }
-  return chains;
+  for (std::size_t d = 0; d < levels; ++d) {
+    out.level_begin[d + 1] += out.level_begin[d];
+    node_cursor[d + 1] += node_cursor[d];
+  }
+  // Pass 2: heads in preorder land at their level's next chain slot, so
+  // chains of one level keep preorder and their nodes stay contiguous.
+  const std::size_t num_chains = static_cast<std::size_t>(out.level_begin[levels]);
+  out.chain_begin.resize(num_chains + 1);
+  out.chain_begin[num_chains] = t.n();
+  out.nodes.resize(static_cast<std::size_t>(t.n()));
+  ScratchLease<std::vector<std::int32_t>> chain_cursor_s;
+  std::vector<std::int32_t>& chain_cursor = *chain_cursor_s;
+  chain_cursor.assign(out.level_begin.begin(), out.level_begin.end());
+  for (const NodeId head : t.preorder()) {
+    if (hld.chain_head(head) != head) continue;
+    const std::size_t d = static_cast<std::size_t>(hld.hl_depth(head));
+    std::int32_t& pos = node_cursor[d];
+    out.chain_begin[static_cast<std::size_t>(chain_cursor[d]++)] = pos;
+    for (NodeId cur = head; cur != kNoNode; cur = hld.heavy_child(cur))
+      out.nodes[static_cast<std::size_t>(pos++)] = cur;
+  }
 }
 
 HeavyLightDecomposition hl_construct(const RootedTree& t, Ledger& ledger) {

@@ -24,7 +24,9 @@
 // own ledger, and per-chain ledgers merge in chain order, keeping both
 // outputs and round accounting bit-identical to sequential execution.
 
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "minoragg/ledger.hpp"
@@ -32,6 +34,7 @@
 #include "sketch/aggregators.hpp"
 #include "tree/hld.hpp"
 #include "tree/rooted_tree.hpp"
+#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace umc::minoragg {
@@ -47,10 +50,76 @@ inline int chain_level_width(std::size_t num_chains, std::size_t level_nodes) {
 }
 }  // namespace detail
 
-/// The HL-chains (maximal heavy paths) of the decomposition, grouped by
-/// HL-depth; each chain lists its nodes top-to-bottom. Bookkeeping only.
-[[nodiscard]] std::vector<std::vector<std::vector<NodeId>>> chains_by_hl_depth(
-    const RootedTree& t, const HeavyLightDecomposition& hld);
+/// The HL-chains (maximal heavy paths) of the decomposition in one flat
+/// layout, grouped by HL-depth. Level d holds chains
+/// [level_begin[d], level_begin[d+1]), in preorder of their heads; chain c
+/// lists its nodes top-to-bottom as nodes[chain_begin[c] ..
+/// chain_begin[c+1]). Every node lies on exactly one chain. Bookkeeping
+/// only; callers lease one (ScratchLease<ChainLayout>) and rebuild it in
+/// place, so steady-state builds do not allocate.
+struct ChainLayout {
+  std::vector<std::int32_t> level_begin;  // size levels() + 1
+  std::vector<std::int32_t> chain_begin;  // size (number of chains) + 1
+  std::vector<NodeId> nodes;              // size n
+
+  [[nodiscard]] int levels() const { return static_cast<int>(level_begin.size()) - 1; }
+  [[nodiscard]] std::size_t first_chain(int d) const {
+    return static_cast<std::size_t>(level_begin[static_cast<std::size_t>(d)]);
+  }
+  [[nodiscard]] std::size_t end_chain(int d) const {
+    return static_cast<std::size_t>(level_begin[static_cast<std::size_t>(d) + 1]);
+  }
+  [[nodiscard]] std::span<const NodeId> chain(std::size_t c) const {
+    return {nodes.data() + chain_begin[c], nodes.data() + chain_begin[c + 1]};
+  }
+  /// Total node count of level d's chains.
+  [[nodiscard]] std::size_t level_nodes(int d) const {
+    return static_cast<std::size_t>(chain_begin[end_chain(d)] - chain_begin[first_chain(d)]);
+  }
+};
+
+/// Rebuilds `out` as the chain layout of (t, hld).
+void build_chain_layout(const RootedTree& t, const HeavyLightDecomposition& hld,
+                        ChainLayout& out);
+
+namespace detail {
+/// Per-chain rows of the Lemma 45 pass: the chain's inputs, reversal
+/// scratch and the prefix/suffix output. Leased, so rows keep their
+/// capacity from chain to chain.
+template <typename V>
+struct ChainRows {
+  std::vector<V> x, rev, out;
+};
+
+/// Runs chain_fn(c, chain_ledger, rows) for every chain c of level d —
+/// chains of one level are node-disjoint and run simultaneously (Cor. 11),
+/// so the level costs the max over its chains — and charges the level to
+/// `ledger`. At width 1 the chains run inline, in order, on the caller's
+/// rows; otherwise on the pool, each task leasing its own rows. Either way
+/// every chain writes only its own nodes' slots and its own ledger, so
+/// results and charges are bit-identical at any width.
+template <typename V, typename ChainFn>
+void run_chain_level(const ChainLayout& layout, int d, ChainRows<V>& rows, Ledger& ledger,
+                     ChainFn&& chain_fn) {
+  const std::size_t lo = layout.first_chain(d);
+  const std::size_t count = layout.end_chain(d) - lo;
+  ScratchLease<std::vector<Ledger>> chain_ledgers_s;
+  std::vector<Ledger>& chain_ledgers = *chain_ledgers_s;
+  chain_ledgers.assign(count, Ledger{});
+  const int width = chain_level_width(count, layout.level_nodes(d));
+  if (width <= 1) {
+    for (std::size_t i = 0; i < count; ++i) chain_fn(lo + i, chain_ledgers[i], rows);
+  } else {
+    ThreadPool::global().run(count, width, [&](std::size_t i) {
+      ScratchLease<ChainRows<V>> task_rows;
+      chain_fn(lo + i, chain_ledgers[i], *task_rows);
+    });
+  }
+  Ledger level;
+  level.charge_parallel(std::span<const Ledger>(chain_ledgers.data(), count));
+  ledger.charge_sequential(level);
+}
+}  // namespace detail
 
 /// Lemma 46 (subtree sums): s_v = fold of input over desc(v).
 template <Aggregator A>
@@ -59,40 +128,33 @@ std::vector<typename A::value_type> hl_subtree_sums(
     std::span<const typename A::value_type> input, Ledger& ledger) {
   using V = typename A::value_type;
   UMC_ASSERT(static_cast<NodeId>(input.size()) == t.n());
-  const auto chains = chains_by_hl_depth(t, hld);
+  ScratchLease<ChainLayout> layout_s;
+  build_chain_layout(t, hld, *layout_s);
+  const ChainLayout& layout = *layout_s;
+  ScratchLease<detail::ChainRows<V>> rows;
   std::vector<V> s(input.begin(), input.end());  // filled deepest-first
-  for (int d = static_cast<int>(chains.size()) - 1; d >= 0; --d) {
-    const auto& level_chains = chains[static_cast<std::size_t>(d)];
-    std::size_t level_nodes = 0;
-    for (const auto& chain : level_chains) level_nodes += chain.size();
-    Ledger level;  // chains at one depth run simultaneously (Cor. 11)
-    std::vector<Ledger> chain_ledgers(level_chains.size());
-    // Chains are node-disjoint and only read results of deeper levels, so
-    // each writes disjoint slots of `s` and its own ledger slot.
-    ThreadPool::global().run(
-        level_chains.size(), detail::chain_level_width(level_chains.size(), level_nodes),
-        [&](std::size_t ci) {
-          const std::vector<NodeId>& chain = level_chains[ci];
-          // x_v = input_v ⊕ (already-computed sums of non-heavy children).
-          std::vector<V> x;
-          x.reserve(chain.size());
-          for (const NodeId v : chain) {
-            V acc = input[static_cast<std::size_t>(v)];
-            for (const NodeId c : t.children(v)) {
-              if (hld.chain_head(c) == c)  // non-heavy child: starts its own chain
-                acc = A::merge(std::move(acc), s[static_cast<std::size_t>(c)]);
-            }
-            x.push_back(std::move(acc));
-          }
-          Ledger& cl = chain_ledgers[ci];
-          cl.charge(1);  // the x_v initialization round (edge-local pass)
-          std::vector<V> suf = path_suffix_sums<A>(std::span<const V>(x), cl);
-          for (std::size_t i = 0; i < chain.size(); ++i)
-            s[static_cast<std::size_t>(chain[i])] = std::move(suf[i]);
-        });
-    level.charge_parallel(chain_ledgers);
-    ledger.charge_sequential(level);
-  }
+  // Chains only read results of deeper levels, so each writes disjoint
+  // slots of `s`.
+  const auto chain_fn = [&](std::size_t c, Ledger& cl, detail::ChainRows<V>& r) {
+    const std::span<const NodeId> chain = layout.chain(c);
+    std::vector<V>& x = r.x;
+    // x_v = input_v ⊕ (already-computed sums of non-heavy children).
+    x.clear();
+    for (const NodeId v : chain) {
+      V acc = input[static_cast<std::size_t>(v)];
+      for (const NodeId ch : t.children(v)) {
+        if (hld.chain_head(ch) == ch)  // non-heavy child: starts its own chain
+          acc = A::merge(std::move(acc), s[static_cast<std::size_t>(ch)]);
+      }
+      x.push_back(std::move(acc));
+    }
+    cl.charge(1);  // the x_v initialization round (edge-local pass)
+    path_suffix_sums_into<A>(std::span<const V>(x), cl, r.rev, r.out);
+    for (std::size_t i = 0; i < chain.size(); ++i)
+      s[static_cast<std::size_t>(chain[i])] = std::move(r.out[i]);
+  };
+  for (int d = layout.levels() - 1; d >= 0; --d)
+    detail::run_chain_level<V>(layout, d, *rows, ledger, chain_fn);
   return s;
 }
 
@@ -103,41 +165,33 @@ std::vector<typename A::value_type> hl_ancestor_sums(
     std::span<const typename A::value_type> input, Ledger& ledger) {
   using V = typename A::value_type;
   UMC_ASSERT(static_cast<NodeId>(input.size()) == t.n());
-  const auto chains = chains_by_hl_depth(t, hld);
+  ScratchLease<ChainLayout> layout_s;
+  build_chain_layout(t, hld, *layout_s);
+  const ChainLayout& layout = *layout_s;
+  ScratchLease<detail::ChainRows<V>> rows;
   std::vector<V> p(static_cast<std::size_t>(t.n()), A::identity());
-  for (std::size_t d = 0; d < chains.size(); ++d) {
-    const auto& level_chains = chains[d];
-    std::size_t level_nodes = 0;
-    for (const auto& chain : level_chains) level_nodes += chain.size();
-    Ledger level;
-    std::vector<Ledger> chain_ledgers(level_chains.size());
-    // Node-disjoint chains; the carry reads only shallower (already
-    // complete) levels, so parallel execution stays bit-identical.
-    ThreadPool::global().run(
-        level_chains.size(), detail::chain_level_width(level_chains.size(), level_nodes),
-        [&](std::size_t ci) {
-          const std::vector<NodeId>& chain = level_chains[ci];
-          // Carry = ancestor sum of the chain head's parent (shallower
-          // depth, already computed).
-          const NodeId head = chain.front();
-          const NodeId above = t.parent(head);
-          std::vector<V> x;
-          x.reserve(chain.size());
-          for (std::size_t i = 0; i < chain.size(); ++i) {
-            V val = input[static_cast<std::size_t>(chain[i])];
-            if (i == 0 && above != kNoNode)
-              val = A::merge(p[static_cast<std::size_t>(above)], std::move(val));
-            x.push_back(std::move(val));
-          }
-          Ledger& cl = chain_ledgers[ci];
-          cl.charge(1);
-          std::vector<V> pre = path_prefix_sums<A>(std::span<const V>(x), cl);
-          for (std::size_t i = 0; i < chain.size(); ++i)
-            p[static_cast<std::size_t>(chain[i])] = std::move(pre[i]);
-        });
-    level.charge_parallel(chain_ledgers);
-    ledger.charge_sequential(level);
-  }
+  // Node-disjoint chains; the carry reads only shallower (already
+  // complete) levels, so parallel execution stays bit-identical.
+  const auto chain_fn = [&](std::size_t c, Ledger& cl, detail::ChainRows<V>& r) {
+    const std::span<const NodeId> chain = layout.chain(c);
+    std::vector<V>& x = r.x;
+    // Carry = ancestor sum of the chain head's parent (shallower depth,
+    // already computed).
+    const NodeId above = t.parent(chain.front());
+    x.clear();
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      V val = input[static_cast<std::size_t>(chain[i])];
+      if (i == 0 && above != kNoNode)
+        val = A::merge(p[static_cast<std::size_t>(above)], std::move(val));
+      x.push_back(std::move(val));
+    }
+    cl.charge(1);
+    path_prefix_sums_into<A>(std::span<const V>(x), cl, r.out);
+    for (std::size_t i = 0; i < chain.size(); ++i)
+      p[static_cast<std::size_t>(chain[i])] = std::move(r.out[i]);
+  };
+  for (int d = 0; d < layout.levels(); ++d)
+    detail::run_chain_level<V>(layout, d, *rows, ledger, chain_fn);
   return p;
 }
 

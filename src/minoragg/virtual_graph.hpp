@@ -49,7 +49,7 @@ struct VirtualGraph {
 inline void settle_virtual_execution(Ledger& outer, const Ledger& inner, int beta) {
   UMC_ASSERT(beta >= 0);
   outer.charge(inner.rounds() * (beta + 1));
-  for (const auto& [k, v] : inner.counters()) outer.absorb_counter(k, v);
+  outer.absorb_counters(inner);
   outer.set_max("max_beta", beta);
 }
 

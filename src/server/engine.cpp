@@ -1,6 +1,7 @@
 #include "server/engine.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -61,11 +62,19 @@ obs::Counter& degraded_counter() {
   return *c;
 }
 
+/// Microseconds, not milliseconds: warm stream solves finish well under a
+/// millisecond, which whole-ms observations would all round to zero.
 obs::Histogram& solve_wall_histogram() {
   static obs::Histogram* h = &obs::MetricsRegistry::global().histogram(
-      "umc_server_solve_wall_ms", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000}, {},
-      "Wall-clock milliseconds per SOLVE (supervisor total).");
+      "umc_server_solve_wall_us",
+      {100, 250, 500, 1000, 2000, 5000, 10000, 20000, 50000, 100000, 200000, 500000, 1000000,
+       5000000},
+      {}, "Wall-clock microseconds per SOLVE (supervisor total).");
   return *h;
+}
+
+void observe_solve_wall(double wall_ms) {
+  solve_wall_histogram().observe(static_cast<std::int64_t>(std::llround(wall_ms * 1000.0)));
 }
 
 obs::Counter& frame_errors_counter() {
@@ -252,7 +261,7 @@ Response Engine::do_solve(const Request& req) {
     const double wall_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
             .count();
-    solve_wall_histogram().observe(static_cast<std::int64_t>(wall_ms));
+    observe_solve_wall(wall_ms);
     obs::bridge_ledger(obs::MetricsRegistry::global(), srep.ledger, "server");
 
     std::int64_t hits = 0;
@@ -293,7 +302,7 @@ Response Engine::do_solve(const Request& req) {
   scfg.packing.cache = &s->cache;
   const fault::SolveReport rep = fault::SolveSupervisor(scfg).solve(s->graph);
 
-  solve_wall_histogram().observe(static_cast<std::int64_t>(rep.wall_ms));
+  observe_solve_wall(rep.wall_ms);
   if (rep.degraded()) degraded_counter().inc();
   obs::bridge_ledger(obs::MetricsRegistry::global(), rep.ledger, "server");
 

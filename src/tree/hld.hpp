@@ -48,6 +48,12 @@ class HeavyLightDecomposition {
 
   [[nodiscard]] const HlInfo& info(NodeId v) const { return info_[static_cast<std::size_t>(v)]; }
 
+  /// The heavy child of v (next node down v's heavy chain), or kNoNode for
+  /// a leaf.
+  [[nodiscard]] NodeId heavy_child(NodeId v) const {
+    return heavy_child_[static_cast<std::size_t>(v)];
+  }
+
   /// Head (top-most node) of the heavy chain containing v.
   [[nodiscard]] NodeId chain_head(NodeId v) const { return head_[static_cast<std::size_t>(v)]; }
 

@@ -30,7 +30,7 @@ struct SolveSnapshot {
   EdgeId e = kNoEdge, f = kNoEdge;
   int winning_tree = -1, num_trees = -1;
   std::int64_t rounds = 0;
-  std::map<std::string, std::int64_t, std::less<>> counters;
+  minoragg::Ledger::Counters counters;
 
   bool operator==(const SolveSnapshot&) const = default;
 };

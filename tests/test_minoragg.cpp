@@ -75,7 +75,7 @@ TEST(Ledger, CounterKindsMergeByKeyPrefix) {
   parent.charge_sequential(low);
   EXPECT_EQ(parent.counter("max_depth"), 7);
 
-  // absorb_counter is the single merge point both compositions go through.
+  // absorb_counter merges a single counter by the same kind rule.
   parent.absorb_counter("max_depth", 9);
   parent.absorb_counter("work", 6);
   EXPECT_EQ(parent.counter("max_depth"), 9);
@@ -218,6 +218,51 @@ TEST(Ledger, JsonExport) {
   l.set_max("max_depth", 2);
   EXPECT_EQ(l.to_json(),
             "{\"rounds\": 7, \"counters\": {\"max_depth\": 2, \"widgets\": 3}}");
+}
+
+TEST(Ledger, ReverseOrderMergesKeepKeyOrderAndKinds) {
+  // Counters live in a key-sorted table. Children whose keys arrive in
+  // reverse order merge through all three compositions; the JSON must list
+  // keys ascending, "max_" keys merged by max and all others by sum.
+  Ledger a, b;
+  a.charge(4);
+  a.bump("zeta", 2);
+  a.set_max("max_width", 3);
+  a.bump("alpha", 1);
+  b.charge(6);
+  b.set_max("max_width", 8);
+  b.bump("mid", 5);
+  b.bump("alpha", 10);
+  Ledger parent;
+  parent.set_max("max_width", 5);
+  parent.bump("zeta", 100);
+  parent.charge_parallel(std::vector<Ledger>{a, b});
+  EXPECT_EQ(parent.to_json(),
+            "{\"rounds\": 6, \"counters\": {\"alpha\": 11, \"max_width\": 8, "
+            "\"mid\": 5, \"zeta\": 102}}");
+
+  Ledger seq;
+  seq.charge(2);
+  seq.bump("zz_last", 1);
+  seq.set_max("max_width", 1);
+  seq.bump("beta", 7);
+  parent.charge_sequential(seq);
+  EXPECT_EQ(parent.to_json(),
+            "{\"rounds\": 8, \"counters\": {\"alpha\": 11, \"beta\": 7, "
+            "\"max_width\": 8, \"mid\": 5, \"zeta\": 102, \"zz_last\": 1}}");
+
+  Ledger inner;
+  inner.charge(3);
+  inner.bump("zz_last", 4);
+  inner.set_max("max_width", 9);
+  inner.bump("aardvark", 1);
+  settle_virtual_execution(parent, inner, 2);  // 3 rounds x (2 + 1)
+  EXPECT_EQ(parent.to_json(),
+            "{\"rounds\": 17, \"counters\": {\"aardvark\": 1, \"alpha\": 11, "
+            "\"beta\": 7, \"max_beta\": 2, \"max_width\": 9, \"mid\": 5, "
+            "\"zeta\": 102, \"zz_last\": 5}}");
+  EXPECT_EQ(parent.counters().front().first, "aardvark");
+  EXPECT_EQ(parent.counters().back().first, "zz_last");
 }
 
 TEST(Network, RoundAlgebraicProperties) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "minoragg/tree_primitives.hpp"
 #include "tree/hld.hpp"
 #include "tree/rooted_tree.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 
 namespace umc::minoragg {
@@ -101,12 +104,75 @@ void expect_equivalent(const WeightedGraph& g, const std::vector<bool>& contract
   }
 }
 
+/// Random multigraph: m edges between distinct random endpoints, every
+/// fourth one doubled by a parallel copy right after it.
+WeightedGraph random_multigraph(NodeId n, EdgeId m, Rng& rng) {
+  WeightedGraph g(n);
+  while (g.m() < m) {
+    const NodeId u = static_cast<NodeId>(rng.next_in(0, n - 1));
+    const NodeId v = static_cast<NodeId>(rng.next_in(0, n - 1));
+    if (u == v) continue;
+    const Weight w = rng.next_in(1, 9);
+    g.add_edge(u, v, w);
+    if (g.m() % 4 == 0) g.add_edge(v, u, w + 1);
+  }
+  return g;
+}
+
+/// Order-sensitive aggregator: the list of (edge, side) incidences in the
+/// order they were folded, so any reordering of the fold shows up.
+struct IncidenceTraceAgg {
+  using value_type = std::vector<std::pair<EdgeId, int>>;
+  static value_type identity() { return {}; }
+  static value_type merge(value_type a, value_type b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  }
+};
+
+// neighborhood_aggregate folds incident edges directly instead of through
+// an engine plan. It must equal the engine's all-false-contraction round
+// at widths 1 and 8, and charge the same single round.
+template <Aggregator XAgg, typename EdgeFn>
+void expect_neighborhood_matches_engine(const WeightedGraph& g, EdgeFn&& edge_values) {
+  Ledger direct_ledger;
+  const auto direct = Network(g, direct_ledger).neighborhood_aggregate<XAgg>(edge_values);
+  EXPECT_EQ(direct_ledger.rounds(), 1);
+  const std::vector<bool> none(static_cast<std::size_t>(g.m()), false);
+  const std::vector<std::uint8_t> zeros(static_cast<std::size_t>(g.n()), 0);
+  for (const int threads : {1, 8}) {
+    Ledger ledger;
+    const Network net(g, ledger);
+    net.set_threads(threads);
+    const auto res = net.round<OrAgg, XAgg>(
+        none, zeros,
+        [&edge_values](EdgeId e, const std::uint8_t&, const std::uint8_t&) {
+          return edge_values(e);
+        });
+    EXPECT_EQ(direct, res.aggregate) << "threads=" << threads << " n=" << g.n();
+    EXPECT_EQ(ledger.rounds(), 1);
+  }
+}
+
 TEST(RoundEngine, EquivalenceSweepAllAggregators) {
   Rng rng(0xE9E5);
   std::vector<WeightedGraph> graphs;
   graphs.push_back(grid_graph(9, 7));
   graphs.push_back(erdos_renyi_connected(60, 0.12, rng));
   graphs.push_back(random_tree(50, rng));
+  // Multigraphs with parallel edges; the last is above the engine's
+  // parallel cutoff, so width 8 really folds chunk-parallel there.
+  graphs.push_back(random_multigraph(40, 150, rng));
+  graphs.push_back(random_multigraph(3000, 9000, rng));
+  for (const WeightedGraph& g : graphs) {
+    expect_neighborhood_matches_engine<SumAgg>(g, [&g](EdgeId e) {
+      return std::pair<std::int64_t, std::int64_t>{g.edge(e).w * 3 + e, -g.edge(e).w};
+    });
+    expect_neighborhood_matches_engine<IncidenceTraceAgg>(g, [](EdgeId e) {
+      return std::pair{IncidenceTraceAgg::value_type{{e, 0}},
+                       IncidenceTraceAgg::value_type{{e, 1}}};
+    });
+  }
   for (const WeightedGraph& g : graphs) {
     for (const double p : {0.0, 0.35, 1.0}) {
       const std::vector<bool> contract = random_contract(g, p, rng);
@@ -294,6 +360,112 @@ TEST(RoundEngine, LargeTreeChainParallelSumsMatchTraversal) {
   EXPECT_EQ(sub, want_sub);
   EXPECT_EQ(anc, want_anc);
   EXPECT_GT(ledger.rounds(), 0);
+}
+
+/// Associative, non-commutative aggregator: composition of affine maps
+/// x -> a*x + b over 64-bit wrap-around arithmetic, applied left to right.
+/// A fold in any other order gives a different map.
+struct AffineAgg {
+  using value_type = std::pair<std::uint64_t, std::uint64_t>;
+  static value_type identity() { return {1, 0}; }
+  static value_type merge(value_type f, value_type g) {
+    return {f.first * g.first, f.second * g.first + g.second};
+  }
+};
+
+/// The tree on edges {parent[v], v} for v >= 1.
+WeightedGraph tree_from_parents(const std::vector<NodeId>& parent) {
+  WeightedGraph g(static_cast<NodeId>(parent.size()));
+  for (std::size_t v = 1; v < parent.size(); ++v) g.add_edge(parent[v], static_cast<NodeId>(v));
+  return g;
+}
+
+// The flat chain layout behind hl_subtree_sums / hl_ancestor_sums, checked
+// against a naive DFS fold with an order-sensitive aggregator, and their
+// charged rounds against the Lemma 46 cost: per HL-depth, the max over its
+// chains of one x-initialization round plus the Lemma 45 path cost
+// (1 + ceil(log2 |chain|)). The star has one HL level of 9999 single-node
+// chains, above the parallel cutoff, so under the threads8 job the
+// parallel chain branch runs.
+TEST(RoundEngine, ChainLayoutSumsMatchNaiveFoldAndLemma46Cost) {
+  Rng rng(0xC4A1);
+  std::vector<std::pair<const char*, std::vector<NodeId>>> shapes;
+  {
+    std::vector<NodeId> path(700);
+    for (std::size_t v = 1; v < path.size(); ++v) path[v] = static_cast<NodeId>(v - 1);
+    shapes.emplace_back("path", std::move(path));
+    std::vector<NodeId> star(10000, 0);
+    shapes.emplace_back("star", std::move(star));
+    // Caterpillar: a 300-node spine, each spine node with two legs.
+    std::vector<NodeId> cat(900);
+    for (std::size_t v = 1; v < 300; ++v) cat[v] = static_cast<NodeId>(v - 1);
+    for (std::size_t v = 300; v < 900; ++v) cat[v] = static_cast<NodeId>((v - 300) / 2);
+    shapes.emplace_back("caterpillar", std::move(cat));
+    std::vector<NodeId> rnd(2000);
+    for (std::size_t v = 1; v < rnd.size(); ++v)
+      rnd[v] = static_cast<NodeId>(rng.next_in(0, static_cast<std::int64_t>(v) - 1));
+    shapes.emplace_back("random", std::move(rnd));
+  }
+  for (const auto& [name, parent] : shapes) {
+    const WeightedGraph g = tree_from_parents(parent);
+    std::vector<EdgeId> ids(static_cast<std::size_t>(g.m()));
+    for (EdgeId e = 0; e < g.m(); ++e) ids[static_cast<std::size_t>(e)] = e;
+    const RootedTree t(g, ids, 0);
+    const HeavyLightDecomposition hld(t);
+    std::vector<AffineAgg::value_type> input(static_cast<std::size_t>(t.n()));
+    for (auto& f : input)
+      f = {static_cast<std::uint64_t>(rng.next_in(0, 1 << 20)) * 2 + 1,
+           static_cast<std::uint64_t>(rng.next_in(0, 1 << 20))};
+    const auto heavy_child = [&](NodeId v) {
+      for (const NodeId c : t.children(v))
+        if (hld.chain_head(c) != c) return c;
+      return kNoNode;
+    };
+
+    // Naive folds over a DFS. Subtree: the chain below v first (suffix
+    // sums run bottom-up), then v, then v's light children in child order.
+    // Ancestor: root to v.
+    std::vector<AffineAgg::value_type> want_sub(input.size()), want_anc(input.size());
+    for (auto it = t.preorder().rbegin(); it != t.preorder().rend(); ++it) {
+      const NodeId v = *it;
+      const NodeId h = heavy_child(v);
+      auto acc = h != kNoNode ? want_sub[static_cast<std::size_t>(h)] : AffineAgg::identity();
+      acc = AffineAgg::merge(acc, input[static_cast<std::size_t>(v)]);
+      for (const NodeId c : t.children(v))
+        if (c != h) acc = AffineAgg::merge(acc, want_sub[static_cast<std::size_t>(c)]);
+      want_sub[static_cast<std::size_t>(v)] = acc;
+    }
+    for (const NodeId v : t.preorder()) {
+      const NodeId p = t.parent(v);
+      want_anc[static_cast<std::size_t>(v)] = AffineAgg::merge(
+          p == kNoNode ? AffineAgg::identity() : want_anc[static_cast<std::size_t>(p)],
+          input[static_cast<std::size_t>(v)]);
+    }
+
+    // Lemma 46 cost, from chains found by walking heavy children.
+    std::vector<std::int64_t> level_cost(static_cast<std::size_t>(hld.max_hl_depth()) + 1, 0);
+    for (NodeId v = 0; v < t.n(); ++v) {
+      if (hld.chain_head(v) != v) continue;
+      std::uint64_t len = 0;
+      for (NodeId cur = v; cur != kNoNode; cur = heavy_child(cur)) ++len;
+      std::int64_t& cost = level_cost[static_cast<std::size_t>(hld.hl_depth(v))];
+      cost = std::max<std::int64_t>(cost, 2 + ceil_log2(len));
+    }
+    std::int64_t want_rounds = 0;
+    for (const std::int64_t c : level_cost) want_rounds += c;
+
+    Ledger sub_ledger, anc_ledger;
+    EXPECT_EQ(hl_subtree_sums<AffineAgg>(t, hld, input, sub_ledger), want_sub) << name;
+    EXPECT_EQ(hl_ancestor_sums<AffineAgg>(t, hld, input, anc_ledger), want_anc) << name;
+    EXPECT_EQ(sub_ledger.rounds(), want_rounds) << name;
+    EXPECT_EQ(anc_ledger.rounds(), want_rounds) << name;
+    EXPECT_TRUE(sub_ledger.counters().empty()) << name;
+    if (std::string_view(name) == "path") {
+      EXPECT_EQ(want_rounds, 2 + 10);  // one 700-node chain
+    } else if (std::string_view(name) == "star") {
+      EXPECT_EQ(want_rounds, 3 + 2);  // the {hub, leaf} chain, then single leaves
+    }
+  }
 }
 
 }  // namespace

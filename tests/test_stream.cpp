@@ -317,7 +317,7 @@ TEST(IncrementalMinCut, DeterministicAcrossThreadWidths) {
     int skipped = 0;
     int repaired = 0;
     std::int64_t rounds = 0;
-    std::map<std::string, std::int64_t, std::less<>> counters;
+    minoragg::Ledger::Counters counters;
   };
   const auto run = [&](int width) {
     std::vector<SolveTrace> traces;

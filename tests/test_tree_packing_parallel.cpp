@@ -31,7 +31,7 @@ struct PackSnapshot {
   Weight lambda_seed = 0;
   bool sampled = false;
   std::int64_t rounds = 0;
-  std::map<std::string, std::int64_t, std::less<>> counters;
+  minoragg::Ledger::Counters counters;
   Rng::State rng_after{};
 
   bool operator==(const PackSnapshot&) const = default;

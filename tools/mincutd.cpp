@@ -18,7 +18,7 @@
 // and exits 0. EOF on stdin is the normal client hang-up and drains the
 // same way.
 //
-//   --width          request workers (cross-tenant concurrency; default 2)
+//   --width          request workers (cross-tenant concurrency; default 1)
 //   --max-sessions   resident-session LRU ceiling (default 16)
 //   --queue          global admission queue depth (default 256)
 //   --tenant-queue   per-tenant admission queue depth (default 64)
