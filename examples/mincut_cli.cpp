@@ -13,14 +13,17 @@
 //
 // Ingestion is the untrusted path: unknown flags, malformed flag values,
 // and malformed graph files exit 2 with a message on stderr (no aborts, no
-// exceptions). --self-check runs the guarded pipeline: independent spot
-// checks on the answer, degrading to the gather baseline with a printed
-// diagnosis if they fail. Exit codes: 0 ok, 1 oracle mismatch, 2 bad input.
+// exceptions). The solve runs under fault::SolveSupervisor, the same ladder
+// (exact -> reseed -> Karger-Stein -> gather) a mincutd SOLVE runs under;
+// --self-check turns on its certification (the guard battery of
+// mincut::verify_mincut_result) and prints the SolveReport on a
+// "self-check:" line. Exit codes: 0 ok, 1 oracle mismatch, 2 bad input.
 //
 // --trace enables the span tracer and writes a Chrome trace_event JSON
 // (open in Perfetto: https://ui.perfetto.dev). The traced run additionally
 // drives compiled Borůvka over a lossy ReliableChannel (small graphs only)
-// so the trace shows the compiled CONGEST sub-phases and ARQ retries.
+// so the trace shows the compiled CONGEST sub-phases and ARQ retries. If a
+// per-thread ring filled, the "trace:" line reports the dropped events.
 // --metrics prints the typed metrics registry (Prometheus text) on stdout,
 // with the Ledger's round accounting bridged in.
 
@@ -32,9 +35,11 @@
 #include <sstream>
 #include <string>
 
+#include "baseline/stoer_wagner.hpp"
 #include "congest/compile.hpp"
 #include "congest/compiled_network.hpp"
 #include "fault/reliable_channel.hpp"
+#include "fault/supervisor.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "mincut/witness.hpp"
@@ -45,6 +50,7 @@
 #include "server/engine.hpp"
 #include "tree/spanning.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -157,20 +163,20 @@ int main(int argc, char** argv) {
 
   if (!opt.trace_path.empty()) obs::Tracer::global().set_enabled(true);
 
-  server::LocalSolveOptions solve_opt;
-  solve_opt.seed = opt.seed;
-  solve_opt.max_trees = opt.max_trees;
-  solve_opt.self_check = opt.self_check;
-  server::LocalSolveOutcome outcome = server::run_local_solve(g, solve_opt);
-  const mincut::GuardedMinCutResult& cut = outcome.guarded;
-  minoragg::Ledger& ledger = outcome.ledger;
-  const Weight reference = outcome.oracle;
+  fault::SupervisorConfig scfg;
+  scfg.seed = opt.seed;
+  scfg.num_threads = ThreadPool::configured_threads();
+  scfg.verify = opt.self_check;
+  scfg.packing.max_trees = opt.max_trees;
+  const fault::SolveReport rep = fault::SolveSupervisor(scfg).solve(g);
+  const minoragg::Ledger& ledger = rep.ledger;
+  const Weight reference = baseline::stoer_wagner(g).value;
 
-  if (opt.self_check || cut.diagnosis.used_fallback)
-    std::printf("self-check: %s\n", cut.diagnosis.to_string().c_str());
-  std::printf("min-cut value: %lld  (oracle: %lld, %s)\n", static_cast<long long>(cut.value),
+  if (opt.self_check || rep.tier != fault::SolveTier::kExact)
+    std::printf("self-check: %s\n", rep.to_string().c_str());
+  std::printf("min-cut value: %lld  (oracle: %lld, %s)\n", static_cast<long long>(rep.value),
               static_cast<long long>(reference),
-              cut.value == reference ? "match" : "MISMATCH");
+              rep.value == reference ? "match" : "MISMATCH");
   const congest::CompileCost cost = congest::measure_compile_cost(g, ledger, opt.seed);
   std::printf("minor-aggregation rounds: %lld  |  D=%d  |  congest(general)=%lld  "
               "congest(excl-minor)=%lld\n",
@@ -178,17 +184,18 @@ int main(int argc, char** argv) {
               static_cast<long long>(cost.congest_rounds_general()),
               static_cast<long long>(cost.congest_rounds_excluded_minor()));
 
-  if (opt.want_witness && !cut.diagnosis.used_fallback && cut.primary.e != kNoEdge) {
+  // No crashes are injected, so a retry is a reseed whose packing --seed cannot replay.
+  if (opt.want_witness && rep.tier == fault::SolveTier::kExact && rep.retries == 0 &&
+      rep.exact.e != kNoEdge) {
     // Materialize the cut against the winning packing tree.
     Rng replay(opt.seed);
     minoragg::Ledger scratch;
     mincut::PackingConfig config;
     config.max_trees = opt.max_trees;
     const mincut::TreePacking packing = mincut::tree_packing(g, replay, scratch, config);
-    const RootedTree t(g, packing.trees[static_cast<std::size_t>(cut.primary.winning_tree)],
-                       0);
-    const mincut::CutWitness w = mincut::cut_witness(
-        t, mincut::CutResult{cut.primary.value, cut.primary.e, cut.primary.f});
+    const RootedTree t(g, packing.trees[static_cast<std::size_t>(rep.exact.winning_tree)], 0);
+    const mincut::CutWitness w =
+        mincut::cut_witness(t, mincut::CutResult{rep.exact.value, rep.exact.e, rep.exact.f});
     std::printf("witness: one side = {");
     for (NodeId v = 0; v < g.n(); ++v)
       if (w.side[static_cast<std::size_t>(v)]) std::printf(" %d", v);
@@ -197,7 +204,7 @@ int main(int argc, char** argv) {
       std::printf(" {%d,%d}w%lld", g.edge(e).u, g.edge(e).v,
                   static_cast<long long>(g.edge(e).w));
     std::printf("\nwitness value: %lld (%s)\n", static_cast<long long>(w.value),
-                w.value == cut.primary.value ? "consistent" : "INCONSISTENT");
+                w.value == rep.exact.value ? "consistent" : "INCONSISTENT");
   }
 
   if (!opt.trace_path.empty()) {
@@ -226,14 +233,19 @@ int main(int argc, char** argv) {
       return 2;
     }
     const auto events = tracer.snapshot();
-    obs::write_chrome_trace(out, events, tracer.dropped());
-    std::printf("trace: %zu spans -> %s (load in https://ui.perfetto.dev)\n", events.size(),
-                opt.trace_path.c_str());
+    const std::int64_t dropped = tracer.dropped();
+    obs::write_chrome_trace(out, events, dropped);
+    if (dropped > 0)
+      std::printf("trace: %zu spans, %lld dropped (rings full; raise UMC_OBS_RING) -> %s\n",
+                  events.size(), static_cast<long long>(dropped), opt.trace_path.c_str());
+    else
+      std::printf("trace: %zu spans -> %s (load in https://ui.perfetto.dev)\n", events.size(),
+                  opt.trace_path.c_str());
   }
 
   if (opt.metrics) {
     obs::bridge_ledger(obs::MetricsRegistry::global(), ledger, "ma");
     obs::write_prometheus(std::cout, obs::MetricsRegistry::global());
   }
-  return cut.value == reference ? 0 : 1;
+  return rep.value == reference ? 0 : 1;
 }

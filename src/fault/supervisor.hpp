@@ -3,9 +3,10 @@
 // SolveSupervisor — resilient exact-min-cut execution under budgets, crash
 // faults, and corruption, with a graceful-degradation ladder.
 //
-// The guarded pipeline (mincut/exact_mincut.hpp) answers a detected fault
-// by falling all the way to the gather baseline. The supervisor is the
-// policy layer above it: it enforces per-solve round and wall budgets,
+// The codebase's one certification ladder: mincutd's SOLVE, the fault
+// sweep, the stream full tier's rescue and the one-shot CLI all run it. It
+// pairs the Theorem 1 pipeline with the guard battery of
+// mincut::verify_mincut_result, enforces per-solve round and wall budgets,
 // answers crashes with CHECKPOINT REPLAY (mincut/solve_checkpoint.hpp)
 // instead of a from-scratch re-solve, answers guard failures with a bounded
 // number of reseeded-packing retries, and only then walks down the ladder

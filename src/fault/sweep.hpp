@@ -17,10 +17,11 @@
 // Message-fault plans exercise the transport preflight (compiled Borůvka
 // over a ReliableChannel under the plan); crash plans are additionally
 // turned into pipeline crash schedules via crash_plan_hook, so mid-packing
-// crash windows recover through checkpoint replay. The audit generalizes
-// the exact_mincut_guarded self-check machinery: the guard battery
-// certifies exact-tier answers, the witness re-sum certifies Monte Carlo
-// answers, and the sweep re-verifies both independently of the supervisor.
+// crash windows recover through checkpoint replay. The audit re-checks
+// the supervisor's certificates: the guard battery
+// (mincut::verify_mincut_result) certifies exact-tier answers, the witness
+// re-sum certifies Monte Carlo answers, and the sweep re-verifies both
+// independently of the supervisor.
 //
 // tests/test_fault_sweep.cpp runs the standard matrix (≥ 96 configurations)
 // as a tier-1 gate; tools/fault_sweep is the CLI driver with --extended for

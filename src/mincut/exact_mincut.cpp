@@ -1,15 +1,11 @@
 #include "mincut/exact_mincut.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <iterator>
 #include <mutex>
-#include <sstream>
 
-#include "congest/gather_baseline.hpp"
 #include "mincut/two_respect.hpp"
 #include "mincut/witness.hpp"
 #include "minoragg/tree_primitives.hpp"
@@ -85,7 +81,7 @@ ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledge
   // cut value, winning-tree choice, and charged rounds are bit-identical at
   // any thread width. `ledger` and `rng` are touched only by the producer
   // during the session. The producer also records the packing into the
-  // PackingCache, which the guarded self-check's same-seed replay hits
+  // PackingCache, which the guard battery's same-seed replay hits
   // instead of repacking (see verify_mincut_result).
   //
   // A journal adds two taps: trees whose solve already committed are filled
@@ -174,21 +170,6 @@ ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledge
   return out;
 }
 
-std::string MinCutDiagnosis::to_string() const {
-  std::ostringstream os;
-  os << (used_fallback ? "degraded to gather baseline" : "primary path healthy");
-  for (const std::string& f : failures) os << "; " << f;
-  return os.str();
-}
-
-bool self_check_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("UMC_SELF_CHECK");
-    return env != nullptr && (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0);
-  }();
-  return enabled;
-}
-
 // The guard battery against `primary`: one line per failure, empty means
 // certified. Replays the packing from `seed` — the pipeline's randomness is
 // only in the packing, so a same-seed replay must reproduce the winning
@@ -253,40 +234,6 @@ std::vector<std::string> verify_mincut_result(const WeightedGraph& g, std::uint6
     failures.push_back(std::string("packing respect: ") + e.what());
   }
   return failures;
-}
-
-GuardedMinCutResult exact_mincut_guarded(const WeightedGraph& g, std::uint64_t seed,
-                                         minoragg::Ledger& ledger, const GuardConfig& config) {
-  GuardedMinCutResult out;
-  UMC_OBS_SPAN_VAR_L(obs_guarded, "mincut/exact_guarded", "mincut", ledger.rounds());
-  const bool check = config.self_check || self_check_enabled();
-  try {
-    Rng rng(seed);
-    out.primary = exact_mincut(g, rng, ledger, config.packing);
-    if (config.inject_result_corruption) {
-      // Drill mode: silently corrupt the primary answer. Only the guard
-      // battery can notice — exercising detection, not just degradation.
-      out.primary.value += 1;
-    }
-    if (check) out.diagnosis.failures = verify_mincut_result(g, seed, config, out.primary);
-  } catch (const invariant_error& e) {
-    out.diagnosis.failures.push_back(std::string("invariant: ") + e.what());
-  }
-
-  if (out.diagnosis.failures.empty()) {
-    out.value = out.primary.value;
-    return out;
-  }
-
-  // Degrade: serve the Θ(D + m) gather baseline instead of aborting.
-  UMC_OBS_SPAN_VAR_L(obs_fb, "mincut/gather_fallback", "mincut", ledger.rounds());
-  out.diagnosis.used_fallback = true;
-  const congest::GatherBaselineResult fb = congest::gather_exact_mincut(g, /*root=*/0);
-  out.value = fb.min_cut_value;
-  out.fallback_rounds = fb.rounds_used;
-  ledger.charge(fb.rounds_used);  // honest accounting: the fallback is paid for
-  ledger.bump("selfcheck_fallbacks");
-  return out;
 }
 
 }  // namespace umc::mincut

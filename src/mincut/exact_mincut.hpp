@@ -72,18 +72,12 @@ struct PerTreeCuts {
                                              PerTreeCuts* per_tree = nullptr);
 
 // ---------------------------------------------------------------------------
-// Graceful degradation: guarded execution with runtime self-checks.
+// Certification: the guard battery behind fault::SolveSupervisor's exact
+// tier (fault/supervisor.hpp), which owns the degradation ladder.
 //
-// A production deployment cannot afford to abort on a corrupted intermediate
-// result (bit-flipped memory, a miscompiled kernel, a bug tripped by a rare
-// topology). exact_mincut_guarded runs the Theorem 1 pipeline, optionally
-// validates the answer with independent spot checks, and on ANY failure —
-// a guard mismatch or an invariant_error escaping the fast path — falls
-// back to the Θ(D + m) gather baseline (congest/gather_baseline.hpp) and
-// returns a structured diagnosis instead of throwing.
-//
-// Guards (enabled by the UMC_SELF_CHECK env knob — "1"/"on" —, the
-// config.self_check flag, or the CLI's --self-check):
+// A production deployment cannot trust an answer blindly (bit-flipped
+// memory, a miscompiled kernel, a bug tripped by a rare topology). The
+// guards are independent spot checks:
 //   * cut=cov spot check — materialize the winning (e, f) cut as a witness
 //     bipartition and re-sum the crossing weights (Theorem 40's Cut/Cov
 //     identity), which must reproduce the reported value;
@@ -94,35 +88,8 @@ struct PerTreeCuts {
 //     packing (same seed) yields the same tree count.
 
 struct GuardConfig {
-  /// Force self-checks on regardless of UMC_SELF_CHECK.
-  bool self_check = false;
-  /// Fault injection for tests and drills: silently corrupt the primary
-  /// result before the guards run. With self-checks on, the guards must
-  /// detect it and degrade; with them off, the corruption sails through —
-  /// which is precisely what the knob buys.
-  bool inject_result_corruption = false;
   PackingConfig packing;
 };
-
-struct MinCutDiagnosis {
-  bool used_fallback = false;
-  /// One structured line per failed guard ("cut-cov mismatch: ...").
-  std::vector<std::string> failures;
-  [[nodiscard]] std::string to_string() const;
-};
-
-struct GuardedMinCutResult {
-  /// The answer served: the primary result's value, or the gather
-  /// baseline's when the guards rejected the primary path.
-  Weight value = kInfWeight;
-  ExactMinCutResult primary;  // meaningful iff !diagnosis.used_fallback
-  MinCutDiagnosis diagnosis;
-  std::int64_t fallback_rounds = 0;  // gather baseline cost, if taken
-};
-
-/// True when the UMC_SELF_CHECK environment knob enables guard checks
-/// (values "1" or "on"; read once per process).
-[[nodiscard]] bool self_check_enabled();
 
 /// The guard battery as a standalone oracle: validates `primary` against a
 /// same-seed packing replay (PackingCache hit in the common case), the
@@ -134,13 +101,5 @@ struct GuardedMinCutResult {
                                                             std::uint64_t seed,
                                                             const GuardConfig& config,
                                                             const ExactMinCutResult& primary);
-
-/// Guarded entry point. Takes a seed (not an Rng&) so the packing can be
-/// replayed deterministically for the guards. Never throws on corruption of
-/// its own results; model violations degrade to the baseline.
-[[nodiscard]] GuardedMinCutResult exact_mincut_guarded(const WeightedGraph& g,
-                                                       std::uint64_t seed,
-                                                       minoragg::Ledger& ledger,
-                                                       const GuardConfig& config = {});
 
 }  // namespace umc::mincut

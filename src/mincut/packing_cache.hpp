@@ -4,8 +4,8 @@
 // state, packing configuration).
 //
 // The packing producer is deterministic given its inputs: the graph, the
-// generator state at entry, and the PackingConfig. exact_mincut_guarded
-// exploits exactly that determinism for its self-check — it replays the
+// generator state at entry, and the PackingConfig. verify_mincut_result
+// exploits exactly that determinism for its guard battery — it replays the
 // packing from the same seed and compares — which previously meant paying
 // the full ~2·λ·log m MST iterations a second time. The cache stores, per
 // key, everything a replay observes: the emitted trees (in order), the

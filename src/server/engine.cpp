@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "baseline/stoer_wagner.hpp"
 #include "fault/supervisor.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
@@ -498,16 +497,6 @@ Expected<WeightedGraph> load_graph_file(const std::string& path) {
 const char* validate_graph(const WeightedGraph& g) {
   if (g.n() < 2 || !is_connected(g)) return "the graph must be connected with >= 2 nodes";
   return nullptr;
-}
-
-LocalSolveOutcome run_local_solve(const WeightedGraph& g, const LocalSolveOptions& opt) {
-  LocalSolveOutcome out;
-  mincut::GuardConfig guard;
-  guard.self_check = opt.self_check;
-  guard.packing.max_trees = opt.max_trees;
-  out.guarded = mincut::exact_mincut_guarded(g, opt.seed, out.ledger, guard);
-  out.oracle = baseline::stoer_wagner(g).value;
-  return out;
 }
 
 }  // namespace umc::server

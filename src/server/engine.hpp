@@ -30,9 +30,10 @@
 // wait_drained() blocks until the backlog is empty so the daemon can flush
 // trace/metrics buffers and exit without dropping admitted work.
 //
-// The bottom of this header is the LOCAL engine API (load / solve / verify
-// dispatch) shared with examples/mincut_cli.cpp, so the one-shot CLI and
-// the daemon cannot drift apart.
+// The bottom of this header is the LOCAL engine API (load / validate)
+// shared with examples/mincut_cli.cpp, so the one-shot CLI and the daemon
+// ingest graphs identically; the CLI solves through the same
+// fault::SolveSupervisor ladder a SOLVE runs under.
 
 #include <atomic>
 #include <cstdint>
@@ -43,8 +44,7 @@
 #include <string>
 #include <string_view>
 
-#include "mincut/exact_mincut.hpp"
-#include "minoragg/ledger.hpp"
+#include "graph/graph.hpp"
 #include "server/protocol.hpp"
 #include "server/scheduler.hpp"
 #include "server/session.hpp"
@@ -143,8 +143,8 @@ class Engine {
 };
 
 // ---------------------------------------------------------------------------
-// Local engine API: the load / solve / verify dispatch shared by the
-// daemon's LOAD handler and the one-shot CLI.
+// Local engine API: the load / validate dispatch shared by the daemon's
+// LOAD handler and the one-shot CLI.
 
 /// Parses an edge-list body (graph/io format). Purely the parse: see
 /// validate_graph for the solvability check.
@@ -154,24 +154,5 @@ class Engine {
 /// nullptr when `g` is solvable (connected, n >= 2); otherwise the
 /// human-readable requirement it violates.
 [[nodiscard]] const char* validate_graph(const WeightedGraph& g);
-
-struct LocalSolveOptions {
-  std::uint64_t seed = 1;
-  int max_trees = 16;
-  bool self_check = false;
-};
-
-struct LocalSolveOutcome {
-  mincut::GuardedMinCutResult guarded;
-  Weight oracle = 0;  // independent Stoer–Wagner reference
-  minoragg::Ledger ledger;
-  [[nodiscard]] bool matches_oracle() const { return guarded.value == oracle; }
-};
-
-/// One-shot guarded solve + independent oracle verification — the CLI's
-/// solve path, kept next to the daemon's so they share ingestion and
-/// configuration defaults.
-[[nodiscard]] LocalSolveOutcome run_local_solve(const WeightedGraph& g,
-                                                const LocalSolveOptions& opt);
 
 }  // namespace umc::server

@@ -141,7 +141,7 @@ class ThreadPool {
 //
 // A task that throws: the first exception is captured, the session drains
 // (remaining tasks still run), and session() rethrows it on the opening
-// thread — matching the sequential behavior seen by exact_mincut_guarded.
+// thread — matching what a sequential exact_mincut caller sees.
 
 class TaskGroup;
 

@@ -93,6 +93,22 @@ TEST(Supervisor, CorruptedResultTriggersReseededRetry) {
   EXPECT_EQ(report.attempts[1].outcome, "ok");
 }
 
+TEST(Supervisor, CertificationFailureDegradesPastExactTier) {
+  // No reseed budget: the guards reject the corrupted first attempt and the
+  // ladder must fall to a certified degraded tier with the correct value.
+  mincut::PackingCache::global().clear();
+  const WeightedGraph g = test_graph(305);
+  SupervisorConfig cfg;
+  cfg.seed = 13;
+  cfg.max_reseeds = 0;
+  cfg.inject_result_corruption = true;
+  const SolveReport report = SolveSupervisor(cfg).solve(g);
+  EXPECT_TRUE(report.degraded()) << report.to_string();
+  EXPECT_TRUE(report.certified);
+  EXPECT_NE(report.reason.find("certification failed"), std::string::npos) << report.reason;
+  EXPECT_EQ(report.value, baseline::stoer_wagner(g).value);
+}
+
 TEST(Supervisor, UncertifiedCorruptionIsServedWithoutCertificate) {
   // With verification off the corruption sails through — but the report
   // says so (certified == false), which is what the sweep audit keys on.

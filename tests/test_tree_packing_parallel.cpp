@@ -5,7 +5,7 @@
 // must be bit-identical at widths 1 through 8 AND identical to the
 // pre-change Minor-Aggregation-simulated producer (use_fast_path = false).
 // Plus unit tests for the PackingCache: hit replay transparency, the
-// fingerprint invalidation rule, LRU eviction, and the guarded self-check's
+// fingerprint invalidation rule, LRU eviction, and the guard battery's
 // replay-as-hit contract.
 
 #include <gtest/gtest.h>
@@ -270,8 +270,8 @@ TEST(PackingCache, LruEvictsBeyondCapacity) {
   cache.clear();
 }
 
-TEST(PackingCache, GuardedSelfCheckReplayHitsCache) {
-  // The motivating consumer: exact_mincut_guarded's determinism guard
+TEST(PackingCache, VerifyReplayHitsCache) {
+  // The motivating consumer: verify_mincut_result's determinism guard
   // replays the packing from the same seed. The primary solve populates the
   // cache; the replay must be served from it.
   Rng grng(59);
@@ -280,12 +280,14 @@ TEST(PackingCache, GuardedSelfCheckReplayHitsCache) {
   cache.clear();
   const std::int64_t hits0 = cache.hits();
 
+  Rng rng(7);
   minoragg::Ledger ledger;
-  mincut::GuardConfig config;
-  config.self_check = true;
-  const auto r = mincut::exact_mincut_guarded(g, /*seed=*/7, ledger, config);
-  EXPECT_FALSE(r.diagnosis.used_fallback) << r.diagnosis.to_string();
-  EXPECT_GE(cache.hits(), hits0 + 1) << "the self-check replay must be a cache hit";
+  const mincut::GuardConfig config;
+  const mincut::ExactMinCutResult r = mincut::exact_mincut(g, rng, ledger, config.packing);
+  const std::vector<std::string> failures =
+      mincut::verify_mincut_result(g, /*seed=*/7, config, r);
+  EXPECT_TRUE(failures.empty()) << failures.front();
+  EXPECT_GE(cache.hits(), hits0 + 1) << "the verify replay must be a cache hit";
   cache.clear();
 }
 
