@@ -24,7 +24,6 @@
 #include "bench_common.hpp"
 #include "mincut/exact_mincut.hpp"
 #include "stream/incremental.hpp"
-#include "util/thread_pool.hpp"
 
 namespace umc {
 namespace {
@@ -85,8 +84,8 @@ void BM_StreamScratch(benchmark::State& state) {
       updates += static_cast<std::int64_t>(batches[b].size());
       Rng rng(mix64(kStreamSeed ^ b));
       minoragg::Ledger ledger;
-      mincut::ExactMinCutResult r;
-      TaskGraph::session(1, [&] { r = mincut::exact_mincut(g, rng, ledger, bench_packing()); });
+      const mincut::ExactMinCutResult r =
+          mincut::exact_mincut(g, rng, ledger, bench_packing(), /*num_threads=*/1);
       checksum = mix64(checksum ^ static_cast<std::uint64_t>(r.value));
       if (r.value != baseline::stoer_wagner(g).value) ++mismatches;
     }

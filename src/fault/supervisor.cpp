@@ -112,7 +112,8 @@ mincut::CrashHook crash_plan_hook(const FaultPlan& plan) {
   };
 }
 
-SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHook& hook) const {
+SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHook& hook,
+                                   mincut::PerTreeCuts* per_tree) const {
   UMC_ASSERT(g.n() >= 2);
   const Clock::time_point t0 = Clock::now();
   SolveReport report;
@@ -196,7 +197,7 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
       mincut::ExactMinCutResult result;
       try {
         result = mincut::exact_mincut(g, rng, ledger, cfg_.packing, cfg_.num_threads, &ckpt,
-                                      hook);
+                                      hook, per_tree);
       } catch (const mincut::crash_error& e) {
         spent_rounds += ledger.rounds();
         record(SolveTier::kExact, attempt++, std::string("crash: ") + e.what(), ledger.rounds(),
@@ -263,6 +264,8 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
 #if !defined(UMC_OBS_DISABLED)
       supervisor_metrics().checkpoint_replays.inc(replays);
 #endif
+      if (per_tree != nullptr && (report.tier != SolveTier::kExact || report.retries != 0))
+        *per_tree = {};
       report.wall_ms = ms_since(t0);
       obs_solve.arg("tier", static_cast<std::int64_t>(report.tier));
       return report;
@@ -272,6 +275,8 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
     supervisor_metrics().checkpoint_replays.inc(replays);
 #endif
   }
+
+  if (per_tree != nullptr) *per_tree = {};  // a rejected attempt's packing
 
   // --- Karger–Stein tier ---------------------------------------------------
   if (try_karger) {

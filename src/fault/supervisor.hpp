@@ -4,7 +4,7 @@
 // faults, and corruption, with a graceful-degradation ladder.
 //
 // The codebase's one certification ladder: mincutd's SOLVE, the fault
-// sweep, the stream full tier's rescue and the one-shot CLI all run it. It
+// sweep, the stream full tier and the one-shot CLI all run it. It
 // pairs the Theorem 1 pipeline with the guard battery of
 // mincut::verify_mincut_result, enforces per-solve round and wall budgets,
 // answers crashes with CHECKPOINT REPLAY (mincut/solve_checkpoint.hpp)
@@ -13,8 +13,7 @@
 //
 //   kExact            Theorem 1 pipeline (exact_mincut with a
 //                     SolveCheckpoint journal — the same pipelined session
-//                     cold solves and the stream full tier run), certified
-//                     by the guard battery
+//                     cold solves run), certified by the guard battery
 //   kCheckpointReplay same answer, but at least one crash retry resumed
 //                     from the journal (cost excludes the replayed prefix)
 //   kKargerStein      centralized recursive contraction (Monte Carlo),
@@ -132,9 +131,13 @@ class SolveSupervisor {
 
   /// Requires a connected graph with n >= 2. `hook` injects crashes at the
   /// pipeline's commit points (tests and fault drills); it must fire each
-  /// (phase, index) site at most once per solve.
+  /// (phase, index) site at most once per solve. `per_tree`, when set,
+  /// receives the packing trees and per-tree cuts of a first-try exact
+  /// answer (tier kExact, no retries — the only packing that belongs to
+  /// `cfg.seed`) and is left empty for every other answer.
   [[nodiscard]] SolveReport solve(const WeightedGraph& g,
-                                  const mincut::CrashHook& hook = nullptr) const;
+                                  const mincut::CrashHook& hook = nullptr,
+                                  mincut::PerTreeCuts* per_tree = nullptr) const;
 
   [[nodiscard]] const SupervisorConfig& config() const { return cfg_; }
 

@@ -184,6 +184,9 @@ RootedTree orient_tree(const WeightedGraph& g, std::span<const EdgeId> tree_edge
       }
     }
     const StarMergeResult sm = star_merge(out, ledger);
+    // A spanning tree gives every non-root part an outgoing edge, so
+    // Lemma 44 guarantees a joiner; none means the edges do not span g.
+    UMC_ASSERT_MSG(sm.num_joiners > 0, "orient_tree: tree edges do not span the graph");
     for (std::size_t p = 0; p < k; ++p)
       if (sm.is_joiner[p]) parts.unite(part_rep[p], via[p]);
     // Orientation fix within merged parts: reverse the root-to-attachment

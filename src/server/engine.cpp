@@ -282,7 +282,7 @@ Response Engine::do_solve(const Request& req) {
     r.fields["tier"] = std::string(stream::to_string(srep.tier));
     r.fields["certified"] = srep.certified ? "1" : "0";
     r.fields["rounds"] = std::to_string(srep.ledger.rounds());
-    r.fields["retries"] = "0";
+    r.fields["retries"] = std::to_string(srep.retries);
     r.fields["seed"] = std::to_string(s->stream->config().seed);
     r.fields["cache_hits"] = std::to_string(hits);
     r.fields["cache_misses"] = std::to_string(misses);

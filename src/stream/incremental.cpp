@@ -122,11 +122,8 @@ Expected<BatchDelta> IncrementalMinCut::apply(const UpdateBatch& batch) {
           // A tombstoned slot breaks every tree that selected it; repairs
           // happen lazily at the next warm solve. Trees keep sorted slot
           // ids, so membership is a binary search.
-          for (std::size_t i = 0; i < trees_.size(); ++i) {
-            if (tree_broken_[i] != 0) continue;
-            if (std::binary_search(trees_[i].begin(), trees_[i].end(), op.slot))
-              tree_broken_[i] = 1;
-          }
+          for (TreeState& t : trees_)
+            if (!t.broken) t.broken = std::binary_search(t.edges.begin(), t.edges.end(), op.slot);
         }
         break;
     }
@@ -138,10 +135,8 @@ Expected<BatchDelta> IncrementalMinCut::apply(const UpdateBatch& batch) {
     if (packed_) {
       const auto ou = static_cast<std::size_t>(op.u);
       const auto ov = static_cast<std::size_t>(op.v);
-      for (std::size_t i = 0; i < trees_.size(); ++i) {
-        if (tree_side_[i].empty()) continue;
-        if (tree_side_[i][ou] != tree_side_[i][ov]) tree_tracked_[i] += op.new_w - op.old_w;
-      }
+      for (TreeState& t : trees_)
+        if (!t.side.empty() && t.side[ou] != t.side[ov]) t.tracked += op.new_w - op.old_w;
     }
   }
 
@@ -186,9 +181,10 @@ StreamSolveReport IncrementalMinCut::solve() {
     // Cumulative: repaired trees lost their pack-time coverage guarantee
     // just as surely as currently-broken ones, so both count against the
     // rebuild fraction.
-    const auto broken = repaired_since_pack_ +
-                        static_cast<std::int64_t>(
-                            std::count(tree_broken_.begin(), tree_broken_.end(), char{1}));
+    const auto broken =
+        repaired_since_pack_ + static_cast<std::int64_t>(std::count_if(
+                                   trees_.begin(), trees_.end(),
+                                   [](const TreeState& t) { return t.broken; }));
     if (static_cast<double>(broken) >
         cfg_.rebuild_tree_fraction * static_cast<double>(trees_.size())) {
       full_solve(rep, "deletions broke " + std::to_string(broken) + " of " +
@@ -207,15 +203,14 @@ StreamSolveReport IncrementalMinCut::solve() {
   return rep;
 }
 
-// Runs exact_mincut's pipelined session itself and adopts its per-tree
-// trees and values — the warm state the next batches start from. Certified
-// by the same guard battery; a guard failure lands on the SolveSupervisor
-// ladder and the packing is NOT adopted.
+// One SolveSupervisor solve. A first-try exact answer hands back its
+// per-tree trees and values — the warm state the next batches start from;
+// any other answer is served from the ladder and drops the warm state, since
+// only that packing belongs to this lineage's seed.
 void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& reason) {
   const WeightedGraph& g = sg_.current();
   rep.tier = StreamTier::kFullSolve;
   rep.reason = reason;
-  rep.certified = false;
   ++counters_.warm_misses;
   ++counters_.full_solves;
 #if !defined(UMC_OBS_DISABLED)
@@ -223,61 +218,36 @@ void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& re
   stream_metrics().full_solves.inc();
 #endif
 
-  const std::uint64_t seed = full_seed();
+  fault::SupervisorConfig scfg;
+  scfg.seed = full_seed();
+  scfg.num_threads = cfg_.num_threads;
+  scfg.packing = cfg_.packing;
+  scfg.verify = cfg_.verify_full;
   ++pack_epoch_;  // the next full pack draws a fresh lineage either way
-  Rng rng(seed);
-  const Rng::State entry_state = rng.state();
-
   mincut::PerTreeCuts per_tree;
-  const mincut::ExactMinCutResult best = mincut::exact_mincut(
-      g, rng, rep.ledger, cfg_.packing, cfg_.num_threads, nullptr, nullptr, &per_tree);
-  const std::size_t num_trees = per_tree.trees.size();
+  const fault::SolveReport report = fault::SolveSupervisor(scfg).solve(g, nullptr, &per_tree);
 
-  rep.exact = best;
-  rep.value = best.value;
-  rep.trees = static_cast<int>(num_trees);
-  rep.trees_resolved += static_cast<int>(num_trees);
-  counters_.trees_resolved += static_cast<std::int64_t>(num_trees);
+  rep.value = report.value;
+  rep.certified = report.certified;
+  rep.retries = report.retries;
+  rep.exact = report.exact;
+  rep.exact.value = report.value;
+  rep.trees = report.exact.num_trees;
+  rep.trees_resolved += rep.trees;
+  rep.ledger.charge_sequential(report.ledger);
+  counters_.trees_resolved += rep.trees;
 #if !defined(UMC_OBS_DISABLED)
-  stream_metrics().trees_resolved.inc(static_cast<std::int64_t>(num_trees));
+  stream_metrics().trees_resolved.inc(rep.trees);
 #endif
 
-  if (cfg_.verify_full) {
-    mincut::GuardConfig guard;
-    guard.packing = cfg_.packing;
-    const std::vector<std::string> failures = mincut::verify_mincut_result(g, seed, guard, best);
-    if (!failures.empty()) {
-      // Even the full tier failed certification: answer from the resilient
-      // supervisor ladder (reseeded), and drop the warm state entirely —
-      // an uncertified packing must not seed future warm answers.
-      fault::SupervisorConfig scfg;
-      scfg.seed = mix64(seed ^ 0x726573637565ULL);  // "rescue"
-      scfg.num_threads = cfg_.num_threads;
-      scfg.packing = cfg_.packing;
-      const fault::SolveReport rescue = fault::SolveSupervisor(scfg).solve(g);
-      rep.value = rescue.value;
-      rep.certified = rescue.certified;
-      rep.reason = (reason.empty() ? std::string() : reason + "; ") +
-                   "guard: " + failures.front() + "; rescued by supervisor tier " +
-                   fault::to_string(rescue.tier);
-      rep.ledger.charge_sequential(rescue.ledger);
-      rep.exact = mincut::ExactMinCutResult{};
-      rep.exact.value = rescue.value;
-      packed_ = false;
-      trees_.clear();
-      tree_value_.clear();
-      tree_dec_at_.clear();
-      tree_broken_.clear();
-      tree_runner_.clear();
-      tree_tracked_.clear();
-      tree_side_.clear();
-      tree_cut_e_.clear();
-      tree_cut_f_.clear();
-      last_winner_ = -1;
-      last_side_.clear();
-      return;
-    }
-    rep.certified = true;
+  if (per_tree.trees.empty()) {
+    rep.reason += std::string("; supervisor tier ") + fault::to_string(report.tier) + " after " +
+                  std::to_string(report.retries) + " retries" +
+                  (report.reason.empty() ? "" : ": " + report.reason);
+    packed_ = false;
+    trees_.clear();
+    last_side_.clear();
+    return;
   }
 
   // Adopt: trees move to stable slot-id space (slot order preserves the
@@ -285,30 +255,21 @@ void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& re
   // re-bases, and the mass counters restart — the packing is the new base
   // certificate.
   trees_.clear();
-  trees_.reserve(num_trees);
-  for (const std::vector<EdgeId>& tree : per_tree.trees) {
-    std::vector<EdgeId> slots;
-    slots.reserve(tree.size());
-    for (const EdgeId e : tree) slots.push_back(sg_.slot_of_current(e));
-    trees_.push_back(std::move(slots));
+  trees_.reserve(per_tree.trees.size());
+  for (std::size_t i = 0; i < per_tree.trees.size(); ++i) {
+    TreeState& t = trees_.emplace_back();
+    t.edges.reserve(per_tree.trees[i].size());
+    for (const EdgeId e : per_tree.trees[i]) t.edges.push_back(sg_.slot_of_current(e));
+    t.value = per_tree.cuts[i].value;
   }
-  tree_value_.resize(num_trees);
-  for (std::size_t i = 0; i < num_trees; ++i) tree_value_[i] = per_tree.cuts[i].value;
-  tree_dec_at_.assign(num_trees, 0);
-  tree_broken_.assign(num_trees, 0);
-  tree_runner_.assign(num_trees, mincut::kInfWeight);
-  tree_tracked_.assign(num_trees, mincut::kInfWeight);
-  tree_side_.assign(num_trees, {});
-  tree_cut_e_.assign(num_trees, kNoEdge);
-  tree_cut_f_.assign(num_trees, kNoEdge);
   repaired_since_pack_ = 0;
-  lambda_pack_ = best.value;
-  base_rng_state_ = entry_state;
+  lambda_pack_ = report.value;
+  base_rng_state_ = Rng(scfg.seed).state();
   packed_ = true;
-  adopt_winner(g, best.winning_tree, best);
   sg_.rebase();
   decrease_mass_ = 0;
   increase_mass_ = 0;
+  adopt_winner(g, report.exact.winning_tree, report.value);
   store_delta_entry();
 }
 
@@ -346,38 +307,26 @@ bool IncrementalMinCut::adopt_from_cache(StreamSolveReport& rep) {
   // tree must reproduce the stored minimum exactly. Any divergence is
   // treated as a miss, never served.
   const WeightedGraph& g = sg_.current();
-  std::vector<EdgeId> cur;
-  cur.reserve(hit->trees[winner].size());
-  for (const EdgeId slot : hit->trees[winner]) cur.push_back(sg_.current_of_slot(slot));
   minoragg::Ledger witness_ledger;
   try {
-    const RootedTree t(g, cur, /*root=*/0);
+    const RootedTree t(g, current_edges(hit->trees[winner]), /*root=*/0);
     const mincut::TwoRespectEval ev = mincut::evaluate_two_respecting(t);
     if (ev.best.value != best_value) return false;
     witness_ledger.charge(1);  // the certification pass: one aggregation round
     witness_ledger.bump("stream_tree_evals");
 
-    trees_ = hit->trees;
-    tree_value_ = hit->tree_values;
-    tree_dec_at_.assign(trees_.size(), decrease_mass_);
-    tree_broken_.assign(trees_.size(), 0);
-    tree_runner_.assign(trees_.size(), mincut::kInfWeight);
-    tree_tracked_.assign(trees_.size(), mincut::kInfWeight);
-    tree_side_.assign(trees_.size(), {});
-    tree_cut_e_.assign(trees_.size(), kNoEdge);
-    tree_cut_f_.assign(trees_.size(), kNoEdge);
-    tree_runner_[winner] = ev.runner_up;
-    tree_tracked_[winner] = ev.best.value;
-    tree_side_[winner] = ev.side;
-    tree_cut_e_[winner] = sg_.slot_of_current(ev.best.e);
-    tree_cut_f_[winner] = ev.best.f == kNoEdge ? kNoEdge : sg_.slot_of_current(ev.best.f);
+    trees_.assign(hit->trees.size(), {});
+    for (std::size_t i = 0; i < trees_.size(); ++i) {
+      trees_[i].edges = hit->trees[i];
+      trees_[i].value = hit->tree_values[i];
+      trees_[i].dec_at = decrease_mass_;
+    }
+    last_side_ = ev.side;
+    record_eval(trees_[winner], ev);
     repaired_since_pack_ = 0;
     lambda_pack_ = hit->lambda_seed;
     base_rng_state_ = key.rng_state;
     packed_ = true;
-    last_side_ = ev.side;
-    last_value_ = ev.best.value;
-    last_winner_ = static_cast<int>(winner);
 
     rep.tier = StreamTier::kWarmCache;
     rep.reason = "delta-cache replay";
@@ -454,36 +403,30 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
 
   const std::size_t num_trees = trees_.size();
   UMC_ASSERT(num_trees > 0);
-  const Weight dec_now = decrease_mass_;
 
   std::vector<std::vector<EdgeId>> cur_trees(num_trees);
-  for (std::size_t i = 0; i < num_trees; ++i) {
-    cur_trees[i].reserve(trees_[i].size());
-    for (const EdgeId slot : trees_[i]) cur_trees[i].push_back(sg_.current_of_slot(slot));
-  }
+  for (std::size_t i = 0; i < num_trees; ++i) cur_trees[i] = current_edges(trees_[i].edges);
 
   // The candidate floor: every tracked argmin cut is a real cut held at
   // its exact current value, so their minimum bounds the answer from above
   // before any re-evaluation happens.
   Weight floor = mincut::kInfWeight;
-  for (std::size_t i = 0; i < num_trees; ++i)
-    if (!tree_side_[i].empty()) floor = std::min(floor, tree_tracked_[i]);
+  for (const TreeState& t : trees_)
+    if (!t.side.empty()) floor = std::min(floor, t.tracked);
 
   // One pass picks the re-evaluation set (see the invariant above): trees
   // with no state (repaired, or adopted from a cache entry that only
   // stores values) always re-evaluate; the rest only when their lower
   // bound could still beat the floor.
-  std::vector<char> fresh(num_trees, 0);
   std::vector<std::size_t> solve_set;
   for (std::size_t i = 0; i < num_trees; ++i) {
-    if (tree_value_[i] == mincut::kInfWeight) {
+    const TreeState& t = trees_[i];
+    if (t.value == mincut::kInfWeight) {
       solve_set.push_back(i);
       continue;
     }
-    const Weight ddec = dec_now - tree_dec_at_[i];
-    const Weight lb = tree_side_[i].empty()
-                          ? tree_value_[i] - ddec
-                          : std::min(tree_tracked_[i], tree_runner_[i] - ddec);
+    const Weight ddec = decrease_mass_ - t.dec_at;
+    const Weight lb = t.side.empty() ? t.value - ddec : std::min(t.tracked, t.runner - ddec);
     if (lb < floor) solve_set.push_back(i);
   }
 
@@ -509,29 +452,16 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
   }
   for (std::size_t k = 0; k < solve_set.size(); ++k) {
     ledger.charge_sequential(eval_ledgers[k]);
-    const std::size_t i = solve_set[k];
-    mincut::TwoRespectEval& ev = evals[k];
-    tree_value_[i] = ev.best.value;
-    tree_dec_at_[i] = dec_now;
-    tree_runner_[i] = ev.runner_up;
-    tree_tracked_[i] = ev.best.value;
-    tree_side_[i] = std::move(ev.side);
-    tree_cut_e_[i] = sg_.slot_of_current(ev.best.e);
-    tree_cut_f_[i] = ev.best.f == kNoEdge ? kNoEdge : sg_.slot_of_current(ev.best.f);
-    fresh[i] = 1;
+    record_eval(trees_[solve_set[k]], std::move(evals[k]));
   }
 
-  // Final min over ALL trees: fresh minima and tracked values compete on
-  // equal footing (both are exact); strict < keeps the lowest tree index.
+  // Final min over ALL trees: a re-evaluated tree tracks its fresh minimum,
+  // so fresh minima and tracked values compete on equal footing (both are
+  // exact); strict < keeps the lowest tree index.
   Weight best_value = mincut::kInfWeight;
   std::size_t winner = num_trees;
   for (std::size_t i = 0; i < num_trees; ++i) {
-    Weight cand = mincut::kInfWeight;
-    if (fresh[i] != 0) {
-      cand = tree_value_[i];
-    } else if (!tree_side_[i].empty()) {
-      cand = tree_tracked_[i];
-    }
+    const Weight cand = trees_[i].side.empty() ? mincut::kInfWeight : trees_[i].tracked;
     if (cand < best_value) {
       best_value = cand;
       winner = i;
@@ -547,10 +477,9 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
   stream_metrics().trees_resolved.inc(resolved);
 #endif
 
-  const EdgeId win_e =
-      tree_cut_e_[winner] == kNoEdge ? kNoEdge : sg_.current_of_slot(tree_cut_e_[winner]);
-  const EdgeId win_f =
-      tree_cut_f_[winner] == kNoEdge ? kNoEdge : sg_.current_of_slot(tree_cut_f_[winner]);
+  const TreeState& won = trees_[winner];
+  const EdgeId win_e = won.cut_e == kNoEdge ? kNoEdge : sg_.current_of_slot(won.cut_e);
+  const EdgeId win_f = won.cut_f == kNoEdge ? kNoEdge : sg_.current_of_slot(won.cut_f);
 
   Weight value = best_value;
   if (cfg_.inject_warm_corruption) value += 1;  // drill: validation must catch
@@ -576,8 +505,6 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
   } catch (const invariant_error& e) {
     return {false, std::string("winning tree not spanning: ") + e.what()};
   }
-  last_value_ = value;
-  last_winner_ = static_cast<int>(winner);
 
   rep.tier = StreamTier::kWarmIncremental;
   rep.value = value;
@@ -611,7 +538,7 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
 void IncrementalMinCut::repair_broken_trees(StreamSolveReport& rep, minoragg::Ledger& ledger) {
   std::vector<std::size_t> broken;
   for (std::size_t i = 0; i < trees_.size(); ++i)
-    if (tree_broken_[i] != 0) broken.push_back(i);
+    if (trees_[i].broken) broken.push_back(i);
   if (broken.empty()) return;
 
   const WeightedGraph& g = sg_.current();
@@ -620,10 +547,9 @@ void IncrementalMinCut::repair_broken_trees(StreamSolveReport& rep, minoragg::Le
   ScratchLease<std::vector<std::int64_t>> load_lease;
   std::vector<std::int64_t>& load = *load_lease;
   load.assign(m, 0);
-  for (std::size_t i = 0; i < trees_.size(); ++i) {
-    if (tree_broken_[i] != 0) continue;
-    for (const EdgeId slot : trees_[i])
-      ++load[static_cast<std::size_t>(sg_.current_of_slot(slot))];
+  for (const TreeState& t : trees_) {
+    if (t.broken) continue;
+    for (const EdgeId slot : t.edges) ++load[static_cast<std::size_t>(sg_.current_of_slot(slot))];
   }
   ScratchLease<std::vector<std::int64_t>> cost_lease;
   std::vector<std::int64_t>& cost = *cost_lease;
@@ -647,14 +573,10 @@ void IncrementalMinCut::repair_broken_trees(StreamSolveReport& rep, minoragg::Le
       ++load[idx];
       cost[idx] = (load[idx] << 20) / edges[idx].w;
     }
-    trees_[i] = std::move(slots);
-    tree_broken_[i] = 0;
-    tree_value_[i] = mincut::kInfWeight;  // must re-evaluate before serving
-    tree_runner_[i] = mincut::kInfWeight;
-    tree_tracked_[i] = mincut::kInfWeight;
-    tree_side_[i].clear();  // the old argmin belonged to the dead tree
-    tree_cut_e_[i] = kNoEdge;
-    tree_cut_f_[i] = kNoEdge;
+    // Unsolved: must re-evaluate before serving (the old argmin belonged
+    // to the dead tree).
+    trees_[i] = {};
+    trees_[i].edges = std::move(slots);
   }
   rep.trees_repaired += static_cast<int>(broken.size());
   counters_.trees_repaired += static_cast<std::int64_t>(broken.size());
@@ -664,27 +586,27 @@ void IncrementalMinCut::repair_broken_trees(StreamSolveReport& rep, minoragg::Le
 #endif
 }
 
-void IncrementalMinCut::adopt_winner(const WeightedGraph& g, int winner,
-                                     const mincut::ExactMinCutResult& best) {
+void IncrementalMinCut::adopt_winner(const WeightedGraph& g, int winner, Weight value) {
   UMC_ASSERT(winner >= 0 && static_cast<std::size_t>(winner) < trees_.size());
-  const auto w = static_cast<std::size_t>(winner);
-  std::vector<EdgeId> cur;
-  cur.reserve(trees_[w].size());
-  for (const EdgeId slot : trees_[w]) cur.push_back(sg_.current_of_slot(slot));
-  const RootedTree t(g, cur, /*root=*/0);
-  const mincut::TwoRespectEval ev = mincut::evaluate_two_respecting(t);
-  UMC_ASSERT_MSG(ev.best.value == best.value,
+  TreeState& t = trees_[static_cast<std::size_t>(winner)];
+  mincut::TwoRespectEval ev =
+      mincut::evaluate_two_respecting(RootedTree(g, current_edges(t.edges), /*root=*/0));
+  UMC_ASSERT_MSG(ev.best.value == value,
                  "cut oracle must reproduce the adopted winner's MA-solved value");
-  last_side_ = ev.side;
-  last_value_ = best.value;
-  last_winner_ = winner;
   // Seed the winner's tracked state so the next warm solve starts from an
   // exact candidate instead of re-evaluating the whole packing.
-  tree_runner_[w] = ev.runner_up;
-  tree_tracked_[w] = ev.best.value;
-  tree_side_[w] = ev.side;
-  tree_cut_e_[w] = sg_.slot_of_current(ev.best.e);
-  tree_cut_f_[w] = ev.best.f == kNoEdge ? kNoEdge : sg_.slot_of_current(ev.best.f);
+  last_side_ = ev.side;
+  record_eval(t, std::move(ev));
+}
+
+void IncrementalMinCut::record_eval(TreeState& t, mincut::TwoRespectEval ev) const {
+  t.value = ev.best.value;
+  t.dec_at = decrease_mass_;
+  t.runner = ev.runner_up;
+  t.tracked = ev.best.value;
+  t.side = std::move(ev.side);
+  t.cut_e = sg_.slot_of_current(ev.best.e);
+  t.cut_f = ev.best.f == kNoEdge ? kNoEdge : sg_.slot_of_current(ev.best.f);
 }
 
 void IncrementalMinCut::store_delta_entry() {
@@ -697,8 +619,12 @@ void IncrementalMinCut::store_delta_entry() {
   key.rng_state = base_rng_state_;
   key.delta_fp = mix64(sg_.delta_fp() ^ kStreamDeltaTag);
   auto entry = std::make_shared<mincut::PackingEntry>();
-  entry->trees = trees_;
-  entry->tree_values = tree_value_;
+  entry->trees.reserve(trees_.size());
+  entry->tree_values.reserve(trees_.size());
+  for (const TreeState& t : trees_) {
+    entry->trees.push_back(t.edges);
+    entry->tree_values.push_back(t.value);
+  }
   entry->lambda_seed = lambda_pack_;
   entry->sampled = false;
   // Adoption charges its own replay round + winner re-solve; the stored
@@ -706,6 +632,13 @@ void IncrementalMinCut::store_delta_entry() {
   // tiers consume no randomness).
   entry->rng_after = base_rng_state_;
   cache.insert(key, std::move(entry));
+}
+
+std::vector<EdgeId> IncrementalMinCut::current_edges(std::span<const EdgeId> slots) const {
+  std::vector<EdgeId> cur;
+  cur.reserve(slots.size());
+  for (const EdgeId slot : slots) cur.push_back(sg_.current_of_slot(slot));
+  return cur;
 }
 
 std::uint64_t IncrementalMinCut::full_seed() const { return mix64(cfg_.seed ^ pack_epoch_); }

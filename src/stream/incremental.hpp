@@ -33,10 +33,14 @@
 //                     the answer is the true min over trees. The solve set
 //                     is decided in one width-independent pass and ledgers
 //                     merge in tree-index order.
-//   kFullSolve        re-pack + full pipelined solve (exact_mincut itself,
-//                     handing back its per-tree trees and values),
-//                     certified by the guard battery, then the journal
-//                     re-bases and the cache is primed.
+//   kFullSolve        one fault::SolveSupervisor solve: its exact tier is
+//                     the full pipelined re-pack, certified by the guard
+//                     battery. A first-try exact answer hands back its
+//                     per-tree trees and values, which become the new warm
+//                     state (the journal re-bases and the cache is
+//                     primed); any other answer — reseeded, replayed or
+//                     degraded — is served from the ladder and drops the
+//                     warm state.
 //
 // The cheap change-detection tier (Nanongkai–Su style) decides when warm
 // answers stop being trustworthy: two exact counters accumulate the
@@ -54,15 +58,15 @@
 // and min-over-trees is the global minimum), the winning tree must be
 // spanning (RootedTree construction), its witness must re-sum to the value
 // (cut = cov), and the value must not exceed U (an exact upper bound on
-// the new λ). Any violation falls back to the full tier — and if even
-// the full tier fails its guards, the solve lands on the resilient
-// SolveSupervisor ladder (src/fault).
+// the new λ). Any violation falls back to the full tier.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "mincut/cut_oracle.hpp"
 #include "mincut/exact_mincut.hpp"
 #include "mincut/tree_packing.hpp"
 #include "minoragg/ledger.hpp"
@@ -90,8 +94,9 @@ struct StreamConfig {
   double rebuild_mass_fraction = 2.0;
   /// Full re-solve once deletions broke more than this fraction of trees.
   double rebuild_tree_fraction = 0.5;
-  /// Certify full-tier answers with verify_mincut_result (warm tiers are
-  /// always witness-validated regardless).
+  /// Certify full-tier answers with the supervisor's guard battery
+  /// (SupervisorConfig::verify; warm tiers are always witness-validated
+  /// regardless).
   bool verify_full = true;
   /// Drill knob: corrupt the warm candidate value before validation — the
   /// witness re-sum must catch it and force the full fallback.
@@ -135,9 +140,11 @@ struct StreamSolveReport {
   int trees_repaired = 0;
   int trees_resolved = 0;
   int trees_skipped = 0;
+  int retries = 0;  // the full tier's supervisor retries (0 on warm tiers)
   minoragg::Ledger ledger;  // this solve's charges
   /// Winner in CURRENT materialized-graph ids (see graph()); e == kNoEdge
-  /// on the n == 2 path and on supervisor-rescued answers.
+  /// on the n == 2 path and on full-tier answers from a degraded
+  /// supervisor tier (Karger–Stein, gather baseline).
   mincut::ExactMinCutResult exact;
 };
 
@@ -168,13 +175,35 @@ class IncrementalMinCut {
     std::string why;  // invalidation reason when !ok
   };
 
+  /// One resident packing tree (slot-id space). The defaults are the
+  /// unsolved state: no value, no tracked argmin cut.
+  struct TreeState {
+    std::vector<EdgeId> edges;           // sorted slot ids
+    Weight value = mincut::kInfWeight;   // last solved 2-respecting min
+    Weight dec_at = 0;                   // decrease_mass_ at that solve
+    bool broken = false;                 // contains a tombstoned slot
+    // Tracked argmin state from the tree's last oracle eval (empty side =
+    // none yet: cache-adopted or repaired trees re-earn theirs on the next
+    // warm solve). `tracked` is the EXACT current value of that
+    // bipartition, re-priced per applied op in apply(); the defining pair
+    // is stored as slot ids so it survives re-materialization.
+    Weight runner = mincut::kInfWeight;   // runner-up candidate at eval time
+    Weight tracked = mincut::kInfWeight;  // current value of the argmin cut
+    std::vector<bool> side;               // argmin bipartition bitmap
+    EdgeId cut_e = kNoEdge;               // defining pair (f may be kNoEdge)
+    EdgeId cut_f = kNoEdge;
+  };
+
   /// Appends its charges to rep.ledger (the invalidated warm attempt's
   /// charges stay — honest accounting across the fallback).
   void full_solve(StreamSolveReport& rep, const std::string& reason);
   bool adopt_from_cache(StreamSolveReport& rep);
   WarmOutcome warm_solve(StreamSolveReport& rep);
   void repair_broken_trees(StreamSolveReport& rep, minoragg::Ledger& ledger);
-  void adopt_winner(const WeightedGraph& g, int winner, const mincut::ExactMinCutResult& best);
+  void adopt_winner(const WeightedGraph& g, int winner, Weight value);
+  void record_eval(TreeState& t, mincut::TwoRespectEval ev) const;
+  /// Materialized edge ids of a slot-id tree.
+  [[nodiscard]] std::vector<EdgeId> current_edges(std::span<const EdgeId> slots) const;
   void store_delta_entry();
   [[nodiscard]] std::uint64_t full_seed() const;
   [[nodiscard]] Weight surviving_witness_bound(const WeightedGraph& g) const;
@@ -191,28 +220,13 @@ class IncrementalMinCut {
   bool packed_ = false;
   std::uint64_t pack_epoch_ = 0;  // full packs completed (seed derivation)
   Rng::State base_rng_state_{};   // rng entry state of the base pack
-  std::vector<std::vector<EdgeId>> trees_;  // sorted slot ids
-  std::vector<Weight> tree_value_;  // last solved 2-respecting min (kInfWeight = unsolved)
-  std::vector<Weight> tree_dec_at_;  // decrease_mass_ at that solve
-  std::vector<char> tree_broken_;    // contains a tombstoned slot
-  // Tracked argmin state from the tree's last oracle eval (empty side =
-  // none yet: cache-adopted or repaired trees re-earn theirs on the next
-  // warm solve). tree_tracked_ is the EXACT current value of that
-  // bipartition, re-priced per applied op in apply(); the defining pair is
-  // stored as slot ids so it survives re-materialization.
-  std::vector<Weight> tree_runner_;   // runner-up candidate at eval time
-  std::vector<Weight> tree_tracked_;  // current value of the argmin cut
-  std::vector<std::vector<bool>> tree_side_;  // argmin bipartition bitmap
-  std::vector<EdgeId> tree_cut_e_;    // defining pair (slot ids; f may be kNoEdge)
-  std::vector<EdgeId> tree_cut_f_;
+  std::vector<TreeState> trees_;
   /// Trees re-grown since the base pack. Repaired trees are NOT pack-time
   /// trees, so they carry no coverage guarantee; once the cumulative count
   /// (plus currently-broken trees) passes rebuild_tree_fraction the next
   /// solve re-packs instead of warm-starting.
   std::int64_t repaired_since_pack_ = 0;
-  Weight lambda_pack_ = 0;           // min-cut value at the base pack
-  int last_winner_ = -1;             // tree index of the previous winner
-  Weight last_value_ = 0;
+  Weight lambda_pack_ = 0;       // min-cut value at the base pack
   std::vector<bool> last_side_;  // previous winning bipartition (node bitmap)
 };
 

@@ -14,6 +14,7 @@
 #include "fault/supervisor.hpp"
 #include "fault/sweep.hpp"
 #include "graph/generators.hpp"
+#include "mincut/exact_mincut.hpp"
 #include "mincut/packing_cache.hpp"
 #include "util/rng.hpp"
 
@@ -32,7 +33,8 @@ TEST(Supervisor, ExactTierCleanRun) {
   const WeightedGraph g = test_graph(301);
   SupervisorConfig cfg;
   cfg.seed = 7;
-  const SolveReport report = SolveSupervisor(cfg).solve(g);
+  mincut::PerTreeCuts per_tree;
+  const SolveReport report = SolveSupervisor(cfg).solve(g, nullptr, &per_tree);
   EXPECT_EQ(report.tier, SolveTier::kExact);
   EXPECT_EQ(report.value, baseline::stoer_wagner(g).value);
   EXPECT_TRUE(report.certified);
@@ -44,6 +46,20 @@ TEST(Supervisor, ExactTierCleanRun) {
   ASSERT_EQ(report.attempts.size(), 1u);
   EXPECT_EQ(report.attempts[0].outcome, "ok");
   EXPECT_TRUE(report.reason.empty());
+
+  // A first-try exact answer hands back exactly the bare solve's packing.
+  Rng rng(cfg.seed);
+  minoragg::Ledger ledger;
+  mincut::PerTreeCuts ref;
+  (void)mincut::exact_mincut(g, rng, ledger, cfg.packing, cfg.num_threads, nullptr, nullptr,
+                             &ref);
+  EXPECT_EQ(per_tree.trees, ref.trees);
+  ASSERT_EQ(per_tree.cuts.size(), ref.cuts.size());
+  for (std::size_t i = 0; i < ref.cuts.size(); ++i) {
+    EXPECT_EQ(per_tree.cuts[i].value, ref.cuts[i].value) << "tree " << i;
+    EXPECT_EQ(per_tree.cuts[i].e, ref.cuts[i].e) << "tree " << i;
+    EXPECT_EQ(per_tree.cuts[i].f, ref.cuts[i].f) << "tree " << i;
+  }
 }
 
 TEST(Supervisor, CrashesRecoverViaCheckpointReplay) {
@@ -102,11 +118,15 @@ TEST(Supervisor, CertificationFailureDegradesPastExactTier) {
   cfg.seed = 13;
   cfg.max_reseeds = 0;
   cfg.inject_result_corruption = true;
-  const SolveReport report = SolveSupervisor(cfg).solve(g);
+  mincut::PerTreeCuts per_tree;
+  const SolveReport report = SolveSupervisor(cfg).solve(g, nullptr, &per_tree);
   EXPECT_TRUE(report.degraded()) << report.to_string();
   EXPECT_TRUE(report.certified);
   EXPECT_NE(report.reason.find("certification failed"), std::string::npos) << report.reason;
   EXPECT_EQ(report.value, baseline::stoer_wagner(g).value);
+  // The rejected attempt's packing is not handed back.
+  EXPECT_TRUE(per_tree.trees.empty());
+  EXPECT_TRUE(per_tree.cuts.empty());
 }
 
 TEST(Supervisor, UncertifiedCorruptionIsServedWithoutCertificate) {

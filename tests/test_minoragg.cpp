@@ -12,6 +12,7 @@
 #include "tree/spanning.hpp"
 #include "minoragg/ledger.hpp"
 #include "minoragg/network.hpp"
+#include "minoragg/tree_primitives.hpp"
 #include "minoragg/virtual_graph.hpp"
 #include "util/rng.hpp"
 
@@ -149,6 +150,19 @@ TEST(Network, AllAggregateRequiresConnectivity) {
   Network net(g, ledger);
   const std::vector<std::int64_t> x = {1, 2, 3};
   EXPECT_THROW(net.all_aggregate<SumAgg>(x), invariant_error);
+}
+
+TEST(OrientTree, RejectsEdgeSetThatDoesNotSpan) {
+  // A triangle on {0, 1, 2} leaves node 3 unreached: once the merge loop
+  // runs out of outgoing tree edges it must fail loudly, not spin.
+  WeightedGraph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 0);
+  g.add_edge(2, 3);
+  const std::vector<EdgeId> tree = {0, 1, 2};
+  Ledger ledger;
+  EXPECT_THROW((void)orient_tree(g, tree, /*root=*/0, ledger), invariant_error);
 }
 
 TEST(Network, NeighborhoodAggregateSumsIncidentEdges) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -353,28 +354,32 @@ TEST(IncrementalMinCut, ColdSolveMirrorsExactMinCutChargeForCharge) {
   WeightedGraph g = erdos_renyi_connected(20, 0.3, rng);
   randomize_weights(g, 1, 10, rng);
   // Case A at the default threshold; threshold 0 forces the Karger-sampled
-  // route (case B).
+  // route (case B). The guard battery charges a scratch ledger, so
+  // verify_full must not move a single charge either.
   for (const double direct_threshold_c : {4.0, 0.0}) {
     for (const int width : {1, 4, 8}) {
-      SCOPED_TRACE("direct_threshold_c " + std::to_string(direct_threshold_c) + " width " +
-                   std::to_string(width));
-      StreamConfig cfg = stream_config(21, width);
-      cfg.packing.direct_threshold_c = direct_threshold_c;
-      cfg.verify_full = false;  // compare the solve itself, not the guard battery
-      IncrementalMinCut inc(g, cfg);
-      const StreamSolveReport rep = inc.solve();
+      for (const bool verify_full : {false, true}) {
+        SCOPED_TRACE("direct_threshold_c " + std::to_string(direct_threshold_c) + " width " +
+                     std::to_string(width) + " verify_full " + std::to_string(verify_full));
+        StreamConfig cfg = stream_config(21, width);
+        cfg.packing.direct_threshold_c = direct_threshold_c;
+        cfg.verify_full = verify_full;
+        IncrementalMinCut inc(g, cfg);
+        const StreamSolveReport rep = inc.solve();
 
-      Rng solver_rng(mix64(cfg.seed ^ 0));  // pack epoch 0 lineage
-      minoragg::Ledger ledger;
-      const mincut::ExactMinCutResult ref =
-          mincut::exact_mincut(g, solver_rng, ledger, cfg.packing, width);
-      EXPECT_EQ(rep.value, ref.value);
-      EXPECT_EQ(rep.exact.e, ref.e);
-      EXPECT_EQ(rep.exact.f, ref.f);
-      EXPECT_EQ(rep.exact.winning_tree, ref.winning_tree);
-      EXPECT_EQ(rep.exact.num_trees, ref.num_trees);
-      EXPECT_EQ(rep.ledger.rounds(), ledger.rounds());
-      EXPECT_EQ(rep.ledger.counters(), ledger.counters());
+        Rng solver_rng(mix64(cfg.seed ^ 0));  // pack epoch 0 lineage
+        minoragg::Ledger ledger;
+        const mincut::ExactMinCutResult ref =
+            mincut::exact_mincut(g, solver_rng, ledger, cfg.packing, width);
+        EXPECT_EQ(rep.value, ref.value);
+        EXPECT_EQ(rep.exact.e, ref.e);
+        EXPECT_EQ(rep.exact.f, ref.f);
+        EXPECT_EQ(rep.exact.winning_tree, ref.winning_tree);
+        EXPECT_EQ(rep.exact.num_trees, ref.num_trees);
+        EXPECT_EQ(rep.ledger.rounds(), ledger.rounds());
+        EXPECT_EQ(rep.ledger.counters(), ledger.counters());
+        EXPECT_EQ(rep.certified, verify_full);
+      }
     }
   }
 }
@@ -398,6 +403,46 @@ TEST(IncrementalMinCut, CorruptedWarmCandidateFallsBackToFull) {
   EXPECT_NE(rep.reason.find("invalidated"), std::string::npos);
   EXPECT_EQ(inc.counters().fallbacks, 1);
   EXPECT_EQ(rep.value, baseline::stoer_wagner(inc.graph()).value);
+}
+
+TEST(IncrementalMinCut, ThrowingExactTierDegradesInsteadOfEscaping) {
+  Rng rng(77);
+  WeightedGraph g = erdos_renyi_connected(20, 0.3, rng);
+  randomize_weights(g, 1, 12, rng);
+  mincut::PackingCache cache;
+  StreamConfig cfg = stream_config(31, 1);
+  cfg.packing.use_cache = true;
+  cfg.packing.cache = &cache;
+  // Poison the full tier's first packing key (pack epoch 0) with a tree
+  // naming a nonexistent edge: the exact tier throws invariant_error, which
+  // the supervisor's ladder must absorb rather than let escape solve().
+  mincut::PackingKey key;
+  key.graph_fp = mincut::graph_fingerprint(g);
+  key.config_fp = mincut::packing_config_fingerprint(cfg.packing);
+  key.rng_state = Rng(mix64(cfg.seed ^ 0)).state();
+  auto poisoned = std::make_shared<mincut::PackingEntry>();
+  poisoned->trees.push_back({g.m()});
+  cache.insert(key, std::move(poisoned));
+
+  IncrementalMinCut inc(g, cfg);
+  const StreamSolveReport rep = inc.solve();
+  EXPECT_EQ(rep.tier, StreamTier::kFullSolve);
+  EXPECT_TRUE(rep.certified);
+  EXPECT_EQ(rep.value, baseline::stoer_wagner(g).value);
+  EXPECT_NE(rep.reason.find("invariant"), std::string::npos) << rep.reason;
+
+  // The degraded answer dropped the warm state: the next solve is a cold
+  // full solve on the next epoch's (clean) packing.
+  UpdateBatch batch;
+  batch.reweight(0, g.edges()[0].w + 1);
+  ASSERT_TRUE(inc.apply(batch).has_value());
+  const StreamSolveReport next = inc.solve();
+  EXPECT_EQ(next.tier, StreamTier::kFullSolve);
+  EXPECT_EQ(next.reason, "cold start");
+  EXPECT_TRUE(next.certified);
+  EXPECT_EQ(next.retries, 0);
+  EXPECT_GE(next.exact.winning_tree, 0);  // answered by the exact tier
+  EXPECT_EQ(next.value, baseline::stoer_wagner(inc.graph()).value);
 }
 
 TEST(IncrementalMinCut, MassExhaustionForcesFullSolve) {
