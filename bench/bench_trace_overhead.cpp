@@ -1,10 +1,7 @@
 // Experiment E20: observability overhead.
 //
-// The tracing contract (DESIGN.md "Observability") is three-tiered:
-//   * compiled out (UMC_OBS=OFF): spans cost literally nothing — the macros
-//     expand to an unused NullSpan, so this bench cannot measure it (0 by
-//     construction; the tier-1 matrix builds it to prove it compiles);
-//   * runtime off (the default): one relaxed atomic load + branch per span
+// The tracing contract (DESIGN.md "Observability") has two states:
+//   * off (the default): one relaxed atomic load + branch per span
 //     site — BM_SpanMicro/off measures that in isolation;
 //   * spans on: timestamped ring-buffer writes — BM_SpanMicro/on is the
 //     per-span cost, and the BM_CompiledMst pair measures the end-to-end

@@ -10,7 +10,6 @@
 
 namespace umc::congest {
 
-#if !defined(UMC_OBS_DISABLED)
 namespace {
 
 // Cached registry references: one map walk at first use, atomic ops after.
@@ -37,7 +36,6 @@ CongestMetrics& congest_metrics() {
 }
 
 }  // namespace
-#endif
 
 CongestNetwork::CongestNetwork(const WeightedGraph& g, WireConfig wire)
     : g_(&g),
@@ -117,7 +115,6 @@ void CongestNetwork::materialize_compat() const {
 }
 
 void CongestNetwork::round_metrics(std::size_t staged_n) {
-#if !defined(UMC_OBS_DISABLED)
   CongestMetrics& m = congest_metrics();
   m.rounds.inc();
   const auto staged = static_cast<std::int64_t>(staged_n);
@@ -134,9 +131,6 @@ void CongestNetwork::round_metrics(std::size_t staged_n) {
     if (slot_has(s)) ++reuse;
   }
   if (reuse > 0) m.slot_reuse.inc(reuse);
-#else
-  (void)staged_n;
-#endif
 }
 
 void CongestNetwork::deliver_slot_fast() {

@@ -16,7 +16,6 @@ namespace umc::congest {
 
 namespace {
 
-#if !defined(UMC_OBS_DISABLED)
 struct PartwiseMetrics {
   obs::Counter& hits = obs::MetricsRegistry::global().counter(
       "umc_partwise_cache_hits_total", {},
@@ -32,7 +31,6 @@ PartwiseMetrics& partwise_metrics() {
   static PartwiseMetrics m;
   return m;
 }
-#endif
 
 /// Eccentricity of `root` inside the sub-network induced by one part.
 /// `dist` is n-sized scratch that is -1 at every part member on entry and is
@@ -133,9 +131,7 @@ PartwiseResult partwise_aggregate(CongestNetwork& net, std::span<const int> part
 
   PartwiseCache local;
   PartwiseCache& c = cache != nullptr ? *cache : local;
-#if !defined(UMC_OBS_DISABLED)
   (c.built ? partwise_metrics().hits : partwise_metrics().misses).inc();
-#endif
   if (!c.built) {
     build_partition_state(g, part, k, c);
   } else {

@@ -112,7 +112,6 @@ void FaultModel::filter_wire(std::int64_t round, std::vector<congest::Message>& 
   observe_crashes(round);
   stats_.messages_seen += static_cast<std::int64_t>(wire.size());
   if (plan_.trivial()) return;
-#if !defined(UMC_OBS_DISABLED)
   // Bridge this call's stat deltas into the metrics registry at return.
   const FaultStats before = stats_;
   struct BridgeDeltas {
@@ -133,7 +132,6 @@ void FaultModel::filter_wire(std::int64_t round, std::vector<congest::Message>& 
       crash_drops.inc(after.crash_drops - before.crash_drops);
     }
   } bridge{before, stats_};
-#endif
   // Outside the fault window only crash-stops (which may extend past
   // last_faulty_round by crash_down_rounds) still suppress traffic.
   const bool message_faults = plan_.faulty_at(round);

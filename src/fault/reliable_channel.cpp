@@ -11,7 +11,10 @@ namespace umc::fault {
 
 namespace {
 
-#if !defined(UMC_OBS_DISABLED)
+/// Delivery attempts per logical round before declaring the network
+/// unusable (throws invariant_error; p^64 is astronomically unlikely).
+constexpr int kMaxAttempts = 64;
+
 struct ArqMetrics {
   obs::Counter& logical_rounds = obs::MetricsRegistry::global().counter(
       "umc_arq_logical_rounds_total", {}, "Logical rounds compiled through the ARQ.");
@@ -31,7 +34,6 @@ ArqMetrics& arq_metrics() {
   static ArqMetrics m;
   return m;
 }
-#endif
 
 constexpr std::uint64_t kChecksumSalt = 0x600dC0DEULL;
 constexpr std::uint64_t kAckSalt = 0xAC4BACC4ULL;
@@ -71,16 +73,13 @@ ReliableChannel::ReliableChannel(const WeightedGraph& g, FaultModel* model, Reli
       next_seq_(static_cast<std::size_t>(g.m()) * 2, 1),
       acked_seq_(static_cast<std::size_t>(g.m()) * 2, 0),
       retired_seq_(static_cast<std::size_t>(g.m()) * 2, 0) {
-  UMC_ASSERT(cfg_.max_attempts >= 1);
   UMC_ASSERT(cfg_.max_backoff_rounds >= 1);
   if (model_ != nullptr) attach_fault_injector(model_);
 }
 
 void ReliableChannel::end_round() {
   ++stats_.logical_rounds;
-#if !defined(UMC_OBS_DISABLED)
   arq_metrics().logical_rounds.inc();
-#endif
   // Fault-free compilation is the identity: exactly the base one-round
   // delivery, so p = 0 runs are bit-identical to the plain simulator.
   if (model_ == nullptr || model_->plan().trivial() || staged_count() == 0) {
@@ -127,23 +126,19 @@ void ReliableChannel::end_round() {
 
   std::size_t unacked = pending.size();
   for (int attempt = 0; unacked > 0; ++attempt) {
-    UMC_ASSERT_MSG(attempt < cfg_.max_attempts,
+    UMC_ASSERT_MSG(attempt < kMaxAttempts,
                    "reliable delivery failed: max attempts exhausted");
     UMC_OBS_SPAN_VAR_L(obs_attempt, "arq/attempt", "arq", attempt);
     obs_attempt.arg("unacked", static_cast<std::int64_t>(unacked));
-#if !defined(UMC_OBS_DISABLED)
     arq_metrics().attempts.inc();
-#endif
     if (attempt > 0) {
       const std::int64_t backoff =
           std::min(std::int64_t{1} << std::min(attempt - 1, 30), cfg_.max_backoff_rounds);
       charge_idle(backoff);
       stats_.backoff_rounds += backoff;
       stats_.retransmissions += static_cast<std::int64_t>(unacked);
-#if !defined(UMC_OBS_DISABLED)
       arq_metrics().backoff.inc(backoff);
       arq_metrics().retransmissions.inc(static_cast<std::int64_t>(unacked));
-#endif
     }
 
     // --- DATA: retransmit every unacknowledged message.
@@ -287,22 +282,18 @@ void ReliableChannel::end_round_gbn() {
       send(receiver, static_cast<EdgeId>(fwd / 2), ack_mac(acked_seq_[fwd], fwd),
            acked_seq_[fwd]);
       ++stats_.piggybacked_acks;
-#if !defined(UMC_OBS_DISABLED)
       arq_metrics().piggybacked.inc();
-#endif
     }
   };
 
   std::size_t unaccepted = pending.size();
   int stalls = 0;  // consecutive cycles with no new acceptance
   for (int cycle = 0; unaccepted > 0; ++cycle) {
-    UMC_ASSERT_MSG(cycle < cfg_.max_attempts,
+    UMC_ASSERT_MSG(cycle < kMaxAttempts,
                    "reliable delivery failed: max attempts exhausted");
     UMC_OBS_SPAN_VAR_L(obs_cycle, "arq/gbn_cycle", "arq", cycle);
     obs_cycle.arg("unaccepted", static_cast<std::int64_t>(unaccepted));
-#if !defined(UMC_OBS_DISABLED)
     arq_metrics().attempts.inc();
-#endif
     // Adaptive backoff: only after a cycle that made no progress (a lossy
     // wire that still accepts something each cycle never idles).
     if (stalls > 0) {
@@ -310,15 +301,11 @@ void ReliableChannel::end_round_gbn() {
           std::min(std::int64_t{1} << std::min(stalls - 1, 30), cfg_.max_backoff_rounds);
       charge_idle(backoff);
       stats_.backoff_rounds += backoff;
-#if !defined(UMC_OBS_DISABLED)
       arq_metrics().backoff.inc(backoff);
-#endif
     }
     if (cycle > 0) {
       stats_.retransmissions += static_cast<std::int64_t>(unaccepted);
-#if !defined(UMC_OBS_DISABLED)
       arq_metrics().retransmissions.inc(static_cast<std::int64_t>(unaccepted));
-#endif
     }
     const std::size_t before = unaccepted;
 
@@ -392,15 +379,13 @@ void ReliableChannel::drain() {
   const std::size_t num_slots = static_cast<std::size_t>(g.m()) * 2;
   int stalls = 0;
   for (int attempt = 0; inflight_ > 0; ++attempt) {
-    UMC_ASSERT_MSG(attempt < cfg_.max_attempts, "arq drain failed: max attempts exhausted");
+    UMC_ASSERT_MSG(attempt < kMaxAttempts, "arq drain failed: max attempts exhausted");
     if (stalls > 0) {
       const std::int64_t backoff =
           std::min(std::int64_t{1} << std::min(stalls - 1, 30), cfg_.max_backoff_rounds);
       charge_idle(backoff);
       stats_.backoff_rounds += backoff;
-#if !defined(UMC_OBS_DISABLED)
       arq_metrics().backoff.inc(backoff);
-#endif
     }
     for (std::size_t fwd = 0; fwd < num_slots; ++fwd) {
       if (acked_seq_[fwd] <= retired_seq_[fwd]) continue;
@@ -412,9 +397,7 @@ void ReliableChannel::drain() {
     deliver_physical();
     ++stats_.physical_rounds;
     ++stats_.ack_flush_rounds;
-#if !defined(UMC_OBS_DISABLED)
     arq_metrics().ack_flush.inc();
-#endif
     const std::int64_t before = inflight_;
     for (NodeId v = 0; v < g.n(); ++v)
       for (const congest::Message& m : inbox(v)) (void)try_retire(v, m);

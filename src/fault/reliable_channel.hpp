@@ -67,9 +67,6 @@ enum class ArqMode {
 };
 
 struct ReliableConfig {
-  /// Delivery attempts per logical round before declaring the network
-  /// unusable (throws invariant_error; p^64 is astronomically unlikely).
-  int max_attempts = 64;
   /// Cap on the exponential backoff (idle rounds between attempts).
   std::int64_t max_backoff_rounds = 8;
   ArqMode mode = ArqMode::kStopAndWait;

@@ -12,6 +12,7 @@
 #include "baseline/karger_stein.hpp"
 #include "congest/compiled_network.hpp"
 #include "congest/gather_baseline.hpp"
+#include "fault/reliable_channel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -21,7 +22,6 @@ namespace umc::fault {
 
 namespace {
 
-#if !defined(UMC_OBS_DISABLED)
 struct SupervisorMetrics {
   obs::Counter& retries = obs::MetricsRegistry::global().counter(
       "umc_supervisor_retries_total", {},
@@ -41,7 +41,6 @@ SupervisorMetrics& supervisor_metrics() {
   static SupervisorMetrics m;
   return m;
 }
-#endif
 
 using Clock = std::chrono::steady_clock;
 
@@ -49,6 +48,7 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+/// Karger–Stein repeats: ceil(log2 n)^2, the whp setting.
 int default_ks_repeats(NodeId n) {
   const int logn = static_cast<int>(std::ceil(std::log2(std::max<NodeId>(2, n))));
   return std::max(1, logn * logn);
@@ -139,9 +139,7 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
       report.reason = why;
     else
       report.reason += "; " + why;
-#if !defined(UMC_OBS_DISABLED)
     supervisor_metrics().tier_falls.inc();
-#endif
   };
   const auto record = [&](SolveTier tier, int attempt, std::string outcome, std::int64_t rounds,
                           double start_ms) {
@@ -160,7 +158,7 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
     const double start_ms = ms_since(t0);
     FaultModel model(g, *cfg_.preflight_plan);
     ReliableConfig rc;
-    rc.mode = cfg_.preflight_arq;
+    rc.mode = ArqMode::kGoBackN;
     ReliableChannel net(g, &model, rc);
     std::vector<std::int64_t> cost(static_cast<std::size_t>(g.m()));
     for (EdgeId e = 0; e < g.m(); ++e) cost[static_cast<std::size_t>(e)] = g.edge(e).w;
@@ -208,9 +206,7 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
           break;
         }
         report.retries += 1;
-#if !defined(UMC_OBS_DISABLED)
         supervisor_metrics().retries.inc();
-#endif
         continue;  // checkpoint replay: ckpt survives, rng reset by loop head
       } catch (const invariant_error& e) {
         spent_rounds += ledger.rounds();
@@ -239,9 +235,7 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
             break;
           }
           report.retries += 1;
-#if !defined(UMC_OBS_DISABLED)
           supervisor_metrics().retries.inc();
-#endif
           // Reseed: a fresh packing seed means a fresh journal binding.
           seed = mix64(cfg_.seed ^ mix64(static_cast<std::uint64_t>(reseeds)));
           ckpt = mincut::SolveCheckpoint();
@@ -261,9 +255,7 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
           cfg_.verify ? "guard battery: packing replay + witness re-sum + deterministic re-run"
                       : "";
       report.checkpoint_replays = replays;
-#if !defined(UMC_OBS_DISABLED)
       supervisor_metrics().checkpoint_replays.inc(replays);
-#endif
       if (per_tree != nullptr && (report.tier != SolveTier::kExact || report.retries != 0))
         *per_tree = {};
       report.wall_ms = ms_since(t0);
@@ -271,9 +263,7 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
       return report;
     }
     report.checkpoint_replays = replays;
-#if !defined(UMC_OBS_DISABLED)
     supervisor_metrics().checkpoint_replays.inc(replays);
-#endif
   }
 
   if (per_tree != nullptr) *per_tree = {};  // a rejected attempt's packing
@@ -282,8 +272,7 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
   if (try_karger) {
     UMC_OBS_SPAN_L("supervisor/karger_stein", "fault", g.n());
     const double start_ms = ms_since(t0);
-    const int repeats =
-        cfg_.karger_stein_repeats > 0 ? cfg_.karger_stein_repeats : default_ks_repeats(g.n());
+    const int repeats = default_ks_repeats(g.n());
     Rng rng(mix64(cfg_.seed ^ 0x4b53ULL));
     const baseline::GlobalMinCut ks = baseline::karger_stein_witness(g, repeats, rng);
     const Weight resum = resummed_cut_value(g, ks.side);

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "fault/fault_model.hpp"
-#include "fault/reliable_channel.hpp"
 #include "graph/graph.hpp"
 #include "mincut/exact_mincut.hpp"
 #include "mincut/solve_checkpoint.hpp"
@@ -81,15 +80,12 @@ struct SupervisorConfig {
   /// what the fault sweep's silent-wrong audit exists to catch).
   bool inject_result_corruption = false;
   mincut::PackingConfig packing;
-  /// Karger–Stein repeats (0 = ceil(log2 n)^2, the whp setting).
-  int karger_stein_repeats = 0;
   /// Start the ladder at this tier (skip the ones above) — how the fault
   /// sweep exercises every tier's answer path directly.
   SolveTier entry_tier = SolveTier::kExact;
-  /// When set, run the transport preflight under this plan before the exact
-  /// tier. Not owned; must outlive the solve.
+  /// When set, run the transport preflight (Go-Back-N ARQ) under this plan
+  /// before the exact tier. Not owned; must outlive the solve.
   const FaultPlan* preflight_plan = nullptr;
-  ArqMode preflight_arq = ArqMode::kGoBackN;
 };
 
 struct TierAttempt {

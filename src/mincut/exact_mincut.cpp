@@ -18,7 +18,6 @@ namespace umc::mincut {
 
 namespace {
 
-#if !defined(UMC_OBS_DISABLED)
 struct MincutTaskMetrics {
   obs::Counter& spawned = obs::MetricsRegistry::global().counter(
       "umc_mincut_tasks_spawned_total", {},
@@ -37,7 +36,6 @@ MincutTaskMetrics& mincut_task_metrics() {
   static MincutTaskMetrics m;
   return m;
 }
-#endif
 
 }  // namespace
 
@@ -137,13 +135,9 @@ ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledge
     }
     solves.join();
   });
-#if !defined(UMC_OBS_DISABLED)
   mincut_task_metrics().spawned.inc(stats.spawned);
   mincut_task_metrics().helped.inc(stats.helped);
   if (stats.width > 1) mincut_task_metrics().sessions.inc();
-#else
-  (void)stats;
-#endif
   if (producer_error) std::rethrow_exception(producer_error);
 
   const std::size_t num_trees = results.size();

@@ -21,7 +21,9 @@ namespace umc::mincut {
 
 namespace {
 
-#if !defined(UMC_OBS_DISABLED)
+/// Sampling constant C in case (B)'s p = C*log2(n)/lambda.
+constexpr double kSampleC = 2.0;
+
 struct PackingMetrics {
   obs::Counter& resort_edges = obs::MetricsRegistry::global().counter(
       "umc_packing_resort_edges_total", {},
@@ -40,7 +42,6 @@ PackingMetrics& packing_metrics() {
   static PackingMetrics m;
   return m;
 }
-#endif
 
 /// Binomial(w, p) sample: exact Bernoulli loop for small w, normal
 /// approximation (clamped) for large w.
@@ -122,7 +123,7 @@ Substrate setup(const WeightedGraph& g, Rng& rng, const PackingConfig& config,
 
   // Case (B): Karger-sample with p = C log n / lambda, then pack the sample.
   const double base_p =
-      config.sample_c * static_cast<double>(logn) / static_cast<double>(unit.lambda_seed);
+      kSampleC * static_cast<double>(logn) / static_cast<double>(unit.lambda_seed);
   for (double p = base_p;; p = std::min(1.0, 2 * p)) {
     unit.multiplicity.assign(static_cast<std::size_t>(g.m()), 0);
     for (EdgeId e = 0; e < g.m(); ++e)
@@ -212,11 +213,9 @@ TreePacking pack(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger
   }
   cost.resize(m);
   for (std::size_t i = 0; i < m; ++i) recost(i);
-#if !defined(UMC_OBS_DISABLED)
   // The fast path's full initial re-cost, done once instead of per iteration.
   if (config.use_fast_path && committed < ckpt.iterations)
     packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
-#endif
 
   for (int it = committed; it < ckpt.iterations; ++it) {
     UMC_OBS_SPAN_VAR_L(obs_iter, "mincut/packing_iter", "mincut", it);
@@ -237,14 +236,10 @@ TreePacking pack(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger
         ++load[static_cast<std::size_t>(e)];
         recost(static_cast<std::size_t>(e));
       }
-#if !defined(UMC_OBS_DISABLED)
       packing_metrics().resort_edges.inc(static_cast<std::int64_t>(tree.size()));
-#endif
     } else {
       for (std::size_t i = 0; i < m; ++i) recost(i);
-#if !defined(UMC_OBS_DISABLED)
       packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
-#endif
       tree = minoragg::boruvka_mst(pack_g, cost, charged);
       for (const EdgeId e : tree) ++load[static_cast<std::size_t>(e)];
     }
@@ -281,7 +276,6 @@ PackingCache& cache_for(const PackingConfig& config) {
 /// are interchangeable (see PackingConfig).
 std::uint64_t packing_config_fingerprint(const PackingConfig& config) {
   std::uint64_t h = 0x7061636b636667ULL;  // "packcfg"
-  h = mix64(h ^ std::bit_cast<std::uint64_t>(config.sample_c));
   h = mix64(h ^ std::bit_cast<std::uint64_t>(config.direct_threshold_c));
   h = mix64(h ^ static_cast<std::uint64_t>(config.max_trees));
   h = mix64(h ^ (config.use_fast_path ? 1ULL : 0ULL));
@@ -333,9 +327,7 @@ TreePacking tree_packing(const WeightedGraph& g, Rng& rng, minoragg::Ledger& led
         // Replay: same trees in the same order, same charges, same generator
         // exit state — indistinguishable from a recompute, at output cost,
         // and strictly better than any journal.
-#if !defined(UMC_OBS_DISABLED)
         packing_metrics().cache_hits.inc();
-#endif
         obs_pack.arg("cache_hit", 1);
         for (const std::vector<EdgeId>& tree : hit->trees) sink(std::vector<EdgeId>(tree));
         ledger.charge_sequential(hit->charges);
@@ -346,9 +338,7 @@ TreePacking tree_packing(const WeightedGraph& g, Rng& rng, minoragg::Ledger& led
         return out;
       }
     }
-#if !defined(UMC_OBS_DISABLED)
     packing_metrics().cache_misses.inc();
-#endif
   }
 
   minoragg::Ledger pack_ledger;

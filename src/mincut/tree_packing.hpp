@@ -6,8 +6,9 @@
 // every cut of value <= 1.05*lambda 2-respects at least one tree:
 //   * if lambda is already O(log n): greedy MST packing (Thorup) — re-run
 //     Borůvka I = 2*lambda*log(m) times under "packing load" costs;
-//   * otherwise: Karger-sample edges with p = C*log(n)/lambda first (case B
-//     of the Theorem 12 proof sketch), then greedy-pack the sample.
+//   * otherwise: Karger-sample edges with p = 2*log2(n)/lambda first (case B
+//     of the Theorem 12 proof sketch, with its constant C fixed at 2), then
+//     greedy-pack the sample.
 //
 // Substitution (documented in DESIGN.md): the (1+eps)-approximation of
 // lambda used to set the sampling rate is cited prior work [17] in the
@@ -27,8 +28,6 @@ namespace umc::mincut {
 class PackingCache;
 
 struct PackingConfig {
-  /// Sampling constant C in p = C*log2(n)/lambda.
-  double sample_c = 2.0;
   /// Direct greedy packing below this multiple of log2(n).
   double direct_threshold_c = 4.0;
   /// Hard cap on the number of trees (0 = the theorem's I); useful for

@@ -56,7 +56,6 @@ std::uint64_t hash_pattern(const std::vector<std::uint64_t>& words, std::size_t 
   return h;
 }
 
-#if !defined(UMC_OBS_DISABLED)
 // Registry lookups are a map walk under a mutex; the hot path pays one
 // cached-reference atomic inc instead.
 obs::Counter& plan_cache_hit_counter() {
@@ -69,7 +68,6 @@ obs::Counter& plan_cache_miss_counter() {
       "umc_engine_plan_cache_misses_total", {}, "Contraction patterns that required a plan build.");
   return c;
 }
-#endif
 
 }  // namespace
 
@@ -83,17 +81,13 @@ const RoundPlan& RoundEngine::plan(const std::vector<bool>& contract) {
   for (CacheEntry& entry : cache_) {
     if (entry.hash == hash && entry.plan.pattern == pattern) {
       ++hits_;
-#if !defined(UMC_OBS_DISABLED)
       plan_cache_hit_counter().inc();
-#endif
       entry.stamp = clock_;
       return entry.plan;
     }
   }
   ++misses_;
-#if !defined(UMC_OBS_DISABLED)
   plan_cache_miss_counter().inc();
-#endif
   UMC_OBS_SPAN_VAR(obs_plan_build, "engine/plan_build", "engine");
   obs_plan_build.arg("m", g.m());
 

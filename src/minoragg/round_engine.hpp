@@ -255,7 +255,6 @@ RoundResult<typename CAgg::value_type, typename XAgg::value_type> RoundEngine::e
   UMC_OBS_SPAN_VAR(obs_exec, "engine/execute", "engine");
   obs_exec.arg("work", static_cast<std::int64_t>(n + plan.edges.size()));
   obs_exec.arg("width", width);
-#if !defined(UMC_OBS_DISABLED)
   if (width > 1) {
     // The pool executes `width` chunk jobs for this round; `width - 1`
     // of them queue behind the workers — the pool's queue depth.
@@ -266,7 +265,6 @@ RoundResult<typename CAgg::value_type, typename XAgg::value_type> RoundEngine::e
         "umc_engine_parallel_folds_total", {}, "Rounds folded chunk-parallel.");
     parallel_folds.inc();
   }
-#endif
   // Edge callbacks may consult g.csr(), whose lazy build is not thread-safe
   // (graph.hpp): force it on this thread before fanning out.
   if (width > 1) (void)g_->csr();

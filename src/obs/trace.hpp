@@ -21,16 +21,12 @@
 // Ring capacity comes from the UMC_OBS_RING env knob (events per thread,
 // default 16384, read once).
 //
-// Kill switches, in decreasing strength:
-//   * compile time: building with -DUMC_OBS_DISABLED=1 (CMake -DUMC_OBS=OFF)
-//     expands every UMC_OBS_SPAN* macro to an inert no-op object — zero
-//     instructions, zero bytes, round counts unchanged by construction;
-//   * runtime: Tracer::global().set_enabled(false) (the default) reduces a
-//     span to one relaxed atomic load and a branch — no TLS touch, no
-//     allocation, no clock read.
+// Kill switch: Tracer::global().set_enabled(false) (the default) reduces a
+// span to one relaxed atomic load and a branch — no TLS touch, no
+// allocation, no clock read.
 // Tracing never feeds back into the simulation: spans only observe, so
 // charged ma_rounds / CONGEST round counts are bit-identical with tracing
-// on, off, or compiled out.
+// on or off.
 //
 // Span names are static string literals ("ma/round", "arq/attempt", ...);
 // the event stores the pointer, not a copy. See DESIGN.md "Observability"
@@ -130,8 +126,7 @@ class Tracer {
   std::vector<ThreadBuffer*> buffers_;
 };
 
-/// RAII span. Construct through the UMC_OBS_SPAN* macros so the whole site
-/// compiles away under UMC_OBS_DISABLED.
+/// RAII span, normally constructed through the UMC_OBS_SPAN* macros.
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, const char* cat, std::int64_t logical = -1) {
@@ -173,25 +168,13 @@ class ScopedSpan {
   TraceEvent::Arg args_[2];
 };
 
-/// No-op stand-in when tracing is compiled out.
-class NullSpan {
- public:
-  void arg(const char*, std::int64_t) {}
-  [[nodiscard]] bool active() const { return false; }
-};
-
 #define UMC_OBS_CONCAT_IMPL(a, b) a##b
 #define UMC_OBS_CONCAT(a, b) UMC_OBS_CONCAT_IMPL(a, b)
 
-#if defined(UMC_OBS_DISABLED)
 /// Named span object (for .arg() calls after creation).
-#define UMC_OBS_SPAN_VAR(var, name, cat) [[maybe_unused]] ::umc::obs::NullSpan var
-#define UMC_OBS_SPAN_VAR_L(var, name, cat, logical) [[maybe_unused]] ::umc::obs::NullSpan var
-#else
 #define UMC_OBS_SPAN_VAR(var, name, cat) ::umc::obs::ScopedSpan var { (name), (cat) }
 #define UMC_OBS_SPAN_VAR_L(var, name, cat, logical) \
   ::umc::obs::ScopedSpan var { (name), (cat), (logical) }
-#endif
 
 /// Anonymous span covering the enclosing scope.
 #define UMC_OBS_SPAN(name, cat) \

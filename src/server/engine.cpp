@@ -106,8 +106,7 @@ Response counted_error(ErrCode code, std::int64_t id, std::string message) {
 Engine::Engine(EngineConfig cfg)
     : cfg_(cfg),
       scheduler_(SchedulerConfig{cfg.scheduler_width, cfg.max_queued_global,
-                                 cfg.max_queued_per_tenant, /*max_inflight_per_tenant=*/1,
-                                 /*start_paused=*/false}) {
+                                 cfg.max_queued_per_tenant, /*start_paused=*/false}) {
   UMC_ASSERT(cfg_.max_sessions >= 1);
   sessions_gauge().set(0);
 }
@@ -123,8 +122,9 @@ Session* Engine::touch_session_locked(const std::string& tenant) {
 
 void Engine::evict_lru_locked() {
   // Only an idle session may go: a tenant with queued or in-flight work
-  // holds a raw Session* inside its jobs (per-tenant in-flight cap 1 plus
-  // this guard is what makes that pointer safe). Nothing idle -> soft cap.
+  // holds a raw Session* inside its jobs (the scheduler's one-job-in-flight
+  // rule plus this guard is what makes that pointer safe). Nothing idle ->
+  // soft cap.
   auto victim = sessions_.end();
   for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
     if (scheduler_.pending(it->first) > 0) continue;

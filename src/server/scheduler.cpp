@@ -21,7 +21,6 @@ const char* to_string(Admit a) {
 FairScheduler::FairScheduler(SchedulerConfig cfg) : cfg_(cfg) {
   UMC_ASSERT(cfg_.width >= 1);
   UMC_ASSERT(cfg_.max_queued_global >= 1 && cfg_.max_queued_per_tenant >= 1);
-  UMC_ASSERT(cfg_.max_inflight_per_tenant >= 1);
   paused_ = cfg_.start_paused;
 }
 
@@ -67,7 +66,7 @@ Admit FairScheduler::submit(const std::string& tenant, Job job) {
 FairScheduler::Tenant* FairScheduler::pick_locked(std::string* name) {
   Tenant* best = nullptr;
   for (auto& [tenant_name, t] : tenants_) {
-    if (t.queue.empty() || t.inflight >= cfg_.max_inflight_per_tenant) continue;
+    if (t.queue.empty() || t.inflight > 0) continue;
     // std::map iterates names in order, so strict < keeps the first (and
     // lexicographically smallest) tenant on pass ties — deterministic.
     if (best == nullptr || t.pass < best->pass) {

@@ -16,10 +16,13 @@
 // brought up to it on its next submit (no banked credit), which is what
 // bounds the latency ratio the fairness test asserts.
 //
-// Eligibility = nonempty queue AND in-flight < per_tenant_inflight. The
-// default in-flight cap of 1 makes each tenant's requests execute in
-// arrival order — LOAD, MUTATE, SOLVE sequences keep their meaning without
-// per-session locking — while distinct tenants run concurrently.
+// Eligibility = nonempty queue AND no job of that tenant in flight. At
+// most one job per tenant runs at a time, so each tenant's requests execute
+// in arrival order — LOAD, MUTATE, SOLVE sequences keep their meaning
+// without per-session locking — while distinct tenants run concurrently.
+// This is a rule, not a setting: the engine's queued jobs hold a raw
+// Session*, which is only safe while the tenant's jobs run one at a time
+// (Engine::evict_lru_locked).
 //
 // Admission control is two bounded queues deep: a global ceiling and a
 // per-tenant ceiling, checked at submit. Rejections are structured Admit
@@ -51,8 +54,6 @@ struct SchedulerConfig {
   int max_queued_global = 256;
   /// Per-tenant admission ceiling.
   int max_queued_per_tenant = 64;
-  /// Concurrent in-flight jobs per tenant (1 = per-tenant FIFO order).
-  int max_inflight_per_tenant = 1;
   /// Start with dispatch paused (tests enqueue a deterministic backlog,
   /// then resume).
   bool start_paused = false;

@@ -28,7 +28,10 @@ namespace {
 // would otherwise overwrite the plain packing entry under the same key).
 constexpr std::uint64_t kStreamDeltaTag = 0x73747265616dULL;  // "stream"
 
-#if !defined(UMC_OBS_DISABLED)
+// Full re-solve once deletions broke (cumulatively, repairs included) more
+// than this fraction of the pack-time trees.
+constexpr double kRebuildTreeFraction = 0.5;
+
 struct StreamMetrics {
   obs::Counter& batches = obs::MetricsRegistry::global().counter(
       "umc_stream_batches_total", {},
@@ -74,7 +77,6 @@ StreamMetrics& stream_metrics() {
   static StreamMetrics m;
   return m;
 }
-#endif
 
 }  // namespace
 
@@ -140,10 +142,8 @@ Expected<BatchDelta> IncrementalMinCut::apply(const UpdateBatch& batch) {
     }
   }
 
-#if !defined(UMC_OBS_DISABLED)
   stream_metrics().batches.inc();
   stream_metrics().updates.inc(static_cast<std::int64_t>(delta.ops.size()));
-#endif
   return applied;
 }
 
@@ -163,9 +163,7 @@ StreamSolveReport IncrementalMinCut::solve() {
     rep.exact.value = rep.value;
     rep.exact.num_trees = 0;
     ++counters_.warm_hits;
-#if !defined(UMC_OBS_DISABLED)
     stream_metrics().warm_hits.inc();
-#endif
     return rep;
   }
 
@@ -186,16 +184,14 @@ StreamSolveReport IncrementalMinCut::solve() {
                                    trees_.begin(), trees_.end(),
                                    [](const TreeState& t) { return t.broken; }));
     if (static_cast<double>(broken) >
-        cfg_.rebuild_tree_fraction * static_cast<double>(trees_.size())) {
+        kRebuildTreeFraction * static_cast<double>(trees_.size())) {
       full_solve(rep, "deletions broke " + std::to_string(broken) + " of " +
                           std::to_string(trees_.size()) + " pack-time trees");
     } else {
       const WarmOutcome warm = warm_solve(rep);
       if (!warm.ok) {
         ++counters_.fallbacks;
-#if !defined(UMC_OBS_DISABLED)
         stream_metrics().fallbacks.inc();
-#endif
         full_solve(rep, "invalidated: " + warm.why);
       }
     }
@@ -213,10 +209,8 @@ void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& re
   rep.reason = reason;
   ++counters_.warm_misses;
   ++counters_.full_solves;
-#if !defined(UMC_OBS_DISABLED)
   stream_metrics().warm_misses.inc();
   stream_metrics().full_solves.inc();
-#endif
 
   fault::SupervisorConfig scfg;
   scfg.seed = full_seed();
@@ -236,9 +230,7 @@ void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& re
   rep.trees_resolved += rep.trees;
   rep.ledger.charge_sequential(report.ledger);
   counters_.trees_resolved += rep.trees;
-#if !defined(UMC_OBS_DISABLED)
   stream_metrics().trees_resolved.inc(rep.trees);
-#endif
 
   if (per_tree.trees.empty()) {
     rep.reason += std::string("; supervisor tier ") + fault::to_string(report.tier) + " after " +
@@ -352,12 +344,10 @@ bool IncrementalMinCut::adopt_from_cache(StreamSolveReport& rep) {
   ++counters_.delta_cache_hits;
   counters_.trees_resolved += 1;
   counters_.trees_skipped += static_cast<std::int64_t>(trees_.size()) - 1;
-#if !defined(UMC_OBS_DISABLED)
   stream_metrics().warm_hits.inc();
   stream_metrics().delta_cache_hits.inc();
   stream_metrics().trees_resolved.inc();
   stream_metrics().trees_skipped.inc(static_cast<std::int64_t>(trees_.size()) - 1);
-#endif
   return true;
 }
 
@@ -473,9 +463,7 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
   rep.trees_resolved += resolved;
   counters_.trees_resolved += resolved;
   const int skipped = static_cast<int>(num_trees) - resolved;
-#if !defined(UMC_OBS_DISABLED)
   stream_metrics().trees_resolved.inc(resolved);
-#endif
 
   const TreeState& won = trees_[winner];
   const EdgeId win_e = won.cut_e == kNoEdge ? kNoEdge : sg_.current_of_slot(won.cut_e);
@@ -522,10 +510,8 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
 
   ++counters_.warm_hits;
   counters_.trees_skipped += skipped;
-#if !defined(UMC_OBS_DISABLED)
   stream_metrics().warm_hits.inc();
   stream_metrics().trees_skipped.inc(skipped);
-#endif
   store_delta_entry();
   return {true, {}};
 }
@@ -581,9 +567,7 @@ void IncrementalMinCut::repair_broken_trees(StreamSolveReport& rep, minoragg::Le
   rep.trees_repaired += static_cast<int>(broken.size());
   counters_.trees_repaired += static_cast<std::int64_t>(broken.size());
   repaired_since_pack_ += static_cast<std::int64_t>(broken.size());
-#if !defined(UMC_OBS_DISABLED)
   stream_metrics().trees_repaired.inc(static_cast<std::int64_t>(broken.size()));
-#endif
 }
 
 void IncrementalMinCut::adopt_winner(const WeightedGraph& g, int winner, Weight value) {

@@ -46,8 +46,8 @@
 // answers stop being trustworthy: two exact counters accumulate the
 // decrease and increase weight mass touched since the last full pack, and
 // once their sum exceeds `rebuild_mass_fraction · λ` — or deletions broke
-// (cumulatively, repairs included) more than `rebuild_tree_fraction` of the
-// pack-time trees — the solve goes full. The decrease mass also drives the
+// (cumulatively, repairs included) more than half of the pack-time trees —
+// the solve goes full. The decrease mass also drives the
 // per-tree skip bound (stale value − decrease mass since that tree's solve),
 // which is why both counters are exact, never sketched.
 // Every warm answer is still validated before it is served: the coverage
@@ -92,8 +92,6 @@ struct StreamConfig {
   /// (U + D < 1.5·λ_pack), which refuses warm answers regardless of this
   /// knob.
   double rebuild_mass_fraction = 2.0;
-  /// Full re-solve once deletions broke more than this fraction of trees.
-  double rebuild_tree_fraction = 0.5;
   /// Certify full-tier answers with the supervisor's guard battery
   /// (SupervisorConfig::verify; warm tiers are always witness-validated
   /// regardless).
@@ -223,7 +221,7 @@ class IncrementalMinCut {
   std::vector<TreeState> trees_;
   /// Trees re-grown since the base pack. Repaired trees are NOT pack-time
   /// trees, so they carry no coverage guarantee; once the cumulative count
-  /// (plus currently-broken trees) passes rebuild_tree_fraction the next
+  /// (plus currently-broken trees) passes half the pack-time trees the next
   /// solve re-packs instead of warm-starting.
   std::int64_t repaired_since_pack_ = 0;
   Weight lambda_pack_ = 0;       // min-cut value at the base pack

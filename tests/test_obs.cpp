@@ -85,8 +85,6 @@ class TracerTest : public ::testing::Test {
   }
 };
 
-#if !defined(UMC_OBS_DISABLED)
-
 TEST_F(TracerTest, SpansNestAndOrderBySeq) {
   {
     UMC_OBS_SPAN_VAR_L(outer, "test/outer", "test", 1);
@@ -239,8 +237,6 @@ TEST_F(TracerTest, RingDropsNewestAndCounts) {
   EXPECT_EQ(mine, cap);
   EXPECT_EQ(Tracer::global().dropped(), static_cast<std::int64_t>(extra));
 }
-
-#endif  // !UMC_OBS_DISABLED
 
 TEST(TracerDisabled, DisabledSpanSitesAllocateNothing) {
   // The runtime kill switch must make a span site allocation-free (one

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -240,6 +241,43 @@ TEST(FairScheduler, AdmissionControlRejectsStructurally) {
   EXPECT_EQ(stats.rejected_tenant_overload, 1);
   EXPECT_EQ(stats.rejected_queue_full, 1);
   EXPECT_EQ(stats.rejected_shutting_down, 1);
+}
+
+TEST(FairScheduler, OneTenantNeverHasTwoJobsInFlight) {
+  // Engine jobs hold a raw Session* that is only safe while one tenant's
+  // jobs run one at a time; four workers must still serialize them in
+  // submission order.
+  SchedulerConfig cfg;
+  cfg.width = 4;
+  cfg.start_paused = true;
+  FairScheduler sched(cfg);
+  constexpr int kJobs = 32;
+  std::atomic<int> inflight{0};
+  std::atomic<int> peak{0};
+  std::mutex mu;
+  std::vector<int> order;
+  for (int i = 0; i < kJobs; ++i) {
+    ASSERT_EQ(sched.submit("solo",
+                           [&, i] {
+                             const int now = inflight.fetch_add(1) + 1;
+                             int seen = peak.load();
+                             while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+                             }
+                             std::this_thread::sleep_for(std::chrono::microseconds(200));
+                             {
+                               const std::lock_guard<std::mutex> lock(mu);
+                               order.push_back(i);
+                             }
+                             inflight.fetch_sub(1);
+                           }),
+              Admit::kAdmitted);
+  }
+  sched.close();  // paused backlog still drains
+  sched.run();
+
+  EXPECT_EQ(peak.load(), 1);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kJobs));
+  for (int i = 0; i < kJobs; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(FairScheduler, CloseReleasesWorkersParkedBehindAnInflightCap) {

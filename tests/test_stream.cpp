@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -482,6 +483,33 @@ TEST(IncrementalMinCut, DeletionsBreakTreesAndRepairKeepsExactness) {
     EXPECT_EQ(rep.value, baseline::stoer_wagner(inc.graph()).value);
   }
   EXPECT_GE(inc.counters().trees_repaired, repaired_before);
+}
+
+TEST(IncrementalMinCut, DeletionsBreakingMostTreesForceFullSolve) {
+  Rng rng(81);
+  WeightedGraph g = complete_graph(12);
+  randomize_weights(g, 4, 20, rng);
+  StreamConfig cfg = stream_config(52, 1);
+  cfg.rebuild_mass_fraction = 1e9;  // the mass trigger cannot fire first
+  IncrementalMinCut inc(g, cfg);
+  (void)inc.solve();
+  // One batch deletes every edge off the Hamiltonian cycle 0-1-...-11-0, so
+  // the graph stays connected: a pack-time tree survives only if it is a
+  // path along that cycle, so far more than half the trees break.
+  const NodeId n = g.n();
+  UpdateBatch batch;
+  for (EdgeId e = 0; e < g.m(); ++e) {
+    const Edge& ed = g.edge(e);
+    const NodeId gap = std::abs(ed.u - ed.v);
+    if (gap != 1 && gap != n - 1) batch.erase(e);
+  }
+  ASSERT_TRUE(inc.apply(batch).has_value());
+  const StreamSolveReport rep = inc.solve();
+  EXPECT_EQ(rep.tier, StreamTier::kFullSolve);
+  EXPECT_NE(rep.reason.find("deletions broke"), std::string::npos) << rep.reason;
+  EXPECT_TRUE(rep.certified);
+  EXPECT_EQ(rep.value, baseline::stoer_wagner(inc.graph()).value);
+  EXPECT_EQ(inc.counters().full_solves, 2);
 }
 
 // ---------------------------------------------------------------------------
