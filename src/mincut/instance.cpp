@@ -18,12 +18,20 @@ Instance make_root_instance(const WeightedGraph& g, std::span<const EdgeId> tree
 
 RemappedGraph remap_graph(const WeightedGraph& src, std::span<const EdgeId> src_origin,
                           std::span<const NodeId> node_map, NodeId new_n) {
+  RemappedGraph out;
+  remap_graph(src, src_origin, node_map, new_n, out);
+  return out;
+}
+
+void remap_graph(const WeightedGraph& src, std::span<const EdgeId> src_origin,
+                 std::span<const NodeId> node_map, NodeId new_n, RemappedGraph& out) {
   UMC_ASSERT(static_cast<NodeId>(node_map.size()) == src.n());
   UMC_ASSERT(static_cast<EdgeId>(src_origin.size()) == src.m());
-  RemappedGraph out;
   out.edge_map.assign(static_cast<std::size_t>(src.m()), kNoEdge);
-  // Size the edge rows exactly: branch instances of one centroid level are
-  // all alive at once, so reserving src.m() each would hold k copies of it.
+  out.origin.clear();
+  // Size the edge rows exactly: the new graph keeps its edge row, and
+  // sub-instances stay alive through their own recursion, so reserving
+  // src.m() would hold a parent-sized row per level.
   std::size_t kept = 0;
   for (const Edge& ed : src.edges())
     kept += node_map[static_cast<std::size_t>(ed.u)] != node_map[static_cast<std::size_t>(ed.v)];
@@ -41,7 +49,6 @@ RemappedGraph remap_graph(const WeightedGraph& src, std::span<const EdgeId> src_
     out.origin.push_back(src_origin[static_cast<std::size_t>(e)]);
   }
   out.graph = WeightedGraph(new_n, std::move(edges));
-  return out;
 }
 
 }  // namespace umc::mincut

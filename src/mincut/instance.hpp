@@ -69,5 +69,9 @@ struct RemappedGraph {
 [[nodiscard]] RemappedGraph remap_graph(const WeightedGraph& src,
                                         std::span<const EdgeId> src_origin,
                                         std::span<const NodeId> node_map, NodeId new_n);
+/// Same, rebuilt into `out` (its rows keep their capacity, so a leased one
+/// does not reallocate them).
+void remap_graph(const WeightedGraph& src, std::span<const EdgeId> src_origin,
+                 std::span<const NodeId> node_map, NodeId new_n, RemappedGraph& out);
 
 }  // namespace umc::mincut

@@ -1,10 +1,10 @@
 #include "mincut/interest.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "minoragg/path_sums.hpp"
 #include "sketch/misra_gries.hpp"
+#include "util/scratch.hpp"
 
 namespace umc::mincut {
 
@@ -18,24 +18,33 @@ constexpr int kInterestCapacity = 5;
 struct MgAgg {
   using value_type = MisraGries;
   static value_type identity() { return MisraGries(kInterestCapacity); }
-  static value_type merge(value_type a, const value_type& b) {
-    return MisraGries::merge(std::move(a), b);
+  /// The Misra-Gries union is symmetric (pointwise sums, then the same
+  /// reduction), so it folds into whichever operand the caller hands over.
+  static value_type merge(const value_type& a, value_type b) {
+    return MisraGries::merge(std::move(b), a);
   }
 };
 
 }  // namespace
 
-std::vector<int> path_of_node(const StarInstance& inst) {
-  std::vector<int> of(static_cast<std::size_t>(inst.graph.n()), -1);
+void path_of_node(const StarInstance& inst, std::vector<int>& of) {
+  of.assign(static_cast<std::size_t>(inst.graph.n()), -1);
   for (int i = 0; i < inst.k(); ++i)
     for (const NodeId v : inst.path_nodes[static_cast<std::size_t>(i)])
       of[static_cast<std::size_t>(v)] = i;
+}
+
+std::vector<int> path_of_node(const StarInstance& inst) {
+  std::vector<int> of;
+  path_of_node(inst, of);
   return of;
 }
 
 std::vector<std::vector<int>> interest_lists(const StarInstance& inst,
                                              minoragg::Ledger& ledger) {
-  const std::vector<int> of = path_of_node(inst);
+  ScratchLease<std::vector<int>> of_s;
+  std::vector<int>& of = *of_s;
+  path_of_node(inst, of);
   // One round: each cross-edge labels both endpoints with the opposite
   // path id, weighted by the edge weight (Lemma 32's label assignment).
   ledger.charge(1);
@@ -51,21 +60,24 @@ std::vector<std::vector<int>> interest_lists(const StarInstance& inst,
 
   // Per path: suffix-fold the sketches bottom-up (the suffix at node v is
   // the sketch of cross-edges covering v's parent edge); all paths are
-  // node-disjoint, so they run simultaneously (Corollary 11).
+  // node-disjoint, so they run simultaneously (Corollary 11). Each node lies
+  // on one path, so its sketch moves into the path's row.
   std::vector<std::vector<int>> lists(static_cast<std::size_t>(inst.k()));
-  std::vector<minoragg::Ledger> path_ledgers;
+  std::vector<minoragg::Ledger> path_ledgers(static_cast<std::size_t>(inst.k()));
+  ScratchLease<std::vector<MisraGries>> row_s;
+  ScratchLease<std::vector<MisraGries::Key>> found_s;
+  std::vector<MisraGries>& row = *row_s;
+  std::vector<MisraGries::Key>& found = *found_s;
   for (int i = 0; i < inst.k(); ++i) {
-    const auto& nodes = inst.path_nodes[static_cast<std::size_t>(i)];
-    std::vector<MisraGries> input;
-    input.reserve(nodes.size());
-    for (const NodeId v : nodes) input.push_back(node_sketch[static_cast<std::size_t>(v)]);
-    minoragg::Ledger pl;
-    const auto suffix = minoragg::path_suffix_sums<MgAgg>(input, pl);
-    std::set<int> found;
-    for (const MisraGries& s : suffix)
-      for (const MisraGries::Key key : s.heavy_hitters()) found.insert(static_cast<int>(key));
+    row.clear();
+    for (const NodeId v : inst.path_nodes[static_cast<std::size_t>(i)])
+      row.push_back(std::move(node_sketch[static_cast<std::size_t>(v)]));
+    minoragg::path_suffix_sums_in_place<MgAgg>(row, path_ledgers[static_cast<std::size_t>(i)]);
+    found.clear();
+    for (const MisraGries& s : row) s.append_heavy_hitters(found);
+    std::sort(found.begin(), found.end());
+    found.erase(std::unique(found.begin(), found.end()), found.end());
     lists[static_cast<std::size_t>(i)].assign(found.begin(), found.end());
-    path_ledgers.push_back(std::move(pl));
   }
   ledger.charge_parallel(path_ledgers);
   ledger.charge(1);  // union of the per-node heavy-hitter lists per path

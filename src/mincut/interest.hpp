@@ -37,6 +37,8 @@ struct StarInstance {
 
 /// Which path each node belongs to (-1 for the root); bookkeeping.
 [[nodiscard]] std::vector<int> path_of_node(const StarInstance& inst);
+/// Same, into a caller-owned row (overwritten).
+void path_of_node(const StarInstance& inst, std::vector<int>& of);
 
 /// Lemma 32: per path, the ids of paths it is interested in — contains
 /// every strongly (1/2-) interested path, only weakly (1/5-) interested

@@ -1,9 +1,11 @@
 #include "mincut/one_respect.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "minoragg/network.hpp"
 #include "minoragg/tree_primitives.hpp"
+#include "util/scratch.hpp"
 
 namespace umc::mincut {
 
@@ -16,7 +18,12 @@ namespace {
 struct DeltaMapAgg {
   using value_type = std::vector<std::pair<NodeId, Weight>>;
   static value_type identity() { return {}; }
-  static value_type merge(value_type a, value_type b) {
+  /// Key-wise sum. An empty operand yields the other one, moved when the
+  /// caller hands it over, so folds through delta-free nodes copy nothing.
+  template <typename X, typename Y>
+  static value_type merge(X&& a, Y&& b) {
+    if (a.empty()) return std::forward<Y>(b);
+    if (b.empty()) return std::forward<X>(a);
     value_type out;
     out.reserve(a.size() + b.size());
     std::size_t i = 0, j = 0;
@@ -33,6 +40,14 @@ struct DeltaMapAgg {
     }
     return out;
   }
+};
+
+/// One Step 2b delivery: `delta` for target `target`, handed to node
+/// `responsible`.
+struct Delivery {
+  NodeId responsible;
+  NodeId target;
+  Weight delta;
 };
 
 /// True iff `l` appears as the TOP endpoint of a light edge in `info` —
@@ -54,13 +69,20 @@ OneRespectResult one_respecting_cuts(const RootedTree& t, std::span<const EdgeId
   minoragg::Network net(g, ledger);
 
   // Step 1: A(v) = weighted degree — one aggregation round.
-  std::vector<Weight> a(static_cast<std::size_t>(g.n()), 0);
-  {
-    const auto wd = net.neighborhood_aggregate<SumAgg>([&g](EdgeId e) {
-      const Weight w = g.edge(e).w;
-      return std::pair<std::int64_t, std::int64_t>{w, w};
-    });
-    for (NodeId v = 0; v < g.n(); ++v) a[static_cast<std::size_t>(v)] = wd[static_cast<std::size_t>(v)];
+  std::vector<Weight> a = net.neighborhood_aggregate<SumAgg>([&g](EdgeId e) {
+    const Weight w = g.edge(e).w;
+    return std::pair<std::int64_t, std::int64_t>{w, w};
+  });
+
+  // Every edge derives its endpoints' LCA from their HL-info (Fact 4) once;
+  // steps 2a and 2b both read it.
+  ScratchLease<std::vector<NodeId>> lca_s;
+  std::vector<NodeId>& lca = *lca_s;
+  lca.resize(static_cast<std::size_t>(g.m()));
+  for (EdgeId e = 0; e < g.m(); ++e) {
+    const Edge& ed = g.edge(e);
+    lca[static_cast<std::size_t>(e)] =
+        HeavyLightDecomposition::lca_from_info(ed.u, hld.info(ed.u), ed.v, hld.info(ed.v));
   }
 
   // Step 2a: ancestor-descendant edges deliver -2w to their LCA (= upper
@@ -68,8 +90,7 @@ OneRespectResult one_respecting_cuts(const RootedTree& t, std::span<const EdgeId
   {
     const auto corr = net.neighborhood_aggregate<SumAgg>([&](EdgeId e) {
       const Edge& ed = g.edge(e);
-      const NodeId l = HeavyLightDecomposition::lca_from_info(ed.u, hld.info(ed.u), ed.v,
-                                                              hld.info(ed.v));
+      const NodeId l = lca[static_cast<std::size_t>(e)];
       std::int64_t to_u = 0, to_v = 0;
       if (l == ed.u) to_u = -2 * ed.w;
       if (l == ed.v) to_v = -2 * ed.w;
@@ -82,30 +103,40 @@ OneRespectResult one_respecting_cuts(const RootedTree& t, std::span<const EdgeId
   // subtree sum keyed by target. The responsible endpoint is one whose
   // HL-info lists the LCA as a light-edge top (Fact 4 guarantees >= one).
   {
-    std::vector<DeltaMapAgg::value_type> deltas(static_cast<std::size_t>(g.n()));
+    ScratchLease<std::vector<Delivery>> deliveries_s;
+    std::vector<Delivery>& deliveries = *deliveries_s;
+    deliveries.clear();
     ledger.charge(1);  // edges hand their (target, delta) to the responsible endpoint
     for (EdgeId e = 0; e < g.m(); ++e) {
       const Edge& ed = g.edge(e);
-      const NodeId l = HeavyLightDecomposition::lca_from_info(ed.u, hld.info(ed.u), ed.v,
-                                                              hld.info(ed.v));
+      const NodeId l = lca[static_cast<std::size_t>(e)];
       if (l == ed.u || l == ed.v) continue;  // handled in step 2a
       const NodeId responsible = info_contains_top(hld.info(ed.u), l) ? ed.u : ed.v;
       UMC_ASSERT_MSG(info_contains_top(hld.info(responsible), l),
                      "Fact 4: the LCA is a light-edge top of one endpoint");
-      deltas[static_cast<std::size_t>(responsible)].emplace_back(l, -2 * ed.w);
+      deliveries.push_back(Delivery{responsible, l, -2 * ed.w});
     }
-    for (auto& d : deltas) {
-      // Canonicalize: sorted, one entry per key.
-      std::sort(d.begin(), d.end());
-      DeltaMapAgg::value_type canon;
-      for (const auto& [key, w] : d) {
-        if (!canon.empty() && canon.back().first == key) {
-          canon.back().second += w;
+    // Canonicalize: per node, sorted by target, one entry per target. Only
+    // nodes that receive a delivery get a (exactly sized) row.
+    std::sort(deliveries.begin(), deliveries.end(), [](const Delivery& x, const Delivery& y) {
+      return x.responsible != y.responsible ? x.responsible < y.responsible
+                                            : x.target < y.target;
+    });
+    std::vector<DeltaMapAgg::value_type> deltas(static_cast<std::size_t>(g.n()));
+    for (std::size_t i = 0; i < deliveries.size();) {
+      const NodeId r = deliveries[i].responsible;
+      std::size_t end = i, keys = 0;
+      for (; end < deliveries.size() && deliveries[end].responsible == r; ++end)
+        keys += end == i || deliveries[end].target != deliveries[end - 1].target;
+      DeltaMapAgg::value_type& row = deltas[static_cast<std::size_t>(r)];
+      row.reserve(keys);
+      for (; i < end; ++i) {
+        if (!row.empty() && row.back().first == deliveries[i].target) {
+          row.back().second += deliveries[i].delta;
         } else {
-          canon.emplace_back(key, w);
+          row.emplace_back(deliveries[i].target, deliveries[i].delta);
         }
       }
-      d = std::move(canon);
     }
     const auto routed = minoragg::hl_subtree_sums<DeltaMapAgg>(t, hld, deltas, ledger);
     for (NodeId v = 0; v < g.n(); ++v) {

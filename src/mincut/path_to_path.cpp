@@ -1,7 +1,6 @@
 #include "mincut/path_to_path.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "mincut/one_respect.hpp"
 #include "minoragg/path_sums.hpp"
@@ -49,11 +48,9 @@ void cov_row_into(const PathInstance& inst, const Layout& lay, bool fixed_on_p,
   const Side other_side = fixed_on_p ? Side::kQ : Side::kP;
   const std::size_t other_len = fixed_on_p ? inst.nodesQ.size() : inst.nodesP.size();
 
-  // One labeling row per fixed edge: leased so the inner Monge scans reuse
-  // one label/reversal buffer per thread instead of allocating per row.
-  ScratchLease<std::vector<std::int64_t>> label_s, rev_s;
-  std::vector<std::int64_t>& label = *label_s;
-  label.assign(other_len, 0);
+  // Labels go straight into `cov` (caller-leased) and fold into their
+  // suffix sums in place.
+  cov.assign(other_len, 0);
   ledger.charge(1);
   for (const Edge& e : inst.graph.edges()) {
     for (const auto& [a, b] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
@@ -61,10 +58,10 @@ void cov_row_into(const PathInstance& inst, const Layout& lay, bool fixed_on_p,
       if (lay.side[static_cast<std::size_t>(a)] != below_side) continue;
       if (static_cast<std::size_t>(lay.pos[static_cast<std::size_t>(a)]) < idx) continue;
       if (lay.side[static_cast<std::size_t>(b)] != other_side) continue;
-      label[static_cast<std::size_t>(lay.pos[static_cast<std::size_t>(b)])] += e.w;
+      cov[static_cast<std::size_t>(lay.pos[static_cast<std::size_t>(b)])] += e.w;
     }
   }
-  minoragg::path_suffix_sums_into<SumAgg>(label, ledger, *rev_s, cov);
+  minoragg::path_suffix_sums_in_place<SumAgg>(cov, ledger);
 }
 
 struct RowScan {
@@ -141,7 +138,7 @@ CutResult solve_separable(const PathInstance& inst, const Layout& lay,
   // CQ[j] (suffix): cross edges {bottom(P), x ∈ Q} cover every e and cover
   // f_j iff j <= pos(x). CP symmetric, with the {bottom(P), bottom(Q)} edge
   // assigned to CQ only (it covers every pair exactly once).
-  ScratchLease<std::vector<std::int64_t>> cq_s, cp_s, rev_s, cq_suffix_s, cp_suffix_s;
+  ScratchLease<std::vector<std::int64_t>> cq_s, cp_s;
   std::vector<std::int64_t>& cq = *cq_s;
   std::vector<std::int64_t>& cp = *cp_s;
   cq.assign(inst.nodesQ.size(), 0);
@@ -160,10 +157,10 @@ CutResult solve_separable(const PathInstance& inst, const Layout& lay,
       }
     }
   }
-  minoragg::path_suffix_sums_into<SumAgg>(cq, ledger, *rev_s, *cq_suffix_s);
-  minoragg::path_suffix_sums_into<SumAgg>(cp, ledger, *rev_s, *cp_suffix_s);
-  const std::vector<std::int64_t>& cq_suffix = *cq_suffix_s;
-  const std::vector<std::int64_t>& cp_suffix = *cp_suffix_s;
+  minoragg::path_suffix_sums_in_place<SumAgg>(cq, ledger);
+  minoragg::path_suffix_sums_in_place<SumAgg>(cp, ledger);
+  const std::vector<std::int64_t>& cq_suffix = cq;
+  const std::vector<std::int64_t>& cp_suffix = cp;
 
   // Interior minimization: min F_P + min F_Q over candidates with index >= 1.
   const auto interior_min = [&](const std::vector<EdgeId>& edges,
@@ -184,24 +181,28 @@ CutResult solve_separable(const PathInstance& inst, const Layout& lay,
   return best;
 }
 
+/// Which of the two Lemma 23 sub-instances exist.
 struct SubInstances {
-  std::optional<PathInstance> up, down;
+  bool up = false, down = false;
 };
 
-/// Builds the cut-equivalent private graphs of Lemma 23, step 5/6, by
-/// absorbing each discarded region into its boundary node: everything below
-/// the midpoint/best-response edges collapses into the (virtualized) bottom
-/// nodes of P_up/Q_up for G_up; everything above collapses into a fresh
-/// virtual root for G_down.
+/// Builds the cut-equivalent private graphs of Lemma 23, step 5/6, into `up`
+/// and `down` (rebuilt in place), by absorbing each discarded region into
+/// its boundary node: everything below the midpoint/best-response edges
+/// collapses into the (virtualized) bottom nodes of P_up/Q_up for G_up;
+/// everything above collapses into a fresh virtual root for G_down.
 SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::size_t b,
-                                 minoragg::Ledger& ledger) {
+                                 minoragg::Ledger& ledger, PathInstance& up,
+                                 PathInstance& down) {
   SubInstances out;
   const std::size_t np = inst.edgesP.size(), nq = inst.edgesQ.size();
   ledger.charge(4);  // Lemma 15 virtualizations + distributed storage setup
 
   if (a >= 1 && b >= 1) {
     // G_up: new ids: root=0, P_up -> 1..a, Q_up -> a+1..a+b.
-    std::vector<NodeId> map(static_cast<std::size_t>(inst.graph.n()), kNoNode);
+    ScratchLease<std::vector<NodeId>> map_s;
+    std::vector<NodeId>& map = *map_s;
+    map.assign(static_cast<std::size_t>(inst.graph.n()), kNoNode);
     map[static_cast<std::size_t>(inst.root)] = 0;
     for (std::size_t i = 0; i < np; ++i)
       map[static_cast<std::size_t>(inst.nodesP[i])] =
@@ -209,11 +210,11 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
     for (std::size_t j = 0; j < nq; ++j)
       map[static_cast<std::size_t>(inst.nodesQ[j])] =
           static_cast<NodeId>(1 + a + std::min(j, b - 1));
-    RemappedGraph rg = remap_graph(inst.graph, inst.origin, map,
-                                   static_cast<NodeId>(1 + a + b));
-    PathInstance up;
+    ScratchLease<RemappedGraph> rg_s;
+    RemappedGraph& rg = *rg_s;
+    remap_graph(inst.graph, inst.origin, map, static_cast<NodeId>(1 + a + b), rg);
     up.graph = std::move(rg.graph);
-    up.origin = std::move(rg.origin);
+    up.origin.swap(rg.origin);  // both rows stay leased
     up.root = 0;
     up.is_virtual.assign(static_cast<std::size_t>(up.graph.n()), false);
     for (NodeId v = 0; v < inst.graph.n(); ++v)
@@ -222,6 +223,10 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
     up.is_virtual[0] = true;                                  // boundary root
     up.is_virtual[static_cast<std::size_t>(a)] = true;        // p_{-1}
     up.is_virtual[static_cast<std::size_t>(a + b)] = true;    // q_{-1}
+    up.nodesP.clear();
+    up.edgesP.clear();
+    up.nodesQ.clear();
+    up.edgesQ.clear();
     for (std::size_t i = 0; i < a; ++i) {
       up.nodesP.push_back(static_cast<NodeId>(1 + i));
       up.edgesP.push_back(rg.edge_map[static_cast<std::size_t>(inst.edgesP[i])]);
@@ -230,23 +235,25 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
       up.nodesQ.push_back(static_cast<NodeId>(1 + a + j));
       up.edgesQ.push_back(rg.edge_map[static_cast<std::size_t>(inst.edgesQ[j])]);
     }
-    out.up = std::move(up);
+    out.up = true;
   }
 
   if (a + 1 < np && b + 1 < nq) {
     // G_down: new ids: r_down=0, P nodes a.. -> 1.., Q nodes b.. -> after.
     const std::size_t lp = np - a;  // kept P nodes (nodesP[a..])
     const std::size_t lq = nq - b;
-    std::vector<NodeId> map(static_cast<std::size_t>(inst.graph.n()), 0);  // external -> r_down
+    ScratchLease<std::vector<NodeId>> map_s;
+    std::vector<NodeId>& map = *map_s;
+    map.assign(static_cast<std::size_t>(inst.graph.n()), 0);  // external -> r_down
     for (std::size_t i = a; i < np; ++i)
       map[static_cast<std::size_t>(inst.nodesP[i])] = static_cast<NodeId>(1 + (i - a));
     for (std::size_t j = b; j < nq; ++j)
       map[static_cast<std::size_t>(inst.nodesQ[j])] = static_cast<NodeId>(1 + lp + (j - b));
-    RemappedGraph rg = remap_graph(inst.graph, inst.origin, map,
-                                   static_cast<NodeId>(1 + lp + lq));
-    PathInstance down;
+    ScratchLease<RemappedGraph> rg_s;
+    RemappedGraph& rg = *rg_s;
+    remap_graph(inst.graph, inst.origin, map, static_cast<NodeId>(1 + lp + lq), rg);
     down.graph = std::move(rg.graph);
-    down.origin = std::move(rg.origin);
+    down.origin.swap(rg.origin);
     down.root = 0;
     down.is_virtual.assign(static_cast<std::size_t>(down.graph.n()), false);
     for (NodeId v = 0; v < inst.graph.n(); ++v)
@@ -254,6 +261,10 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
           map[static_cast<std::size_t>(v)] != 0)
         down.is_virtual[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])] = true;
     down.is_virtual[0] = true;  // r_down
+    down.nodesP.clear();
+    down.edgesP.clear();
+    down.nodesQ.clear();
+    down.edgesQ.clear();
     // Synthetic connectors {r_down, top}: tree edges, never candidates.
     const EdgeId conn_p = down.graph.add_edge(0, 1, 1);
     down.origin.push_back(kNoEdge);
@@ -271,7 +282,7 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
       down.nodesQ.push_back(static_cast<NodeId>(1 + lp + (j - b)));
       down.edgesQ.push_back(rg.edge_map[static_cast<std::size_t>(inst.edgesQ[j])]);
     }
-    out.down = std::move(down);
+    out.down = true;
   }
   return out;
 }
@@ -285,11 +296,18 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
   minoragg::Ledger local;
   local.set_max("max_p2p_depth", depth);
 
-  std::vector<EdgeId> tree_edges(inst.edgesP.begin(), inst.edgesP.end());
-  tree_edges.insert(tree_edges.end(), inst.edgesQ.begin(), inst.edgesQ.end());
-  const RootedTree t(inst.graph, tree_edges, inst.root);
-  const HeavyLightDecomposition hld = minoragg::hl_construct(t, local);
-  const OneRespectResult r1 = one_respecting_cuts(t, inst.origin, hld, local);
+  OneRespectResult r1;
+  {
+    ScratchLease<std::vector<EdgeId>> tree_edges_s;
+    std::vector<EdgeId>& tree_edges = *tree_edges_s;
+    tree_edges.assign(inst.edgesP.begin(), inst.edgesP.end());
+    tree_edges.insert(tree_edges.end(), inst.edgesQ.begin(), inst.edgesQ.end());
+    ScratchLease<RootedTree> t;
+    ScratchLease<HeavyLightDecomposition> hld;
+    t->rebuild(inst.graph, tree_edges, inst.root);
+    minoragg::hl_construct(*t, local, *hld);
+    r1 = one_respecting_cuts(*t, inst.origin, *hld, local);
+  }
   CutResult best = r1.best;
   ScratchLease<Layout> lay_s;
   classify_into(inst, *lay_s);
@@ -326,7 +344,8 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
   const std::size_t b = static_cast<std::size_t>(row_a.argmin_candidate);
   best.absorb(scan_row(inst, lay, r1.cut, false, b, local).best);
 
-  const SubInstances subs = build_sub_instances(inst, a, b, local);
+  ScratchLease<PathInstance> up_s, down_s;
+  const SubInstances subs = build_sub_instances(inst, a, b, local, *up_s, *down_s);
   minoragg::settle_virtual_execution(parent, local, inst.beta());
 
   // The recursive calls are node-disjoint: run both as tasks, then merge
@@ -337,7 +356,7 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
   {
     TaskGroup halves;
     if (subs.up) {
-      const PathInstance& up = *subs.up;
+      const PathInstance& up = *up_s;
       halves.spawn([&up, &up_best, &up_ledger, depth] {
         // Two args max per TraceEvent: kind + pool_thread (depth is the
         // logical clock; up vs down is visible from span nesting order).
@@ -348,7 +367,7 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
       });
     }
     if (subs.down) {
-      const PathInstance& down = *subs.down;
+      const PathInstance& down = *down_s;
       halves.spawn([&down, &down_best, &down_ledger, depth] {
         UMC_OBS_SPAN_VAR_L(obs_item, "mincut/ttr_item", "mincut", depth);
         obs_item.arg("kind", 3);
@@ -358,6 +377,8 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
     }
     halves.join();
   }
+  up_s->graph = WeightedGraph();  // the pool keeps the rows, not the graphs
+  down_s->graph = WeightedGraph();
   std::vector<minoragg::Ledger> kids;
   if (subs.up) {
     best.absorb(up_best);

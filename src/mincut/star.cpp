@@ -8,38 +8,47 @@
 #include "minoragg/tree_primitives.hpp"
 #include "minoragg/virtual_graph.hpp"
 #include "obs/trace.hpp"
+#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace umc::mincut {
 
 namespace {
 
-/// Cut-equivalent pair instance for paths (i, j): every node outside the
-/// two paths (the root and all other paths, with whatever hangs off them)
-/// is absorbed into a fresh virtual pair-root. Real top edges {root, top}
-/// become the instance's root edges with their weights/origins intact.
-PathInstance build_pair_instance(const StarInstance& inst, int i, int j) {
+/// Cut-equivalent pair instance for paths (i, j), rebuilt into `pair`: every
+/// node outside the two paths (the root and all other paths, with whatever
+/// hangs off them) is absorbed into a fresh virtual pair-root. Real top
+/// edges {root, top} become the instance's root edges with their
+/// weights/origins intact.
+void build_pair_instance(const StarInstance& inst, int i, int j, PathInstance& pair) {
   const auto& pn_i = inst.path_nodes[static_cast<std::size_t>(i)];
   const auto& pn_j = inst.path_nodes[static_cast<std::size_t>(j)];
   const NodeId li = static_cast<NodeId>(pn_i.size());
   const NodeId lj = static_cast<NodeId>(pn_j.size());
 
-  std::vector<NodeId> map(static_cast<std::size_t>(inst.graph.n()), 0);  // external -> 0
+  ScratchLease<std::vector<NodeId>> map_s;
+  std::vector<NodeId>& map = *map_s;
+  map.assign(static_cast<std::size_t>(inst.graph.n()), 0);  // external -> 0
   for (NodeId x = 0; x < li; ++x)
     map[static_cast<std::size_t>(pn_i[static_cast<std::size_t>(x)])] = 1 + x;
   for (NodeId x = 0; x < lj; ++x)
     map[static_cast<std::size_t>(pn_j[static_cast<std::size_t>(x)])] = 1 + li + x;
-  RemappedGraph rg = remap_graph(inst.graph, inst.origin, map, 1 + li + lj);
+  ScratchLease<RemappedGraph> rg_s;
+  RemappedGraph& rg = *rg_s;
+  remap_graph(inst.graph, inst.origin, map, 1 + li + lj, rg);
 
-  PathInstance pair;
   pair.graph = std::move(rg.graph);
-  pair.origin = std::move(rg.origin);
+  pair.origin.swap(rg.origin);  // both rows stay leased
   pair.root = 0;
   pair.is_virtual.assign(static_cast<std::size_t>(pair.graph.n()), false);
   pair.is_virtual[0] = true;  // the pair-root absorbing the outside world
   for (NodeId v = 0; v < inst.graph.n(); ++v)
     if (inst.is_virtual[static_cast<std::size_t>(v)] && map[static_cast<std::size_t>(v)] != 0)
       pair.is_virtual[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])] = true;
+  pair.nodesP.clear();
+  pair.edgesP.clear();
+  pair.nodesQ.clear();
+  pair.edgesQ.clear();
   for (NodeId x = 0; x < li; ++x) {
     pair.nodesP.push_back(1 + x);
     pair.edgesP.push_back(
@@ -50,7 +59,6 @@ PathInstance build_pair_instance(const StarInstance& inst, int i, int j) {
     pair.edgesQ.push_back(
         rg.edge_map[static_cast<std::size_t>(inst.path_edges[static_cast<std::size_t>(j)][static_cast<std::size_t>(x)])]);
   }
-  return pair;
 }
 
 }  // namespace
@@ -63,12 +71,19 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger) {
   minoragg::Ledger local;
 
   // 1-respecting cuts over the whole star (Theorem 18).
-  std::vector<EdgeId> tree_edges;
-  for (const auto& pe : inst.path_edges)
-    tree_edges.insert(tree_edges.end(), pe.begin(), pe.end());
-  const RootedTree t(inst.graph, tree_edges, inst.root);
-  const HeavyLightDecomposition hld = minoragg::hl_construct(t, local);
-  CutResult best = one_respecting_cuts(t, inst.origin, hld, local).best;
+  CutResult best;
+  {
+    ScratchLease<std::vector<EdgeId>> tree_edges_s;
+    std::vector<EdgeId>& tree_edges = *tree_edges_s;
+    tree_edges.clear();
+    for (const auto& pe : inst.path_edges)
+      tree_edges.insert(tree_edges.end(), pe.begin(), pe.end());
+    ScratchLease<RootedTree> t;
+    ScratchLease<HeavyLightDecomposition> hld;
+    t->rebuild(inst.graph, tree_edges, inst.root);
+    minoragg::hl_construct(*t, local, *hld);
+    best = one_respecting_cuts(*t, inst.origin, *hld, local).best;
+  }
 
   if (inst.k() >= 2) {
     // Interest lists (Lemma 32) and the mutual-interest graph (Def. 33).
@@ -80,16 +95,11 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger) {
 
     // Edge-color the interest graph (Lemma 35) via the CONGEST-on-interest-
     // graph simulation (Lemma 34: one MA round per CONGEST round).
-    WeightedGraph ig(static_cast<NodeId>(inst.k()));
-    std::vector<std::pair<int, int>> pairs;
-    for (std::size_t i = 0; i < igraph.size(); ++i) {
-      for (const int j : igraph[i]) {
-        if (static_cast<int>(i) < j) {
-          ig.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
-          pairs.emplace_back(static_cast<int>(i), j);
-        }
-      }
-    }
+    std::vector<Edge> ig_edges;
+    for (std::size_t i = 0; i < igraph.size(); ++i)
+      for (const int j : igraph[i])
+        if (static_cast<int>(i) < j) ig_edges.push_back(Edge{static_cast<NodeId>(i), j, 1});
+    const WeightedGraph ig(static_cast<NodeId>(inst.k()), std::move(ig_edges));
     const congest::EdgeColoring coloring = congest::deterministic_edge_coloring(ig);
     local.charge(coloring.congest_rounds);
     local.set_max("max_interest_colors", coloring.num_colors);
@@ -110,8 +120,7 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger) {
     for (int c = 0; c < coloring.num_colors; ++c) {
       for (EdgeId e = 0; e < ig.m(); ++e) {
         if (coloring.color[static_cast<std::size_t>(e)] != c) continue;
-        const auto [i, j] = pairs[static_cast<std::size_t>(e)];
-        items.push_back(PairItem{c, i, j});
+        items.push_back(PairItem{c, ig.edge(e).u, ig.edge(e).v});
       }
     }
     struct PairSlot {
@@ -131,8 +140,10 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger) {
           // (the flattened item index x is the logical clock).
           obs_item.arg("kind", 2);  // 2 = star path-to-path pair
           obs_item.arg("pool_thread", ThreadPool::current_index());
-          const PathInstance pair = build_pair_instance(inst, item.i, item.j);
-          slot.best = path_to_path_mincut(pair, slot.kid);
+          ScratchLease<PathInstance> pair;
+          build_pair_instance(inst, item.i, item.j, *pair);
+          slot.best = path_to_path_mincut(*pair, slot.kid);
+          pair->graph = WeightedGraph();  // the pool keeps the rows, not the graph
         });
       }
       p2p.join();

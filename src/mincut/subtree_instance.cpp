@@ -31,21 +31,36 @@ CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId>
                                  NodeId root, std::span<const EdgeId> origin,
                                  const std::vector<bool>& is_virtual,
                                  minoragg::Ledger& ledger) {
+  ScratchLease<RootedTree> t;
+  t->rebuild(g, tree_edges, root);
+  return between_subtree_mincut(*t, origin, is_virtual, ledger);
+}
+
+CutResult between_subtree_mincut(const RootedTree& t, std::span<const EdgeId> origin,
+                                 const std::vector<bool>& is_virtual,
+                                 minoragg::Ledger& ledger) {
+  const WeightedGraph& g = t.host();
+  const NodeId root = t.root();
+  const std::span<const EdgeId> tree_edges = t.tree_edges();
   minoragg::Ledger local;
-  const RootedTree t(g, tree_edges, root);
-  const HeavyLightDecomposition hld = minoragg::hl_construct(t, local);
+  ScratchLease<HeavyLightDecomposition> hld_s;
+  minoragg::hl_construct(t, local, *hld_s);
+  const HeavyLightDecomposition& hld = *hld_s;
   CutResult best = one_respecting_cuts(t, origin, hld, local).best;
 
-  // Branch index per node: which child-of-root subtree it lives in.
-  std::vector<int> branch(static_cast<std::size_t>(g.n()), -1);
+  // Branch index per node: which child-of-root subtree it lives in (the
+  // child's preorder range).
+  ScratchLease<std::vector<int>> branch_s;
+  std::vector<int>& branch = *branch_s;
+  branch.assign(static_cast<std::size_t>(g.n()), -1);
   {
     int next = 0;
+    const std::span<const NodeId> pre = t.preorder();
     for (const NodeId c : t.children(root)) {
-      branch[static_cast<std::size_t>(c)] = next++;
-    }
-    for (const NodeId v : t.preorder()) {
-      if (v == root || branch[static_cast<std::size_t>(v)] != -1) continue;
-      branch[static_cast<std::size_t>(v)] = branch[static_cast<std::size_t>(t.parent(v))];
+      const std::size_t first = static_cast<std::size_t>(t.preorder_index(c));
+      for (std::size_t j = 0; j < static_cast<std::size_t>(t.subtree_size(c)); ++j)
+        branch[static_cast<std::size_t>(pre[first + j])] = next;
+      ++next;
     }
   }
   const int k = static_cast<int>(t.children(root).size());
@@ -60,7 +75,9 @@ CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId>
   // layout outlives every star task below, which only read it.
   ScratchLease<minoragg::ChainLayout> layout_s;
   minoragg::build_chain_layout(t, hld, *layout_s);
-  std::vector<Chain> chains;
+  ScratchLease<std::vector<Chain>> chains_s;
+  std::vector<Chain>& chains = *chains_s;
+  chains.clear();
   for (int d = 0; d < layout_s->levels(); ++d) {
     for (std::size_t ci = layout_s->first_chain(d); ci < layout_s->end_chain(d); ++ci) {
       std::span<const NodeId> nodes = layout_s->chain(ci);
@@ -86,7 +103,9 @@ CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId>
   struct StarConfig {
     int bit, d1, d2;
   };
-  std::vector<StarConfig> configs;
+  ScratchLease<std::vector<StarConfig>> configs_s;
+  std::vector<StarConfig>& configs = *configs_s;
+  configs.clear();
   for (int bit = 0; bit < chi; ++bit) {
     for (int d1 = 0; d1 <= maxd; ++d1) {
       for (int d2 = 0; d2 <= maxd; ++d2) {
@@ -134,17 +153,19 @@ CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId>
           if (hld.hl_depth_edge(e) != target(br)) contract[static_cast<std::size_t>(e)] = true;
         }
         iter.charge(1);
-        const DerivedGraph minor = contract_edges(g, contract);
+        DerivedGraph minor = contract_edges(g, contract);
 
         // Skip configurations with no cross-path edge: by Lemma 28, no
-        // below-1-respecting pair can live here.
-        StarInstance star;
-        star.graph = minor.graph;
+        // below-1-respecting pair can live here. The star instance is
+        // leased: its rows keep their capacity from config to config.
+        ScratchLease<StarInstance> star_s;
+        StarInstance& star = *star_s;
+        star.graph = std::move(minor.graph);
         star.root = minor.node_map[static_cast<std::size_t>(root)];
-        star.origin.assign(static_cast<std::size_t>(minor.graph.m()), kNoEdge);
+        star.origin.assign(static_cast<std::size_t>(star.graph.m()), kNoEdge);
         for (std::size_t e = 0; e < minor.edge_origin.size(); ++e)
           star.origin[e] = origin[static_cast<std::size_t>(minor.edge_origin[e])];
-        star.is_virtual.assign(static_cast<std::size_t>(minor.graph.n()), false);
+        star.is_virtual.assign(static_cast<std::size_t>(star.graph.n()), false);
         for (NodeId v = 0; v < g.n(); ++v)
           if (is_virtual[static_cast<std::size_t>(v)])
             star.is_virtual[static_cast<std::size_t>(minor.node_map[static_cast<std::size_t>(v)])] = true;
@@ -153,10 +174,18 @@ CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId>
         to_minor_edge.assign(static_cast<std::size_t>(g.m()), kNoEdge);
         for (std::size_t e = 0; e < minor.edge_origin.size(); ++e)
           to_minor_edge[static_cast<std::size_t>(minor.edge_origin[e])] = static_cast<EdgeId>(e);
+        std::size_t paths = 0;
         for (const Chain& c : chains) {
           if (c.hl_depth != target(c.branch)) continue;
-          std::vector<NodeId> nodes;
-          std::vector<EdgeId> edges;
+          if (star.path_nodes.size() == paths) {
+            star.path_nodes.emplace_back();
+            star.path_edges.emplace_back();
+          }
+          std::vector<NodeId>& nodes = star.path_nodes[paths];
+          std::vector<EdgeId>& edges = star.path_edges[paths];
+          ++paths;
+          nodes.clear();
+          edges.clear();
           for (const NodeId v : c.nodes) {
             nodes.push_back(minor.node_map[static_cast<std::size_t>(v)]);
             const EdgeId me = to_minor_edge[static_cast<std::size_t>(t.parent_edge(v))];
@@ -164,15 +193,17 @@ CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId>
             edges.push_back(me);
           }
           UMC_ASSERT_MSG(
-              minor.graph.edge(edges.front()).other(nodes.front()) == star.root,
+              star.graph.edge(edges.front()).other(nodes.front()) == star.root,
               "star paths hang off the root supernode");
-          star.path_nodes.push_back(std::move(nodes));
-          star.path_edges.push_back(std::move(edges));
         }
+        star.path_nodes.resize(paths);
+        star.path_edges.resize(paths);
 
         bool has_cross = false;
         {
-          const std::vector<int> of = path_of_node(star);
+          ScratchLease<std::vector<int>> of_s;
+          std::vector<int>& of = *of_s;
+          path_of_node(star, of);
           for (const Edge& e : star.graph.edges()) {
             const int pu = of[static_cast<std::size_t>(e.u)];
             const int pv = of[static_cast<std::size_t>(e.v)];
@@ -186,6 +217,7 @@ CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId>
           slot.best.absorb(star_mincut(star, iter));
           slot.ran_star = true;
         }
+        star.graph = WeightedGraph();  // the pool keeps the rows, not the graph
       });
     }
     stars.join();

@@ -26,4 +26,11 @@ namespace umc::mincut {
                                                const std::vector<bool>& is_virtual,
                                                minoragg::Ledger& ledger);
 
+/// Same, over an already rooted instance tree: `t.root()` is the hub and
+/// `t.host()` the instance graph.
+[[nodiscard]] CutResult between_subtree_mincut(const RootedTree& t,
+                                               std::span<const EdgeId> origin,
+                                               const std::vector<bool>& is_virtual,
+                                               minoragg::Ledger& ledger);
+
 }  // namespace umc::mincut

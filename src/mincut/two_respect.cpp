@@ -7,6 +7,7 @@
 #include "minoragg/tree_primitives.hpp"
 #include "minoragg/virtual_graph.hpp"
 #include "obs/trace.hpp"
+#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace umc::mincut {
@@ -17,7 +18,9 @@ namespace {
 /// number of Definition 9 rounds in the model).
 CutResult solve_base(const Instance& inst, minoragg::Ledger& ledger) {
   ledger.charge(1);
-  const RootedTree t(inst.graph, inst.tree_edges, inst.root);
+  ScratchLease<RootedTree> t_s;
+  RootedTree& t = *t_s;
+  t.rebuild(inst.graph, inst.tree_edges, inst.root);
   CutResult best;
   for (std::size_t i = 0; i < inst.tree_edges.size(); ++i) {
     const EdgeId e = inst.tree_edges[i];
@@ -34,6 +37,109 @@ CutResult solve_base(const Instance& inst, minoragg::Ledger& ledger) {
   return best;
 }
 
+/// Lemma 43's private branch instances H_i, one per child of the centroid
+/// `t.root()`, in child order: node 0 is the branch's virtual centroid
+/// (everything outside the branch), and the branch's j-th node in preorder
+/// is node 1 + j. Each equals remap_graph over that node map — same edges,
+/// ids and origins — but one pass over the preorder and one over the edges
+/// serve every branch, instead of an n-sized map and an m-edge scan each.
+std::vector<Instance> branch_instances(const Instance& inst, const RootedTree& t) {
+  const WeightedGraph& g = inst.graph;
+  const std::span<const NodeId> kids = t.children(t.root());
+  const std::span<const NodeId> pre = t.preorder();
+  const std::size_t k = kids.size();
+
+  // A branch is its child's preorder range: branch[v] = its index (-1 at
+  // the centroid), local[v] = 1 + v's rank in that range.
+  ScratchLease<std::vector<int>> branch_s;
+  ScratchLease<std::vector<NodeId>> local_s;
+  std::vector<int>& branch = *branch_s;
+  std::vector<NodeId>& local = *local_s;
+  branch.assign(static_cast<std::size_t>(g.n()), -1);
+  local.assign(static_cast<std::size_t>(g.n()), 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t first = static_cast<std::size_t>(t.preorder_index(kids[i]));
+    const NodeId size = t.subtree_size(kids[i]);
+    for (NodeId j = 0; j < size; ++j) {
+      const std::size_t v = static_cast<std::size_t>(pre[first + static_cast<std::size_t>(j)]);
+      branch[v] = static_cast<int>(i);
+      local[v] = 1 + j;
+    }
+  }
+
+  // The edges each branch keeps — those with an endpoint inside it — in
+  // id order, bucketed CSR-style (a cross-branch edge lands in both).
+  ScratchLease<std::vector<std::int32_t>> begin_s;
+  ScratchLease<std::vector<EdgeId>> bucket_s;
+  std::vector<std::int32_t>& begin = *begin_s;
+  std::vector<EdgeId>& bucket = *bucket_s;
+  begin.assign(k + 1, 0);
+  for (const Edge& ed : g.edges()) {
+    const int bu = branch[static_cast<std::size_t>(ed.u)];
+    const int bv = branch[static_cast<std::size_t>(ed.v)];
+    if (bu >= 0) ++begin[static_cast<std::size_t>(bu) + 1];
+    if (bv >= 0 && bv != bu) ++begin[static_cast<std::size_t>(bv) + 1];
+  }
+  for (std::size_t i = 0; i < k; ++i) begin[i + 1] += begin[i];
+  bucket.resize(static_cast<std::size_t>(begin[k]));
+  {
+    ScratchLease<std::vector<std::int32_t>> cursor_s;
+    std::vector<std::int32_t>& cursor = *cursor_s;
+    cursor.assign(begin.begin(), begin.end() - 1);
+    for (EdgeId e = 0; e < g.m(); ++e) {
+      const Edge& ed = g.edge(e);
+      const int bu = branch[static_cast<std::size_t>(ed.u)];
+      const int bv = branch[static_cast<std::size_t>(ed.v)];
+      if (bu >= 0) bucket[static_cast<std::size_t>(cursor[static_cast<std::size_t>(bu)]++)] = e;
+      if (bv >= 0 && bv != bu)
+        bucket[static_cast<std::size_t>(cursor[static_cast<std::size_t>(bv)]++)] = e;
+    }
+  }
+
+  // Tree edges never cross branches, so one m-sized row maps each to its
+  // id inside its own branch.
+  ScratchLease<std::vector<EdgeId>> tree_local_s;
+  std::vector<EdgeId>& tree_local = *tree_local_s;
+  tree_local.assign(static_cast<std::size_t>(g.m()), kNoEdge);
+  std::vector<Instance> subs(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const int bi = static_cast<int>(i);
+    const auto to_local = [&](NodeId x) {
+      return branch[static_cast<std::size_t>(x)] == bi ? local[static_cast<std::size_t>(x)] : 0;
+    };
+    const std::size_t lo = static_cast<std::size_t>(begin[i]);
+    const std::size_t hi = static_cast<std::size_t>(begin[i + 1]);
+    Instance& sub = subs[i];
+    std::vector<Edge> edges;
+    edges.reserve(hi - lo);
+    sub.origin.reserve(hi - lo);
+    for (std::size_t x = lo; x < hi; ++x) {
+      const EdgeId e = bucket[x];
+      const Edge& ed = g.edge(e);
+      if (t.is_tree_edge(e)) tree_local[static_cast<std::size_t>(e)] = static_cast<EdgeId>(x - lo);
+      edges.push_back(Edge{to_local(ed.u), to_local(ed.v), ed.w});
+      sub.origin.push_back(inst.origin[static_cast<std::size_t>(e)]);
+    }
+    const NodeId size = t.subtree_size(kids[i]);
+    sub.graph = WeightedGraph(1 + size, std::move(edges));
+    sub.root = 0;  // the virtual centroid; re-rooted at the next centroid anyway
+    sub.is_virtual.assign(static_cast<std::size_t>(1 + size), false);
+    sub.is_virtual[0] = true;
+    const std::size_t first = static_cast<std::size_t>(t.preorder_index(kids[i]));
+    for (NodeId j = 0; j < size; ++j)
+      sub.is_virtual[static_cast<std::size_t>(1 + j)] =
+          inst.is_virtual[static_cast<std::size_t>(pre[first + static_cast<std::size_t>(j)])];
+    sub.tree_edges.reserve(static_cast<std::size_t>(size));
+  }
+  for (const EdgeId e : inst.tree_edges) {
+    const int bi = branch[static_cast<std::size_t>(t.bottom(e))];
+    subs[static_cast<std::size_t>(bi)].tree_edges.push_back(tree_local[static_cast<std::size_t>(e)]);
+  }
+  for (const Instance& sub : subs)
+    UMC_ASSERT(static_cast<NodeId>(sub.tree_edges.size()) == sub.graph.n() - 1);
+  return subs;
+}
+
 CutResult solve(const Instance& inst, minoragg::Ledger& parent, int depth) {
   parent.set_max("max_general_depth", depth);
   // Logical clock: the centroid-recursion depth.
@@ -41,50 +147,33 @@ CutResult solve(const Instance& inst, minoragg::Ledger& parent, int depth) {
   obs_solve.arg("n", inst.graph.n());
   if (inst.graph.n() <= 3) return solve_base(inst, parent);
 
-  minoragg::Ledger local;
-  // Root anywhere, find the centroid (Lemma 42), then treat the tree as a
-  // subtree instance rooted at the centroid.
-  const RootedTree t0(inst.graph, inst.tree_edges, inst.root);
-  const HeavyLightDecomposition hld0 = minoragg::hl_construct(t0, local);
-  const NodeId c = minoragg::find_centroid_ma(t0, hld0, local);
-
-  CutResult best = between_subtree_mincut(inst.graph, inst.tree_edges, c, inst.origin,
-                                          inst.is_virtual, local);
-  minoragg::settle_virtual_execution(parent, local, inst.beta());
-
-  // Lemma 43: private cut-equivalent branch instances H_i, each with its
-  // own virtual centroid (node 0); node-disjoint, so scheduled together.
-  // Build every branch instance first (cheap remaps), then solve them as
-  // TaskGraph tasks: each writes a private slot, and the merge below runs
-  // in child order — the same absorb/charge_parallel sequence the inline
-  // path produces, so counters stay bit-identical at any width.
-  const RootedTree tc(inst.graph, inst.tree_edges, c);
+  CutResult best;
   std::vector<Instance> subs;
-  for (const NodeId child : tc.children(c)) {
-    // Collect the branch below `child` (including child).
-    std::vector<NodeId> map(static_cast<std::size_t>(inst.graph.n()), 0);  // outside -> c_i
-    std::vector<NodeId> members;
-    for (const NodeId v : tc.preorder()) {
-      if (!tc.is_ancestor(child, v)) continue;
-      map[static_cast<std::size_t>(v)] = static_cast<NodeId>(1 + members.size());
-      members.push_back(v);
+  {
+    minoragg::Ledger local;
+    // Root anywhere, find the centroid (Lemma 42), then re-root the same
+    // (leased) tree at the centroid: the subtree instance of Theorem 39 and
+    // the branch split below both use that rooting.
+    ScratchLease<RootedTree> t_s;
+    RootedTree& t = *t_s;
+    t.rebuild(inst.graph, inst.tree_edges, inst.root);
+    NodeId c = kNoNode;
+    {
+      ScratchLease<HeavyLightDecomposition> hld;
+      minoragg::hl_construct(t, local, *hld);
+      c = minoragg::find_centroid_ma(t, *hld, local);
     }
-    RemappedGraph rg =
-        remap_graph(inst.graph, inst.origin, map, static_cast<NodeId>(1 + members.size()));
-    Instance sub;
-    sub.graph = std::move(rg.graph);
-    sub.origin = std::move(rg.origin);
-    sub.root = 0;  // the virtual centroid; re-rooted at the next centroid anyway
-    sub.is_virtual.assign(static_cast<std::size_t>(sub.graph.n()), false);
-    sub.is_virtual[0] = true;
-    for (std::size_t i = 0; i < members.size(); ++i)
-      sub.is_virtual[i + 1] = inst.is_virtual[static_cast<std::size_t>(members[i])];
-    for (const EdgeId e : inst.tree_edges) {
-      const EdgeId mapped = rg.edge_map[static_cast<std::size_t>(e)];
-      if (mapped != kNoEdge) sub.tree_edges.push_back(mapped);
-    }
-    UMC_ASSERT(static_cast<NodeId>(sub.tree_edges.size()) == sub.graph.n() - 1);
-    subs.push_back(std::move(sub));
+    t.rebuild(inst.graph, inst.tree_edges, c);
+    best = between_subtree_mincut(t, inst.origin, inst.is_virtual, local);
+    minoragg::settle_virtual_execution(parent, local, inst.beta());
+
+    // Lemma 43: private cut-equivalent branch instances H_i, each with its
+    // own virtual centroid (node 0); node-disjoint, so scheduled together.
+    // Build every branch instance first (cheap remaps), then solve them as
+    // TaskGraph tasks: each writes a private slot, and the merge below runs
+    // in child order — the same absorb/charge_parallel sequence the inline
+    // path produces, so counters stay bit-identical at any width.
+    subs = branch_instances(inst, t);
   }
 
   std::vector<CutResult> branch_best(subs.size());

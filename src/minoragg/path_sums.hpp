@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "minoragg/ledger.hpp"
@@ -20,34 +21,48 @@
 
 namespace umc::minoragg {
 
-/// Scratch-friendly variant: writes the prefix sums into `prefix` (resized
-/// and overwritten) so hot callers can recycle one buffer across rows.
-/// Charges are identical to the allocating overload by construction — it is
-/// the same computation on a caller-owned output.
-template <Aggregator A>
-void path_prefix_sums_into(std::span<const typename A::value_type> values, Ledger& ledger,
-                           std::vector<typename A::value_type>& prefix) {
-  using V = typename A::value_type;
-  const std::size_t n = values.size();
-  prefix.assign(values.begin(), values.end());
+namespace detail {
+/// The Lemma 45 halving schedule over a row of n values addressed through
+/// `at(j)` (the j-th value in fold order), folded in place: blocks of size
+/// `len` merge pairwise, and each level costs one round (all merges are
+/// node-disjoint). The carry is read by reference and each target moved
+/// into its merge, so value types that own memory are never copied.
+template <Aggregator A, typename At>
+void fold_prefix_in_place(std::size_t n, At&& at, Ledger& ledger) {
   ledger.charge(1);  // every node learns n (contract-all + sum consensus)
-  // Bottom-up halving: blocks of size `len` merge pairwise; level cost is
-  // one round (all merges are node-disjoint).
   for (std::size_t len = 1; len < n; len *= 2) {
     for (std::size_t lo = 0; lo + len < n; lo += 2 * len) {
-      const V carry = prefix[lo + len - 1];
+      const typename A::value_type& carry = at(lo + len - 1);
       const std::size_t hi = std::min(lo + 2 * len, n);
-      for (std::size_t i = lo + len; i < hi; ++i) prefix[i] = A::merge(carry, prefix[i]);
+      for (std::size_t i = lo + len; i < hi; ++i) at(i) = A::merge(carry, std::move(at(i)));
     }
     ledger.charge(1);
   }
+}
+}  // namespace detail
+
+/// In-place prefix sums: values[i] becomes fold(values[0..i]).
+template <Aggregator A>
+void path_prefix_sums_in_place(std::vector<typename A::value_type>& values, Ledger& ledger) {
+  detail::fold_prefix_in_place<A>(
+      values.size(), [&values](std::size_t j) -> auto& { return values[j]; }, ledger);
+}
+
+/// In-place suffix sums: values[i] becomes fold(values[i..n-1]) — the
+/// prefix schedule over the reversed row, with the same merges in the same
+/// operand order and the same charges.
+template <Aggregator A>
+void path_suffix_sums_in_place(std::vector<typename A::value_type>& values, Ledger& ledger) {
+  const std::size_t n = values.size();
+  detail::fold_prefix_in_place<A>(
+      n, [&values, n](std::size_t j) -> auto& { return values[n - 1 - j]; }, ledger);
 }
 
 template <Aggregator A>
 std::vector<typename A::value_type> path_prefix_sums(
     std::span<const typename A::value_type> values, Ledger& ledger) {
-  std::vector<typename A::value_type> prefix;
-  path_prefix_sums_into<A>(values, ledger, prefix);
+  std::vector<typename A::value_type> prefix(values.begin(), values.end());
+  path_prefix_sums_in_place<A>(prefix, ledger);
   return prefix;
 }
 
@@ -105,24 +120,11 @@ std::vector<typename A::value_type> literal_path_prefix_sums(
   return prefix;
 }
 
-/// Scratch-friendly suffix sums: `rev` is caller-owned reversal scratch and
-/// `suffix` receives the result. Same charges as the allocating overload.
-template <Aggregator A>
-void path_suffix_sums_into(std::span<const typename A::value_type> values, Ledger& ledger,
-                           std::vector<typename A::value_type>& rev,
-                           std::vector<typename A::value_type>& suffix) {
-  using V = typename A::value_type;
-  rev.assign(values.rbegin(), values.rend());
-  path_prefix_sums_into<A>(std::span<const V>(rev), ledger, suffix);
-  std::reverse(suffix.begin(), suffix.end());
-}
-
 template <Aggregator A>
 std::vector<typename A::value_type> path_suffix_sums(
     std::span<const typename A::value_type> values, Ledger& ledger) {
-  using V = typename A::value_type;
-  std::vector<V> rev, suffix;
-  path_suffix_sums_into<A>(values, ledger, rev, suffix);
+  std::vector<typename A::value_type> suffix(values.begin(), values.end());
+  path_suffix_sums_in_place<A>(suffix, ledger);
   return suffix;
 }
 

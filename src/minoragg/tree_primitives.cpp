@@ -47,7 +47,7 @@ void build_chain_layout(const RootedTree& t, const HeavyLightDecomposition& hld,
   }
 }
 
-HeavyLightDecomposition hl_construct(const RootedTree& t, Ledger& ledger) {
+void detail::hl_merge_schedule(const RootedTree& t, Ledger& ledger) {
   const NodeId n = t.n();
   // Lemma 47 merging schedule over the part graph: parts start as
   // singletons; every non-root part marks its parent edge; deterministic
@@ -100,7 +100,111 @@ HeavyLightDecomposition hl_construct(const RootedTree& t, Ledger& ledger) {
     ledger.charge(lemma46_cost);
     ledger.bump("hl_merge_iterations");
   }
-  return HeavyLightDecomposition(t);
+}
+
+namespace {
+
+/// What one Lemma 47 schedule charges: its rounds plus its two counters.
+struct ScheduleCharge {
+  std::int64_t rounds = 0;
+  std::int64_t merges = 0;  // "hl_merge_iterations"
+  std::int64_t cv = 0;      // "cv_iterations"
+
+  /// Applies the charge as the schedule does: counters appear only when
+  /// the schedule bumped them.
+  void apply(Ledger& ledger) const {
+    ledger.charge(rounds);
+    if (merges != 0) ledger.bump("hl_merge_iterations", merges);
+    if (cv != 0) ledger.bump("cv_iterations", cv);
+  }
+};
+
+/// Per-thread table from a tree's parent array to its schedule's charge.
+/// Keys are stored in full and compared element-wise; the hash picks the
+/// probe slot and rejects most mismatches early. Open addressing over
+/// twice as many slots as entries; bounded by a constant number of entries
+/// and stored parent ids, and cleared when either fills.
+class ScheduleTable {
+ public:
+  static constexpr std::size_t kMaxEntries = detail::kHlScheduleEntries;
+  static constexpr std::size_t kMaxKeyIds = detail::kHlScheduleKeyIds;
+
+  [[nodiscard]] const ScheduleCharge* find(std::span<const NodeId> key,
+                                           std::uint64_t hash) const {
+    if (slots_.empty()) return nullptr;
+    for (std::size_t s = hash & kSlotMask;; s = (s + 1) & kSlotMask) {
+      const std::int32_t i = slots_[s];
+      if (i < 0) return nullptr;
+      const Entry& e = entries_[static_cast<std::size_t>(i)];
+      if (e.hash == hash && e.size == key.size() &&
+          std::equal(key.begin(), key.end(), keys_.begin() + static_cast<std::ptrdiff_t>(e.begin)))
+        return &e.charge;
+    }
+  }
+
+  void insert(std::span<const NodeId> key, std::uint64_t hash, const ScheduleCharge& charge) {
+    if (key.size() > kMaxKeyIds) return;  // never stored
+    if (slots_.empty()) {  // first use: size the rows once, at their bounds
+      entries_.reserve(kMaxEntries);
+      keys_.reserve(kMaxKeyIds);
+      slots_.assign(kSlotMask + 1, -1);
+    } else if (entries_.size() == kMaxEntries || keys_.size() + key.size() > kMaxKeyIds) {
+      entries_.clear();
+      keys_.clear();
+      std::fill(slots_.begin(), slots_.end(), -1);
+    }
+    std::size_t s = hash & kSlotMask;
+    while (slots_[s] >= 0) s = (s + 1) & kSlotMask;
+    slots_[s] = static_cast<std::int32_t>(entries_.size());
+    entries_.push_back(Entry{hash, keys_.size(), key.size(), charge});
+    keys_.insert(keys_.end(), key.begin(), key.end());
+  }
+
+ private:
+  static constexpr std::size_t kSlotMask = 2 * kMaxEntries - 1;  // load <= 1/2
+
+  struct Entry {
+    std::uint64_t hash;
+    std::size_t begin, size;  // key = keys_[begin, begin + size)
+    ScheduleCharge charge;
+  };
+  std::vector<Entry> entries_;
+  std::vector<NodeId> keys_;
+  std::vector<std::int32_t> slots_;  // entry index, or -1
+};
+
+std::uint64_t hash_parents(std::span<const NodeId> parents) {
+  std::uint64_t h = mix64(parents.size());
+  for (const NodeId p : parents) h = mix64(h ^ static_cast<std::uint32_t>(p));
+  return h;
+}
+
+}  // namespace
+
+void hl_construct(const RootedTree& t, Ledger& ledger, HeavyLightDecomposition& out) {
+  thread_local ScheduleTable table;
+  const std::span<const NodeId> key = t.parents();
+  const std::uint64_t hash = hash_parents(key);
+  if (const ScheduleCharge* hit = table.find(key, hash)) {
+    hit->apply(ledger);
+  } else {
+    Ledger fresh;
+    detail::hl_merge_schedule(t, fresh);
+    const ScheduleCharge charge{fresh.rounds(), fresh.counter("hl_merge_iterations"),
+                                fresh.counter("cv_iterations")};
+    UMC_ASSERT_MSG(fresh.counters().size() ==
+                       static_cast<std::size_t>((charge.merges != 0) + (charge.cv != 0)),
+                   "the replayed charge covers every counter the schedule bumps");
+    table.insert(key, hash, charge);
+    charge.apply(ledger);
+  }
+  out.rebuild(t);
+}
+
+HeavyLightDecomposition hl_construct(const RootedTree& t, Ledger& ledger) {
+  HeavyLightDecomposition out;
+  hl_construct(t, ledger, out);
+  return out;
 }
 
 NodeId find_centroid_ma(const RootedTree& t, const HeavyLightDecomposition& hld,

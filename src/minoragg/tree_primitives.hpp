@@ -83,23 +83,16 @@ void build_chain_layout(const RootedTree& t, const HeavyLightDecomposition& hld,
                         ChainLayout& out);
 
 namespace detail {
-/// Per-chain rows of the Lemma 45 pass: the chain's inputs, reversal
-/// scratch and the prefix/suffix output. Leased, so rows keep their
-/// capacity from chain to chain.
-template <typename V>
-struct ChainRows {
-  std::vector<V> x, rev, out;
-};
-
-/// Runs chain_fn(c, chain_ledger, rows) for every chain c of level d —
+/// Runs chain_fn(c, chain_ledger, row) for every chain c of level d —
 /// chains of one level are node-disjoint and run simultaneously (Cor. 11),
 /// so the level costs the max over its chains — and charges the level to
-/// `ledger`. At width 1 the chains run inline, in order, on the caller's
-/// rows; otherwise on the pool, each task leasing its own rows. Either way
-/// every chain writes only its own nodes' slots and its own ledger, so
-/// results and charges are bit-identical at any width.
+/// `ledger`. `row` is scratch for one chain's Lemma 45 pass (its inputs,
+/// folded in place). At width 1 the chains run inline, in order, on the
+/// caller's row; otherwise on the pool, each task leasing its own row.
+/// Either way every chain writes only its own nodes' slots and its own
+/// ledger, so results and charges are bit-identical at any width.
 template <typename V, typename ChainFn>
-void run_chain_level(const ChainLayout& layout, int d, ChainRows<V>& rows, Ledger& ledger,
+void run_chain_level(const ChainLayout& layout, int d, std::vector<V>& row, Ledger& ledger,
                      ChainFn&& chain_fn) {
   const std::size_t lo = layout.first_chain(d);
   const std::size_t count = layout.end_chain(d) - lo;
@@ -108,11 +101,11 @@ void run_chain_level(const ChainLayout& layout, int d, ChainRows<V>& rows, Ledge
   chain_ledgers.assign(count, Ledger{});
   const int width = chain_level_width(count, layout.level_nodes(d));
   if (width <= 1) {
-    for (std::size_t i = 0; i < count; ++i) chain_fn(lo + i, chain_ledgers[i], rows);
+    for (std::size_t i = 0; i < count; ++i) chain_fn(lo + i, chain_ledgers[i], row);
   } else {
     ThreadPool::global().run(count, width, [&](std::size_t i) {
-      ScratchLease<ChainRows<V>> task_rows;
-      chain_fn(lo + i, chain_ledgers[i], *task_rows);
+      ScratchLease<std::vector<V>> task_row;
+      chain_fn(lo + i, chain_ledgers[i], *task_row);
     });
   }
   Ledger level;
@@ -131,30 +124,29 @@ std::vector<typename A::value_type> hl_subtree_sums(
   ScratchLease<ChainLayout> layout_s;
   build_chain_layout(t, hld, *layout_s);
   const ChainLayout& layout = *layout_s;
-  ScratchLease<detail::ChainRows<V>> rows;
-  std::vector<V> s(input.begin(), input.end());  // filled deepest-first
-  // Chains only read results of deeper levels, so each writes disjoint
-  // slots of `s`.
-  const auto chain_fn = [&](std::size_t c, Ledger& cl, detail::ChainRows<V>& r) {
+  ScratchLease<std::vector<V>> row;
+  // Filled deepest-first: a chain reads only slots that deeper levels
+  // already wrote, and writes only its own nodes' slots.
+  std::vector<V> s(static_cast<std::size_t>(t.n()), A::identity());
+  const auto chain_fn = [&](std::size_t c, Ledger& cl, std::vector<V>& x) {
     const std::span<const NodeId> chain = layout.chain(c);
-    std::vector<V>& x = r.x;
     // x_v = input_v ⊕ (already-computed sums of non-heavy children).
     x.clear();
     for (const NodeId v : chain) {
       V acc = input[static_cast<std::size_t>(v)];
       for (const NodeId ch : t.children(v)) {
         if (hld.chain_head(ch) == ch)  // non-heavy child: starts its own chain
-          acc = A::merge(std::move(acc), s[static_cast<std::size_t>(ch)]);
+          acc = A::merge(std::move(acc), std::as_const(s[static_cast<std::size_t>(ch)]));
       }
       x.push_back(std::move(acc));
     }
     cl.charge(1);  // the x_v initialization round (edge-local pass)
-    path_suffix_sums_into<A>(std::span<const V>(x), cl, r.rev, r.out);
+    path_suffix_sums_in_place<A>(x, cl);
     for (std::size_t i = 0; i < chain.size(); ++i)
-      s[static_cast<std::size_t>(chain[i])] = std::move(r.out[i]);
+      s[static_cast<std::size_t>(chain[i])] = std::move(x[i]);
   };
   for (int d = layout.levels() - 1; d >= 0; --d)
-    detail::run_chain_level<V>(layout, d, *rows, ledger, chain_fn);
+    detail::run_chain_level<V>(layout, d, *row, ledger, chain_fn);
   return s;
 }
 
@@ -168,13 +160,12 @@ std::vector<typename A::value_type> hl_ancestor_sums(
   ScratchLease<ChainLayout> layout_s;
   build_chain_layout(t, hld, *layout_s);
   const ChainLayout& layout = *layout_s;
-  ScratchLease<detail::ChainRows<V>> rows;
+  ScratchLease<std::vector<V>> row;
   std::vector<V> p(static_cast<std::size_t>(t.n()), A::identity());
   // Node-disjoint chains; the carry reads only shallower (already
   // complete) levels, so parallel execution stays bit-identical.
-  const auto chain_fn = [&](std::size_t c, Ledger& cl, detail::ChainRows<V>& r) {
+  const auto chain_fn = [&](std::size_t c, Ledger& cl, std::vector<V>& x) {
     const std::span<const NodeId> chain = layout.chain(c);
-    std::vector<V>& x = r.x;
     // Carry = ancestor sum of the chain head's parent (shallower depth,
     // already computed).
     const NodeId above = t.parent(chain.front());
@@ -186,20 +177,42 @@ std::vector<typename A::value_type> hl_ancestor_sums(
       x.push_back(std::move(val));
     }
     cl.charge(1);
-    path_prefix_sums_into<A>(std::span<const V>(x), cl, r.out);
+    path_prefix_sums_in_place<A>(x, cl);
     for (std::size_t i = 0; i < chain.size(); ++i)
-      p[static_cast<std::size_t>(chain[i])] = std::move(r.out[i]);
+      p[static_cast<std::size_t>(chain[i])] = std::move(x[i]);
   };
   for (int d = 0; d < layout.levels(); ++d)
-    detail::run_chain_level<V>(layout, d, *rows, ledger, chain_fn);
+    detail::run_chain_level<V>(layout, d, *row, ledger, chain_fn);
   return p;
 }
 
-/// Lemma 47 / Theorem 48: deterministic heavy-light construction. Runs the
-/// real merging schedule (star merges over the part graph) for round
-/// accounting and returns the decomposition. Counters:
-/// "hl_merge_iterations", "cv_iterations".
+/// Lemma 47 / Theorem 48: deterministic heavy-light construction. Charges
+/// the real merging schedule (star merges over the part graph) and builds
+/// the decomposition into `out` (rebuilt in place, so a leased one does not
+/// allocate). Counters: "hl_merge_iterations", "cv_iterations".
+///
+/// The schedule's charge is a pure function of the tree's parent array, and
+/// the 2-respecting recursion builds the same small trees over and over. So
+/// each thread keeps a bounded table from exact parent arrays (compared in
+/// full, never by hash alone) to the charge their schedule made: the first
+/// sighting of a labelled tree on a thread runs the schedule, repeats replay
+/// its charge — the same rounds and counter bumps, so ledgers are
+/// byte-identical either way.
+void hl_construct(const RootedTree& t, Ledger& ledger, HeavyLightDecomposition& out);
 [[nodiscard]] HeavyLightDecomposition hl_construct(const RootedTree& t, Ledger& ledger);
+
+namespace detail {
+/// Bounds of hl_construct's per-thread schedule table: at most this many
+/// trees and this many stored parent ids in all; the table is cleared when
+/// either would overflow, and a larger tree is never stored.
+inline constexpr std::size_t kHlScheduleEntries = 256;
+inline constexpr std::size_t kHlScheduleKeyIds = std::size_t{1} << 16;
+
+/// The Lemma 47 merging schedule of `t`, always run in full and charged to
+/// `ledger`; hl_construct's replay table sits in front of it. Exposed so
+/// tests can compare replayed charges against fresh runs.
+void hl_merge_schedule(const RootedTree& t, Ledger& ledger);
+}  // namespace detail
 
 /// Lemma 42: centroid via one subtree-sum plus two constant rounds.
 [[nodiscard]] NodeId find_centroid_ma(const RootedTree& t, const HeavyLightDecomposition& hld,

@@ -13,6 +13,11 @@ void MisraGries::add(Key key, Weight w) {
   if (it != items_.end() && it->key == key) {
     it->count += w;
   } else {
+    if (items_.capacity() == 0) {  // one allocation for the sketch's lifetime
+      const std::size_t pos = static_cast<std::size_t>(it - items_.begin());
+      items_.reserve(static_cast<std::size_t>(capacity_) + 1);
+      it = items_.begin() + static_cast<std::ptrdiff_t>(pos);
+    }
     items_.insert(it, Item{key, w});
   }
   reduce();
@@ -24,18 +29,21 @@ void MisraGries::reduce() {
     // decrement across the sketch's lifetime is <= W/(capacity+1) per key.
     Weight delta = items_.front().count;
     for (const Item& it : items_) delta = std::min(delta, it.count);
-    std::vector<Item> kept;
-    kept.reserve(items_.size());
+    std::size_t kept = 0;
     for (Item it : items_) {
       it.count -= delta;
-      if (it.count > 0) kept.push_back(it);
+      if (it.count > 0) items_[kept++] = it;
     }
-    items_ = std::move(kept);
+    items_.resize(kept);
   }
 }
 
 MisraGries MisraGries::merge(MisraGries a, const MisraGries& b) {
   UMC_ASSERT_MSG(a.capacity_ == b.capacity_, "merging sketches of different capacity");
+  if (b.items_.empty()) {  // nothing to interleave; `a` is within capacity
+    a.total_ += b.total_;
+    return a;
+  }
   std::vector<Item> merged;
   merged.reserve(a.items_.size() + b.items_.size());
   std::size_t i = 0, j = 0;
@@ -64,11 +72,15 @@ Weight MisraGries::estimate(Key key) const {
 
 std::vector<MisraGries::Key> MisraGries::heavy_hitters() const {
   std::vector<Key> out;
+  append_heavy_hitters(out);
+  return out;
+}
+
+void MisraGries::append_heavy_hitters(std::vector<Key>& out) const {
   for (const Item& it : items_) {
     // est > W/h  <=>  est * h > W (exact in integers).
     if (it.count * capacity_ > total_) out.push_back(it.key);
   }
-  return out;
 }
 
 }  // namespace umc

@@ -48,6 +48,8 @@ class MisraGries {
   /// Example 8 output: keys whose true frequency exceeds 2W/h are all
   /// present; keys with frequency <= W/h are all absent.
   [[nodiscard]] std::vector<Key> heavy_hitters() const;
+  /// Same keys, appended to `out`.
+  void append_heavy_hitters(std::vector<Key>& out) const;
 
  private:
   void reduce();

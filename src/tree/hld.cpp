@@ -4,12 +4,11 @@
 
 namespace umc {
 
-HeavyLightDecomposition::HeavyLightDecomposition(const RootedTree& t) : t_(&t) {
+void HeavyLightDecomposition::rebuild(const RootedTree& t) {
+  t_ = &t;
   const NodeId n = t.n();
-  heavy_child_.assign(static_cast<std::size_t>(n), kNoNode);
-  hl_depth_.assign(static_cast<std::size_t>(n), 0);
-  head_.assign(static_cast<std::size_t>(n), kNoNode);
-  info_.assign(static_cast<std::size_t>(n), HlInfo{});
+  node_.assign(static_cast<std::size_t>(n), NodeRec{});
+  max_hl_depth_ = 0;
 
   // Heavy child: the child with the largest subtree (ties by first in child
   // order, matching "breaking ties arbitrarily").
@@ -22,37 +21,44 @@ HeavyLightDecomposition::HeavyLightDecomposition(const RootedTree& t) : t_(&t) {
         best = c;
       }
     }
-    heavy_child_[static_cast<std::size_t>(v)] = best;
+    node_[static_cast<std::size_t>(v)].heavy_child = best;
   }
 
-  // Propagate hl-depth / head / HL-info down the preorder.
+  // Propagate hl-depth / head down the preorder, and lay the HL-info lists
+  // out back to back in preorder: v's list is its parent's list plus, for a
+  // light parent edge, that edge.
+  std::int32_t arena = 0;
   for (const NodeId v : t.preorder()) {
+    NodeRec& r = node_[static_cast<std::size_t>(v)];
     const NodeId p = t.parent(v);
     if (p == kNoNode) {
-      hl_depth_[static_cast<std::size_t>(v)] = 0;
-      head_[static_cast<std::size_t>(v)] = v;
-      info_[static_cast<std::size_t>(v)] = HlInfo{0, {}};
-      continue;
-    }
-    const bool heavy = heavy_child_[static_cast<std::size_t>(p)] == v;
-    HlInfo inf = info_[static_cast<std::size_t>(p)];
-    inf.depth = t.depth(v);
-    if (heavy) {
-      hl_depth_[static_cast<std::size_t>(v)] = hl_depth_[static_cast<std::size_t>(p)];
-      head_[static_cast<std::size_t>(v)] = head_[static_cast<std::size_t>(p)];
+      r.head = v;
     } else {
-      hl_depth_[static_cast<std::size_t>(v)] = hl_depth_[static_cast<std::size_t>(p)] + 1;
-      head_[static_cast<std::size_t>(v)] = v;
-      inf.light_edges.push_back(LightEdge{p, v, t.depth(p), t.depth(v)});
+      const NodeRec& rp = node_[static_cast<std::size_t>(p)];
+      const bool heavy = rp.heavy_child == v;
+      r.hl_depth = rp.hl_depth + (heavy ? 0 : 1);
+      r.head = heavy ? rp.head : v;
     }
-    info_[static_cast<std::size_t>(v)] = std::move(inf);
-    max_hl_depth_ = std::max(max_hl_depth_, hl_depth_[static_cast<std::size_t>(v)]);
+    r.light_begin = arena;
+    arena += r.hl_depth;
+    max_hl_depth_ = std::max(max_hl_depth_, r.hl_depth);
+  }
+  light_.resize(static_cast<std::size_t>(arena));
+  for (const NodeId v : t.preorder()) {
+    const NodeId p = t.parent(v);
+    if (p == kNoNode) continue;
+    const NodeRec& r = node_[static_cast<std::size_t>(v)];
+    const NodeRec& rp = node_[static_cast<std::size_t>(p)];
+    std::copy_n(light_.begin() + rp.light_begin, rp.hl_depth, light_.begin() + r.light_begin);
+    if (r.hl_depth > rp.hl_depth)
+      light_[static_cast<std::size_t>(r.light_begin + rp.hl_depth)] =
+          LightEdge{p, v, t.depth(p), t.depth(v)};
   }
 }
 
 bool HeavyLightDecomposition::is_heavy(EdgeId e) const {
   const NodeId b = t_->bottom(e);
-  return heavy_child_[static_cast<std::size_t>(t_->parent(b))] == b;
+  return heavy_child(t_->parent(b)) == b;
 }
 
 EdgeId HeavyLightDecomposition::hl_path_id(EdgeId e) const {

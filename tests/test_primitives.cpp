@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "minoragg/boruvka.hpp"
@@ -198,6 +199,106 @@ TEST(TreePrimitives, HlConstructMatchesReferenceLabels) {
     EXPECT_LE(ledger.counter("hl_merge_iterations"),
               3 * ceil_log2(static_cast<std::uint64_t>(n)) + 3);
   }
+}
+
+/// hl_construct charges a repeated tree by replaying the charge its first
+/// schedule run recorded. Whether `t` is a first sighting on this thread or
+/// a repeat, the charge must equal a fresh run of the schedule, onto ledgers
+/// that already hold rounds and counters of both kinds.
+void expect_replay_matches_fresh(const RootedTree& t) {
+  const auto seeded = [] {
+    Ledger l;
+    l.charge(7);
+    l.bump("subtree_star_calls");
+    l.set_max("max_beta", 2);
+    return l;
+  };
+  Ledger fresh = seeded();
+  detail::hl_merge_schedule(t, fresh);
+  Ledger first = seeded();
+  const HeavyLightDecomposition built_first = hl_construct(t, first);
+  Ledger again = seeded();
+  const HeavyLightDecomposition built_again = hl_construct(t, again);
+  EXPECT_EQ(first.to_json(), fresh.to_json());
+  EXPECT_EQ(again.to_json(), fresh.to_json());
+  const HeavyLightDecomposition ref(t);
+  for (NodeId v = 0; v < t.n(); ++v) {
+    EXPECT_EQ(built_first.heavy_child(v), ref.heavy_child(v));
+    EXPECT_EQ(built_again.heavy_child(v), ref.heavy_child(v));
+  }
+}
+
+/// A copy of `g` with node v renamed perm[v]; edges keep their ids.
+WeightedGraph relabel(const WeightedGraph& g, const std::vector<NodeId>& perm) {
+  WeightedGraph h(g.n());
+  for (const Edge& e : g.edges())
+    h.add_edge(perm[static_cast<std::size_t>(e.u)], perm[static_cast<std::size_t>(e.v)], e.w);
+  return h;
+}
+
+TEST(TreePrimitives, HlConstructReplayMatchesFreshScheduleOnFamilies) {
+  Rng rng(57);
+  for (const NodeId n : {1, 2, 3, 17, 64}) {
+    expect_replay_matches_fresh(tree_of(path_graph(n)));
+    expect_replay_matches_fresh(tree_of(path_graph(n), n / 2));  // rooted mid-path
+    expect_replay_matches_fresh(tree_of(star_graph(n)));
+    expect_replay_matches_fresh(tree_of(star_graph(n), n - 1));  // rooted at a leaf
+    expect_replay_matches_fresh(tree_of(binary_tree(n)));
+    expect_replay_matches_fresh(tree_of(random_tree(n, rng)));
+  }
+  // Caterpillars: a spine with `legs` leaves on every spine node.
+  for (const int legs : {1, 2, 3}) {
+    const NodeId spine = 12;
+    WeightedGraph g(spine * (1 + legs));
+    for (NodeId v = 0; v + 1 < spine; ++v) g.add_edge(v, v + 1);
+    for (NodeId v = 0; v < spine; ++v)
+      for (int l = 0; l < legs; ++l) g.add_edge(v, spine + v * legs + l);
+    expect_replay_matches_fresh(tree_of(g));
+    expect_replay_matches_fresh(tree_of(g, spine - 1));
+  }
+}
+
+TEST(TreePrimitives, HlConstructReplayKeysOnLabelledParents) {
+  // One shape under many labellings: each labelling is its own parent
+  // array, so each is charged (and later replayed) as its own schedule.
+  Rng rng(61);
+  const WeightedGraph shape = random_tree(40, rng);
+  std::vector<NodeId> perm(static_cast<std::size_t>(shape.n()));
+  std::iota(perm.begin(), perm.end(), NodeId{0});
+  for (int copy = 0; copy < 24; ++copy) {
+    for (std::size_t i = perm.size(); i-- > 1;)
+      std::swap(perm[i], perm[static_cast<std::size_t>(rng.next_below(i + 1))]);
+    const WeightedGraph g = relabel(shape, perm);
+    expect_replay_matches_fresh(tree_of(g, perm[0]));
+  }
+}
+
+TEST(TreePrimitives, HlConstructReplayAcrossTableClears) {
+  // More distinct trees than the per-thread table holds, twice over: the
+  // table clears while filling, so the second pass mixes replays of
+  // surviving entries with fresh runs. Every charge equals a fresh run.
+  Rng rng(67);
+  const std::size_t count = detail::kHlScheduleEntries + 100;
+  std::vector<WeightedGraph> graphs;
+  std::vector<std::string> want;
+  for (std::size_t i = 0; i < count; ++i) {
+    graphs.push_back(random_tree(static_cast<NodeId>(5 + rng.next_below(60)), rng));
+    Ledger fresh;
+    detail::hl_merge_schedule(tree_of(graphs.back()), fresh);
+    want.push_back(fresh.to_json());
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t j = pass == 0 ? i : count - 1 - i;
+      Ledger got;
+      (void)hl_construct(tree_of(graphs[j]), got);
+      EXPECT_EQ(got.to_json(), want[j]) << "tree " << j << ", pass " << pass;
+    }
+  }
+  // A tree with more nodes than the table stores in all is never kept,
+  // and is still charged exactly.
+  expect_replay_matches_fresh(
+      tree_of(random_tree(static_cast<NodeId>(detail::kHlScheduleKeyIds) + 1, rng)));
 }
 
 TEST(TreePrimitives, CentroidMatchesFact41) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "graph/generators.hpp"
@@ -148,6 +149,141 @@ TEST(Hld, HlPathsPartitionTreeEdges) {
     }
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(g.m()));
+}
+
+/// Checks RootedTree (fresh and rebuilt in place) and its decomposition
+/// against a per-node reference computed straight from the host adjacency:
+/// parents by BFS, children in adjacency order, preorder by recursion,
+/// subtree sizes by counting, heavy children as the first largest child,
+/// and HL-info by walking each node's root path.
+void expect_matches_reference(const WeightedGraph& g, std::span<const EdgeId> tree,
+                              NodeId root, RootedTree& reused) {
+  const std::size_t n = static_cast<std::size_t>(g.n());
+  std::vector<bool> in_tree(static_cast<std::size_t>(g.m()), false);
+  for (const EdgeId e : tree) in_tree[static_cast<std::size_t>(e)] = true;
+  std::vector<NodeId> parent(n, kNoNode);
+  std::vector<EdgeId> parent_edge(n, kNoEdge);
+  std::vector<int> depth(n, -1);
+  std::vector<NodeId> bfs = {root};
+  depth[static_cast<std::size_t>(root)] = 0;
+  for (std::size_t i = 0; i < bfs.size(); ++i) {
+    for (const AdjEntry& a : g.adj(bfs[i])) {
+      const std::size_t to = static_cast<std::size_t>(a.to);
+      if (!in_tree[static_cast<std::size_t>(a.edge)] || depth[to] >= 0) continue;
+      depth[to] = depth[static_cast<std::size_t>(bfs[i])] + 1;
+      parent[to] = bfs[i];
+      parent_edge[to] = a.edge;
+      bfs.push_back(a.to);
+    }
+  }
+  std::vector<std::vector<NodeId>> kids(n);
+  for (NodeId v = 0; v < g.n(); ++v)
+    for (const AdjEntry& a : g.adj(v))
+      if (in_tree[static_cast<std::size_t>(a.edge)] && a.to != parent[static_cast<std::size_t>(v)])
+        kids[static_cast<std::size_t>(v)].push_back(a.to);
+  std::vector<NodeId> pre;
+  const std::function<void(NodeId)> visit = [&](NodeId v) {
+    pre.push_back(v);
+    for (const NodeId c : kids[static_cast<std::size_t>(v)]) visit(c);
+  };
+  visit(root);
+  std::vector<NodeId> size(n, 1);
+  for (std::size_t i = pre.size(); i-- > 1;)
+    size[static_cast<std::size_t>(parent[static_cast<std::size_t>(pre[i])])] +=
+        size[static_cast<std::size_t>(pre[i])];
+  std::vector<NodeId> heavy(n, kNoNode);
+  for (std::size_t v = 0; v < n; ++v)
+    for (const NodeId c : kids[v])
+      if (heavy[v] == kNoNode ||
+          size[static_cast<std::size_t>(c)] > size[static_cast<std::size_t>(heavy[v])])
+        heavy[v] = c;
+
+  const RootedTree fresh(g, tree, root);
+  reused.rebuild(g, tree, root);
+  for (const RootedTree* t : {&fresh, static_cast<const RootedTree*>(&reused)}) {
+    ASSERT_EQ(t->n(), g.n());
+    EXPECT_EQ(std::vector<NodeId>(t->preorder().begin(), t->preorder().end()), pre);
+    for (NodeId v = 0; v < g.n(); ++v) {
+      const std::size_t i = static_cast<std::size_t>(v);
+      EXPECT_EQ(t->parent(v), parent[i]);
+      EXPECT_EQ(t->parents()[i], parent[i]);
+      EXPECT_EQ(t->parent_edge(v), parent_edge[i]);
+      EXPECT_EQ(t->depth(v), depth[i]);
+      EXPECT_EQ(t->subtree_size(v), size[i]);
+      EXPECT_EQ(pre[static_cast<std::size_t>(t->preorder_index(v))], v);
+      EXPECT_EQ(std::vector<NodeId>(t->children(v).begin(), t->children(v).end()), kids[i]);
+      // is_ancestor(a, v) iff a lies on v's root path.
+      std::vector<bool> on_path(n, false);
+      for (NodeId x = v; x != kNoNode; x = parent[static_cast<std::size_t>(x)])
+        on_path[static_cast<std::size_t>(x)] = true;
+      for (NodeId a = 0; a < g.n(); ++a)
+        EXPECT_EQ(t->is_ancestor(a, v), on_path[static_cast<std::size_t>(a)]);
+    }
+    const HeavyLightDecomposition hld(*t);
+    for (NodeId v = 0; v < g.n(); ++v) {
+      const std::size_t i = static_cast<std::size_t>(v);
+      EXPECT_EQ(hld.heavy_child(v), heavy[i]);
+      std::vector<LightEdge> light;
+      for (NodeId x = v; parent[static_cast<std::size_t>(x)] != kNoNode;
+           x = parent[static_cast<std::size_t>(x)]) {
+        const NodeId p = parent[static_cast<std::size_t>(x)];
+        if (heavy[static_cast<std::size_t>(p)] != x)
+          light.push_back(LightEdge{p, x, depth[static_cast<std::size_t>(p)],
+                                    depth[static_cast<std::size_t>(x)]});
+      }
+      std::reverse(light.begin(), light.end());
+      const HlInfo info = hld.info(v);
+      EXPECT_EQ(info.depth, depth[i]);
+      EXPECT_EQ(std::vector<LightEdge>(info.light_edges.begin(), info.light_edges.end()), light);
+      EXPECT_EQ(hld.hl_depth(v), static_cast<int>(light.size()));
+    }
+  }
+}
+
+TEST(RootedTree, FlatLayoutMatchesPerNodeReference) {
+  RootedTree reused;  // rebuilt in place for every case below
+  // A root with three children whose subtrees tie in size, added out of id
+  // order: children keep adjacency order and the first of them is heavy.
+  WeightedGraph tie(7);
+  tie.add_edge(0, 3);
+  tie.add_edge(0, 1);
+  tie.add_edge(0, 2);
+  tie.add_edge(1, 4);
+  tie.add_edge(2, 5);
+  tie.add_edge(3, 6);
+  const std::vector<EdgeId> all = {0, 1, 2, 3, 4, 5};
+  expect_matches_reference(tie, all, 0, reused);
+  const RootedTree t(tie, all, 0);
+  EXPECT_EQ(std::vector<NodeId>(t.children(0).begin(), t.children(0).end()),
+            (std::vector<NodeId>{3, 1, 2}));
+  EXPECT_EQ(HeavyLightDecomposition(t).heavy_child(0), 3);
+
+  Rng rng(43);
+  for (const NodeId n : {1, 2, 5, 30, 120}) {
+    const WeightedGraph g = random_tree(n, rng);
+    std::vector<EdgeId> ids(static_cast<std::size_t>(g.m()));
+    for (EdgeId e = 0; e < g.m(); ++e) ids[static_cast<std::size_t>(e)] = e;
+    expect_matches_reference(g, ids, static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n))),
+                             reused);
+  }
+  // Spanning trees inside graphs with non-tree edges, including grids,
+  // where a central root has four children and many sizes tie.
+  for (int trial = 0; trial < 4; ++trial) {
+    const WeightedGraph g = random_planar_grid(7, 6, 0.4, rng);
+    const std::vector<EdgeId> tree = wilson_random_spanning_tree(g, rng);
+    expect_matches_reference(g, tree, static_cast<NodeId>(rng.next_below(42)), reused);
+  }
+  const WeightedGraph grid = grid_graph(5, 5);
+  expect_matches_reference(grid, bfs_spanning_tree(grid, 12), 12, reused);
+
+  // Re-rooting in place over the tree's own edge list.
+  const std::vector<EdgeId> bfs = bfs_spanning_tree(grid, 0);
+  reused.rebuild(grid, bfs, 0);
+  reused.rebuild(grid, reused.tree_edges(), 18);
+  const RootedTree fresh(grid, bfs, 18);
+  EXPECT_EQ(std::vector<NodeId>(reused.preorder().begin(), reused.preorder().end()),
+            std::vector<NodeId>(fresh.preorder().begin(), fresh.preorder().end()));
+  EXPECT_EQ(std::vector<EdgeId>(reused.tree_edges().begin(), reused.tree_edges().end()), bfs);
 }
 
 TEST(Centroid, Fact41OnFamilies) {
