@@ -137,14 +137,6 @@ Expected<WeightedGraph> try_read_edge_list_file(const std::string& path) {
   return try_read_edge_list(in);
 }
 
-WeightedGraph read_edge_list(std::istream& in) {
-  return try_read_edge_list(in).value_or_throw();
-}
-
-WeightedGraph read_edge_list_file(const std::string& path) {
-  return try_read_edge_list_file(path).value_or_throw();
-}
-
 void write_edge_list(std::ostream& out, const WeightedGraph& g) {
   out << "# unimincut edge list: n, then one 'u v w' per edge\n";
   out << g.n() << '\n';

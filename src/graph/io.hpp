@@ -16,8 +16,7 @@
 // junk) with a recoverable Error naming the offending line — they never
 // throw. Line endings are universal (LF, CRLF, or lone CR) and leading or
 // trailing whitespace on a line is inert, so files produced on any OS parse
-// identically. The legacy read_* entry points keep the old contract and convert
-// parse errors into invariant_error.
+// identically.
 //
 // Weight bounds: weights must lie in [1, kMaxEdgeWeight] with at most
 // kMaxEdgeCount edges, so any cut-value sum is <= 2^32 * 2^30 = 2^62 and
@@ -41,11 +40,6 @@ inline constexpr long long kMaxNodeCount = 1LL << 30;
 /// (never throws, never aborts).
 [[nodiscard]] Expected<WeightedGraph> try_read_edge_list(std::istream& in);
 [[nodiscard]] Expected<WeightedGraph> try_read_edge_list_file(const std::string& path);
-
-/// Legacy throwing entry points: as above but throws invariant_error on
-/// malformed input (bad node ids, out-of-range weights, trailing junk).
-[[nodiscard]] WeightedGraph read_edge_list(std::istream& in);
-[[nodiscard]] WeightedGraph read_edge_list_file(const std::string& path);
 
 void write_edge_list(std::ostream& out, const WeightedGraph& g);
 void write_edge_list_file(const std::string& path, const WeightedGraph& g);

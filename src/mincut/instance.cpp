@@ -16,39 +16,38 @@ Instance make_root_instance(const WeightedGraph& g, std::span<const EdgeId> tree
   return inst;
 }
 
-RemappedGraph remap_graph(const WeightedGraph& src, std::span<const EdgeId> src_origin,
-                          std::span<const NodeId> node_map, NodeId new_n) {
-  RemappedGraph out;
-  remap_graph(src, src_origin, node_map, new_n, out);
-  return out;
-}
-
-void remap_graph(const WeightedGraph& src, std::span<const EdgeId> src_origin,
-                 std::span<const NodeId> node_map, NodeId new_n, RemappedGraph& out) {
-  UMC_ASSERT(static_cast<NodeId>(node_map.size()) == src.n());
-  UMC_ASSERT(static_cast<EdgeId>(src_origin.size()) == src.m());
-  out.edge_map.assign(static_cast<std::size_t>(src.m()), kNoEdge);
+void build_sub_instance(const InstanceCore& src, std::span<const NodeId> node_map,
+                        NodeId new_n, InstanceCore& out, std::vector<EdgeId>& edge_map) {
+  const WeightedGraph& g = src.graph;
+  UMC_ASSERT(static_cast<NodeId>(node_map.size()) == g.n());
+  UMC_ASSERT(static_cast<EdgeId>(src.origin.size()) == g.m());
+  edge_map.assign(static_cast<std::size_t>(g.m()), kNoEdge);
   out.origin.clear();
   // Size the edge rows exactly: the new graph keeps its edge row, and
   // sub-instances stay alive through their own recursion, so reserving
-  // src.m() would hold a parent-sized row per level.
+  // g.m() would hold a parent-sized row per level.
   std::size_t kept = 0;
-  for (const Edge& ed : src.edges())
+  for (const Edge& ed : g.edges())
     kept += node_map[static_cast<std::size_t>(ed.u)] != node_map[static_cast<std::size_t>(ed.v)];
   std::vector<Edge> edges;
   edges.reserve(kept);
   out.origin.reserve(kept);
-  for (EdgeId e = 0; e < src.m(); ++e) {
-    const Edge& ed = src.edge(e);
+  for (EdgeId e = 0; e < g.m(); ++e) {
+    const Edge& ed = g.edge(e);
     const NodeId u = node_map[static_cast<std::size_t>(ed.u)];
     const NodeId v = node_map[static_cast<std::size_t>(ed.v)];
     UMC_ASSERT(u >= 0 && u < new_n && v >= 0 && v < new_n);
     if (u == v) continue;  // region-internal edge: self-loop, dropped
-    out.edge_map[static_cast<std::size_t>(e)] = static_cast<EdgeId>(edges.size());
+    edge_map[static_cast<std::size_t>(e)] = static_cast<EdgeId>(edges.size());
     edges.push_back(Edge{u, v, ed.w});
-    out.origin.push_back(src_origin[static_cast<std::size_t>(e)]);
+    out.origin.push_back(src.origin[static_cast<std::size_t>(e)]);
   }
   out.graph = WeightedGraph(new_n, std::move(edges));
+  out.is_virtual.assign(static_cast<std::size_t>(new_n), false);
+  for (NodeId v = 0; v < g.n(); ++v)
+    if (src.is_virtual[static_cast<std::size_t>(v)])
+      out.is_virtual[static_cast<std::size_t>(node_map[static_cast<std::size_t>(v)])] = true;
+  out.root = node_map[static_cast<std::size_t>(src.root)];
 }
 
 }  // namespace umc::mincut

@@ -34,16 +34,17 @@ struct CutResult {
   [[nodiscard]] bool found() const { return value < kInfWeight; }
 };
 
-/// An instance: graph + spanning-tree edge ids + root + provenance.
-struct Instance {
+/// What every instance shape (general, path-to-path, star) carries: the
+/// graph, its virtual nodes, edge provenance and the tree root.
+struct InstanceCore {
   WeightedGraph graph;
-  std::vector<bool> is_virtual;        // per node
-  std::vector<EdgeId> tree_edges;      // spanning tree of `graph`
-  NodeId root = 0;
+  std::vector<bool> is_virtual;  // per node
   /// Per edge of `graph`: the originating ORIGINAL tree edge id for
   /// candidate tree edges, kNoEdge otherwise.
   std::vector<EdgeId> origin;
+  NodeId root = 0;
 
+  /// Number of virtual nodes (Theorem 14's beta).
   [[nodiscard]] int beta() const {
     int b = 0;
     for (const bool f : is_virtual) b += f ? 1 : 0;
@@ -51,27 +52,49 @@ struct Instance {
   }
 };
 
+/// A general instance: the core plus its spanning tree.
+struct Instance : InstanceCore {
+  std::vector<EdgeId> tree_edges;  // spanning tree of `graph`
+};
+
 /// Builds the initial instance from a host graph and spanning tree: no
 /// virtual nodes; every tree edge is its own origin.
 [[nodiscard]] Instance make_root_instance(const WeightedGraph& g,
                                           std::span<const EdgeId> tree_edges, NodeId root);
 
-/// Endpoint-remapped copy of a graph: node v of `src` becomes
-/// node_map[v] in the result (node_map[v] must be in [0, new_n)); edges
-/// whose endpoints collide become self-loops and are dropped. This is the
-/// uniform "absorb a region into a boundary/virtual node" operation behind
-/// the cut-equivalent constructions of Sections 6, 7, and 9.
-struct RemappedGraph {
-  WeightedGraph graph;
-  std::vector<EdgeId> origin;    // per new edge (copied from src_origin)
-  std::vector<EdgeId> edge_map;  // src edge id -> new edge id, or kNoEdge
-};
-[[nodiscard]] RemappedGraph remap_graph(const WeightedGraph& src,
-                                        std::span<const EdgeId> src_origin,
-                                        std::span<const NodeId> node_map, NodeId new_n);
-/// Same, rebuilt into `out` (its rows keep their capacity, so a leased one
-/// does not reallocate them).
-void remap_graph(const WeightedGraph& src, std::span<const EdgeId> src_origin,
-                 std::span<const NodeId> node_map, NodeId new_n, RemappedGraph& out);
+/// The uniform "absorb a region into a boundary/virtual node" operation
+/// behind the cut-equivalent constructions of Sections 6-9: rebuilds `out`
+/// (its rows keep their capacity, so a leased one does not reallocate them)
+/// as `src` with node v renamed node_map[v] ∈ [0, new_n). Edges whose
+/// endpoints collide become self-loops and are dropped; the rest keep their
+/// order, weights and origins. A new node is virtual iff some node mapped
+/// to it is, and out.root = node_map[src.root]. edge_map[e] is source
+/// edge e's new id, or kNoEdge if it was dropped.
+void build_sub_instance(const InstanceCore& src, std::span<const NodeId> node_map,
+                        NodeId new_n, InstanceCore& out, std::vector<EdgeId>& edge_map);
+
+/// Node map of contracting the tree edges of `t` (spanning its host) whose
+/// bottom node v has contracted(v): one preorder walk puts such a v in its
+/// parent's supernode, and supernodes are numbered in smallest-member
+/// order, as contract_edges numbers them. `top` is scratch. Returns the
+/// number of supernodes.
+template <typename Contracted>
+NodeId contracted_node_map(const RootedTree& t, Contracted&& contracted,
+                           std::vector<NodeId>& map, std::vector<NodeId>& top) {
+  const auto n = static_cast<std::size_t>(t.n());
+  top.resize(n);
+  for (const NodeId v : t.preorder())
+    top[static_cast<std::size_t>(v)] =
+        v != t.root() && contracted(v) ? top[static_cast<std::size_t>(t.parent(v))] : v;
+  map.assign(n, kNoNode);  // indexed by top node until overwritten below
+  NodeId next = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    NodeId& id = map[static_cast<std::size_t>(top[v])];
+    if (id == kNoNode) id = next++;
+  }
+  for (std::size_t v = 0; v < n; ++v)
+    if (top[v] != static_cast<NodeId>(v)) map[v] = map[static_cast<std::size_t>(top[v])];
+  return next;
+}
 
 }  // namespace umc::mincut

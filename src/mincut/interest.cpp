@@ -34,12 +34,6 @@ void path_of_node(const StarInstance& inst, std::vector<int>& of) {
       of[static_cast<std::size_t>(v)] = i;
 }
 
-std::vector<int> path_of_node(const StarInstance& inst) {
-  std::vector<int> of;
-  path_of_node(inst, of);
-  return of;
-}
-
 std::vector<std::vector<int>> interest_lists(const StarInstance& inst,
                                              minoragg::Ledger& ledger) {
   ScratchLease<std::vector<int>> of_s;

@@ -16,11 +16,7 @@
 
 namespace umc::mincut {
 
-struct StarInstance {
-  WeightedGraph graph;
-  std::vector<bool> is_virtual;  // per node
-  std::vector<EdgeId> origin;    // per edge; kNoEdge = not a candidate
-  NodeId root = 0;
+struct StarInstance : InstanceCore {
   /// path_nodes[i] lists path i top (child of root) → bottom;
   /// path_edges[i][j] connects (j == 0 ? root : path_nodes[i][j-1]) to
   /// path_nodes[i][j].
@@ -28,16 +24,10 @@ struct StarInstance {
   std::vector<std::vector<EdgeId>> path_edges;
 
   [[nodiscard]] int k() const { return static_cast<int>(path_nodes.size()); }
-  [[nodiscard]] int beta() const {
-    int b = 0;
-    for (const bool f : is_virtual) b += f ? 1 : 0;
-    return b;
-  }
 };
 
-/// Which path each node belongs to (-1 for the root); bookkeeping.
-[[nodiscard]] std::vector<int> path_of_node(const StarInstance& inst);
-/// Same, into a caller-owned row (overwritten).
+/// Which path each node belongs to (-1 for the root), into a caller-owned
+/// row (overwritten); bookkeeping.
 void path_of_node(const StarInstance& inst, std::vector<int>& of);
 
 /// Lemma 32: per path, the ids of paths it is interested in — contains

@@ -198,28 +198,30 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
   const std::size_t np = inst.edgesP.size(), nq = inst.edgesQ.size();
   ledger.charge(4);  // Lemma 15 virtualizations + distributed storage setup
 
+  ScratchLease<std::vector<NodeId>> map_s;
+  ScratchLease<std::vector<EdgeId>> edge_map_s;
+  std::vector<NodeId>& map = *map_s;
+  std::vector<EdgeId>& edge_map = *edge_map_s;
+  // Appends source path edges [first, last) to a sub-instance path whose
+  // nodes (each edge's bottom) are numbered from `id` on.
+  const auto append = [&edge_map](const std::vector<EdgeId>& src, std::size_t first,
+                                  std::size_t last, std::size_t id, std::vector<NodeId>& nodes,
+                                  std::vector<EdgeId>& edges) {
+    for (std::size_t i = first; i < last; ++i) {
+      nodes.push_back(static_cast<NodeId>(id + (i - first)));
+      edges.push_back(edge_map[static_cast<std::size_t>(src[i])]);
+    }
+  };
   if (a >= 1 && b >= 1) {
     // G_up: new ids: root=0, P_up -> 1..a, Q_up -> a+1..a+b.
-    ScratchLease<std::vector<NodeId>> map_s;
-    std::vector<NodeId>& map = *map_s;
-    map.assign(static_cast<std::size_t>(inst.graph.n()), kNoNode);
-    map[static_cast<std::size_t>(inst.root)] = 0;
+    map.assign(static_cast<std::size_t>(inst.graph.n()), 0);  // the root
     for (std::size_t i = 0; i < np; ++i)
       map[static_cast<std::size_t>(inst.nodesP[i])] =
           static_cast<NodeId>(1 + std::min(i, a - 1));
     for (std::size_t j = 0; j < nq; ++j)
       map[static_cast<std::size_t>(inst.nodesQ[j])] =
           static_cast<NodeId>(1 + a + std::min(j, b - 1));
-    ScratchLease<RemappedGraph> rg_s;
-    RemappedGraph& rg = *rg_s;
-    remap_graph(inst.graph, inst.origin, map, static_cast<NodeId>(1 + a + b), rg);
-    up.graph = std::move(rg.graph);
-    up.origin.swap(rg.origin);  // both rows stay leased
-    up.root = 0;
-    up.is_virtual.assign(static_cast<std::size_t>(up.graph.n()), false);
-    for (NodeId v = 0; v < inst.graph.n(); ++v)
-      if (inst.is_virtual[static_cast<std::size_t>(v)])
-        up.is_virtual[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])] = true;
+    build_sub_instance(inst, map, static_cast<NodeId>(1 + a + b), up, edge_map);
     up.is_virtual[0] = true;                                  // boundary root
     up.is_virtual[static_cast<std::size_t>(a)] = true;        // p_{-1}
     up.is_virtual[static_cast<std::size_t>(a + b)] = true;    // q_{-1}
@@ -227,14 +229,8 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
     up.edgesP.clear();
     up.nodesQ.clear();
     up.edgesQ.clear();
-    for (std::size_t i = 0; i < a; ++i) {
-      up.nodesP.push_back(static_cast<NodeId>(1 + i));
-      up.edgesP.push_back(rg.edge_map[static_cast<std::size_t>(inst.edgesP[i])]);
-    }
-    for (std::size_t j = 0; j < b; ++j) {
-      up.nodesQ.push_back(static_cast<NodeId>(1 + a + j));
-      up.edgesQ.push_back(rg.edge_map[static_cast<std::size_t>(inst.edgesQ[j])]);
-    }
+    append(inst.edgesP, 0, a, 1, up.nodesP, up.edgesP);
+    append(inst.edgesQ, 0, b, 1 + a, up.nodesQ, up.edgesQ);
     out.up = true;
   }
 
@@ -242,46 +238,22 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
     // G_down: new ids: r_down=0, P nodes a.. -> 1.., Q nodes b.. -> after.
     const std::size_t lp = np - a;  // kept P nodes (nodesP[a..])
     const std::size_t lq = nq - b;
-    ScratchLease<std::vector<NodeId>> map_s;
-    std::vector<NodeId>& map = *map_s;
     map.assign(static_cast<std::size_t>(inst.graph.n()), 0);  // external -> r_down
     for (std::size_t i = a; i < np; ++i)
       map[static_cast<std::size_t>(inst.nodesP[i])] = static_cast<NodeId>(1 + (i - a));
     for (std::size_t j = b; j < nq; ++j)
       map[static_cast<std::size_t>(inst.nodesQ[j])] = static_cast<NodeId>(1 + lp + (j - b));
-    ScratchLease<RemappedGraph> rg_s;
-    RemappedGraph& rg = *rg_s;
-    remap_graph(inst.graph, inst.origin, map, static_cast<NodeId>(1 + lp + lq), rg);
-    down.graph = std::move(rg.graph);
-    down.origin.swap(rg.origin);
-    down.root = 0;
-    down.is_virtual.assign(static_cast<std::size_t>(down.graph.n()), false);
-    for (NodeId v = 0; v < inst.graph.n(); ++v)
-      if (inst.is_virtual[static_cast<std::size_t>(v)] &&
-          map[static_cast<std::size_t>(v)] != 0)
-        down.is_virtual[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])] = true;
+    build_sub_instance(inst, map, static_cast<NodeId>(1 + lp + lq), down, edge_map);
     down.is_virtual[0] = true;  // r_down
-    down.nodesP.clear();
-    down.edgesP.clear();
-    down.nodesQ.clear();
-    down.edgesQ.clear();
     // Synthetic connectors {r_down, top}: tree edges, never candidates.
-    const EdgeId conn_p = down.graph.add_edge(0, 1, 1);
+    down.nodesP.assign(1, 1);
+    down.edgesP.assign(1, down.graph.add_edge(0, 1, 1));
     down.origin.push_back(kNoEdge);
-    const EdgeId conn_q = down.graph.add_edge(0, static_cast<NodeId>(1 + lp), 1);
+    down.nodesQ.assign(1, static_cast<NodeId>(1 + lp));
+    down.edgesQ.assign(1, down.graph.add_edge(0, static_cast<NodeId>(1 + lp), 1));
     down.origin.push_back(kNoEdge);
-    down.nodesP.push_back(1);
-    down.edgesP.push_back(conn_p);
-    for (std::size_t i = a + 1; i < np; ++i) {
-      down.nodesP.push_back(static_cast<NodeId>(1 + (i - a)));
-      down.edgesP.push_back(rg.edge_map[static_cast<std::size_t>(inst.edgesP[i])]);
-    }
-    down.nodesQ.push_back(static_cast<NodeId>(1 + lp));
-    down.edgesQ.push_back(conn_q);
-    for (std::size_t j = b + 1; j < nq; ++j) {
-      down.nodesQ.push_back(static_cast<NodeId>(1 + lp + (j - b)));
-      down.edgesQ.push_back(rg.edge_map[static_cast<std::size_t>(inst.edgesQ[j])]);
-    }
+    append(inst.edgesP, a + 1, np, 2, down.nodesP, down.edgesP);
+    append(inst.edgesQ, b + 1, nq, 2 + lp, down.nodesQ, down.edgesQ);
     out.down = true;
   }
   return out;

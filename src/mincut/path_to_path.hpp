@@ -28,19 +28,9 @@ namespace umc::mincut {
 /// connects (i == 0 ? root : nodesX[i-1]) to nodesX[i]; candidates carry an
 /// origin. The graph must contain no nodes besides root ∪ P ∪ Q — callers
 /// map external regions into boundary/virtual nodes first.
-struct PathInstance {
-  WeightedGraph graph;
-  std::vector<bool> is_virtual;   // per node
-  std::vector<EdgeId> origin;     // per edge; kNoEdge = not a candidate
-  NodeId root = 0;
+struct PathInstance : InstanceCore {
   std::vector<NodeId> nodesP, nodesQ;  // top (child of root) → bottom
   std::vector<EdgeId> edgesP, edgesQ;
-
-  [[nodiscard]] int beta() const {
-    int b = 0;
-    for (const bool f : is_virtual) b += f ? 1 : 0;
-    return b;
-  }
 };
 
 /// min over candidate pairs (e ∈ P) × (f ∈ Q) of Cut(e, f), together with

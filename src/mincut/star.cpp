@@ -21,44 +21,30 @@ namespace {
 /// edges {root, top} become the instance's root edges with their
 /// weights/origins intact.
 void build_pair_instance(const StarInstance& inst, int i, int j, PathInstance& pair) {
-  const auto& pn_i = inst.path_nodes[static_cast<std::size_t>(i)];
-  const auto& pn_j = inst.path_nodes[static_cast<std::size_t>(j)];
-  const NodeId li = static_cast<NodeId>(pn_i.size());
-  const NodeId lj = static_cast<NodeId>(pn_j.size());
-
   ScratchLease<std::vector<NodeId>> map_s;
   std::vector<NodeId>& map = *map_s;
   map.assign(static_cast<std::size_t>(inst.graph.n()), 0);  // external -> 0
-  for (NodeId x = 0; x < li; ++x)
-    map[static_cast<std::size_t>(pn_i[static_cast<std::size_t>(x)])] = 1 + x;
-  for (NodeId x = 0; x < lj; ++x)
-    map[static_cast<std::size_t>(pn_j[static_cast<std::size_t>(x)])] = 1 + li + x;
-  ScratchLease<RemappedGraph> rg_s;
-  RemappedGraph& rg = *rg_s;
-  remap_graph(inst.graph, inst.origin, map, 1 + li + lj, rg);
-
-  pair.graph = std::move(rg.graph);
-  pair.origin.swap(rg.origin);  // both rows stay leased
-  pair.root = 0;
-  pair.is_virtual.assign(static_cast<std::size_t>(pair.graph.n()), false);
-  pair.is_virtual[0] = true;  // the pair-root absorbing the outside world
-  for (NodeId v = 0; v < inst.graph.n(); ++v)
-    if (inst.is_virtual[static_cast<std::size_t>(v)] && map[static_cast<std::size_t>(v)] != 0)
-      pair.is_virtual[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])] = true;
   pair.nodesP.clear();
-  pair.edgesP.clear();
   pair.nodesQ.clear();
+  NodeId next = 1;
+  for (const NodeId v : inst.path_nodes[static_cast<std::size_t>(i)]) {
+    map[static_cast<std::size_t>(v)] = next;
+    pair.nodesP.push_back(next++);
+  }
+  for (const NodeId v : inst.path_nodes[static_cast<std::size_t>(j)]) {
+    map[static_cast<std::size_t>(v)] = next;
+    pair.nodesQ.push_back(next++);
+  }
+  ScratchLease<std::vector<EdgeId>> edge_map_s;
+  std::vector<EdgeId>& edge_map = *edge_map_s;
+  build_sub_instance(inst, map, next, pair, edge_map);
+  pair.is_virtual[0] = true;  // the pair-root absorbing the outside world
+  pair.edgesP.clear();
   pair.edgesQ.clear();
-  for (NodeId x = 0; x < li; ++x) {
-    pair.nodesP.push_back(1 + x);
-    pair.edgesP.push_back(
-        rg.edge_map[static_cast<std::size_t>(inst.path_edges[static_cast<std::size_t>(i)][static_cast<std::size_t>(x)])]);
-  }
-  for (NodeId x = 0; x < lj; ++x) {
-    pair.nodesQ.push_back(1 + li + x);
-    pair.edgesQ.push_back(
-        rg.edge_map[static_cast<std::size_t>(inst.path_edges[static_cast<std::size_t>(j)][static_cast<std::size_t>(x)])]);
-  }
+  for (const EdgeId e : inst.path_edges[static_cast<std::size_t>(i)])
+    pair.edgesP.push_back(edge_map[static_cast<std::size_t>(e)]);
+  for (const EdgeId e : inst.path_edges[static_cast<std::size_t>(j)])
+    pair.edgesQ.push_back(edge_map[static_cast<std::size_t>(e)]);
 }
 
 }  // namespace

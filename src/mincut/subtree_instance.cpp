@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/minors.hpp"
 #include "mincut/one_respect.hpp"
 #include "mincut/star.hpp"
 #include "minoragg/tree_primitives.hpp"
@@ -31,22 +30,22 @@ CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId>
                                  NodeId root, std::span<const EdgeId> origin,
                                  const std::vector<bool>& is_virtual,
                                  minoragg::Ledger& ledger) {
+  const InstanceCore inst{g, is_virtual, std::vector<EdgeId>(origin.begin(), origin.end()), root};
   ScratchLease<RootedTree> t;
-  t->rebuild(g, tree_edges, root);
-  return between_subtree_mincut(*t, origin, is_virtual, ledger);
+  t->rebuild(inst.graph, tree_edges, root);
+  return between_subtree_mincut(*t, inst, ledger);
 }
 
-CutResult between_subtree_mincut(const RootedTree& t, std::span<const EdgeId> origin,
-                                 const std::vector<bool>& is_virtual,
+CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
                                  minoragg::Ledger& ledger) {
-  const WeightedGraph& g = t.host();
+  UMC_ASSERT(&t.host() == &inst.graph);
+  const WeightedGraph& g = inst.graph;
   const NodeId root = t.root();
-  const std::span<const EdgeId> tree_edges = t.tree_edges();
   minoragg::Ledger local;
   ScratchLease<HeavyLightDecomposition> hld_s;
   minoragg::hl_construct(t, local, *hld_s);
   const HeavyLightDecomposition& hld = *hld_s;
-  CutResult best = one_respecting_cuts(t, origin, hld, local).best;
+  CutResult best = one_respecting_cuts(t, inst.origin, hld, local).best;
 
   // Branch index per node: which child-of-root subtree it lives in (the
   // child's preorder range).
@@ -64,8 +63,7 @@ CutResult between_subtree_mincut(const RootedTree& t, std::span<const EdgeId> or
     }
   }
   const int k = static_cast<int>(t.children(root).size());
-  int beta = 0;
-  for (const bool f : is_virtual) beta += f ? 1 : 0;
+  const int beta = inst.beta();
   if (k < 2) {
     minoragg::settle_virtual_execution(ledger, local, beta);
     return best;  // no cross-branch pairs exist
@@ -142,53 +140,63 @@ CutResult between_subtree_mincut(const RootedTree& t, std::span<const EdgeId> or
           return red ? cfg.d1 : cfg.d2;
         };
         minoragg::Ledger& iter = slot.iter;
-        // Contract every tree edge of the wrong depth (Figure 4). Both
-        // m-sized maps are leased per-thread scratch: every config task on a
-        // worker reuses the same backing capacity.
-        ScratchLease<std::vector<bool>> contract_s;
-        std::vector<bool>& contract = *contract_s;
-        contract.assign(static_cast<std::size_t>(g.m()), false);
-        for (const EdgeId e : tree_edges) {
-          const int br = branch[static_cast<std::size_t>(t.bottom(e))];
-          if (hld.hl_depth_edge(e) != target(br)) contract[static_cast<std::size_t>(e)] = true;
-        }
+        // Contract every tree edge of the wrong depth (Figure 4). The rows
+        // are leased per-thread scratch: every config task on a worker
+        // reuses the same backing capacity.
+        ScratchLease<std::vector<NodeId>> map_s, top_s;
+        std::vector<NodeId>& map = *map_s;
+        const NodeId supernodes = contracted_node_map(
+            t,
+            [&](NodeId v) {
+              return hld.hl_depth_edge(t.parent_edge(v)) !=
+                     target(branch[static_cast<std::size_t>(v)]);
+            },
+            map, *top_s);
         iter.charge(1);
-        DerivedGraph minor = contract_edges(g, contract);
 
         // Skip configurations with no cross-path edge: by Lemma 28, no
-        // below-1-respecting pair can live here. The star instance is
-        // leased: its rows keep their capacity from config to config.
-        ScratchLease<StarInstance> star_s;
-        StarInstance& star = *star_s;
-        star.graph = std::move(minor.graph);
-        star.root = minor.node_map[static_cast<std::size_t>(root)];
-        star.origin.assign(static_cast<std::size_t>(star.graph.m()), kNoEdge);
-        for (std::size_t e = 0; e < minor.edge_origin.size(); ++e)
-          star.origin[e] = origin[static_cast<std::size_t>(minor.edge_origin[e])];
-        star.is_virtual.assign(static_cast<std::size_t>(star.graph.n()), false);
-        for (NodeId v = 0; v < g.n(); ++v)
-          if (is_virtual[static_cast<std::size_t>(v)])
-            star.is_virtual[static_cast<std::size_t>(minor.node_map[static_cast<std::size_t>(v)])] = true;
-        ScratchLease<std::vector<EdgeId>> to_minor_s;
-        std::vector<EdgeId>& to_minor_edge = *to_minor_s;
-        to_minor_edge.assign(static_cast<std::size_t>(g.m()), kNoEdge);
-        for (std::size_t e = 0; e < minor.edge_origin.size(); ++e)
-          to_minor_edge[static_cast<std::size_t>(minor.edge_origin[e])] = static_cast<EdgeId>(e);
-        std::size_t paths = 0;
+        // below-1-respecting pair can live here. That needs only the
+        // surviving path of each supernode, not the minor itself.
+        ScratchLease<std::vector<int>> path_s;
+        std::vector<int>& path = *path_s;
+        path.assign(static_cast<std::size_t>(supernodes), -1);
+        int paths = 0;
         for (const Chain& c : chains) {
           if (c.hl_depth != target(c.branch)) continue;
-          if (star.path_nodes.size() == paths) {
-            star.path_nodes.emplace_back();
-            star.path_edges.emplace_back();
-          }
-          std::vector<NodeId>& nodes = star.path_nodes[paths];
-          std::vector<EdgeId>& edges = star.path_edges[paths];
+          for (const NodeId v : c.nodes)
+            path[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])] = paths;
           ++paths;
+        }
+        const auto path_of = [&](NodeId v) {
+          return path[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])];
+        };
+        if (std::none_of(g.edges().begin(), g.edges().end(), [&](const Edge& e) {
+              const int pu = path_of(e.u), pv = path_of(e.v);
+              return pu >= 0 && pv >= 0 && pu != pv;
+            }))
+          return;
+
+        // The star instance is leased: its rows keep their capacity from
+        // config to config.
+        ScratchLease<StarInstance> star_s;
+        ScratchLease<std::vector<EdgeId>> edge_map_s;
+        StarInstance& star = *star_s;
+        std::vector<EdgeId>& edge_map = *edge_map_s;
+        build_sub_instance(inst, map, supernodes, star, edge_map);
+        star.root = map[static_cast<std::size_t>(root)];  // the hub, not inst.root
+        star.path_nodes.resize(static_cast<std::size_t>(paths));
+        star.path_edges.resize(static_cast<std::size_t>(paths));
+        std::size_t i = 0;
+        for (const Chain& c : chains) {
+          if (c.hl_depth != target(c.branch)) continue;
+          std::vector<NodeId>& nodes = star.path_nodes[i];
+          std::vector<EdgeId>& edges = star.path_edges[i];
+          ++i;
           nodes.clear();
           edges.clear();
           for (const NodeId v : c.nodes) {
-            nodes.push_back(minor.node_map[static_cast<std::size_t>(v)]);
-            const EdgeId me = to_minor_edge[static_cast<std::size_t>(t.parent_edge(v))];
+            nodes.push_back(map[static_cast<std::size_t>(v)]);
+            const EdgeId me = edge_map[static_cast<std::size_t>(t.parent_edge(v))];
             UMC_ASSERT_MSG(me != kNoEdge, "kept tree edge survives the minor");
             edges.push_back(me);
           }
@@ -196,27 +204,8 @@ CutResult between_subtree_mincut(const RootedTree& t, std::span<const EdgeId> or
               star.graph.edge(edges.front()).other(nodes.front()) == star.root,
               "star paths hang off the root supernode");
         }
-        star.path_nodes.resize(paths);
-        star.path_edges.resize(paths);
-
-        bool has_cross = false;
-        {
-          ScratchLease<std::vector<int>> of_s;
-          std::vector<int>& of = *of_s;
-          path_of_node(star, of);
-          for (const Edge& e : star.graph.edges()) {
-            const int pu = of[static_cast<std::size_t>(e.u)];
-            const int pv = of[static_cast<std::size_t>(e.v)];
-            if (pu >= 0 && pv >= 0 && pu != pv) {
-              has_cross = true;
-              break;
-            }
-          }
-        }
-        if (has_cross) {
-          slot.best.absorb(star_mincut(star, iter));
-          slot.ran_star = true;
-        }
+        slot.best.absorb(star_mincut(star, iter));
+        slot.ran_star = true;
         star.graph = WeightedGraph();  // the pool keeps the rows, not the graph
       });
     }

@@ -27,10 +27,8 @@ namespace umc::mincut {
                                                minoragg::Ledger& ledger);
 
 /// Same, over an already rooted instance tree: `t.root()` is the hub and
-/// `t.host()` the instance graph.
-[[nodiscard]] CutResult between_subtree_mincut(const RootedTree& t,
-                                               std::span<const EdgeId> origin,
-                                               const std::vector<bool>& is_virtual,
+/// `t.host()` is `inst.graph` (inst.root is not read).
+[[nodiscard]] CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
                                                minoragg::Ledger& ledger);
 
 }  // namespace umc::mincut

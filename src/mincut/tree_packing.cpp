@@ -199,9 +199,9 @@ TreePacking pack(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger
   std::vector<std::int64_t>& load = *load_lease;
   std::vector<std::int64_t>& cost = *cost_lease;
   load.assign(m, 0);
-  // cost = load / multiplicity, in fixed point (2^20) so Borůvka can use
-  // integer keys; ties broken by edge id inside Borůvka.
-  const auto recost = [&](std::size_t i) { cost[i] = (load[i] << 20) / sub.multiplicity[i]; };
+  const auto recost = [&](std::size_t i) {
+    cost[i] = packing_cost(load[i], sub.multiplicity[i]);
+  };
 
   // Replay the committed prefix (loads rebuilt from the journaled trees).
   const int committed = ckpt.committed_iterations();

@@ -66,6 +66,12 @@ struct PackingConfig {
   PackingCache* cache = nullptr;
 };
 
+/// The greedy packing's edge cost: load / multiplicity in 2^20 fixed point,
+/// so Borůvka keys on integers (ties broken by edge id inside Borůvka).
+[[nodiscard]] inline std::int64_t packing_cost(std::int64_t load, Weight multiplicity) {
+  return (load << 20) / multiplicity;
+}
+
 struct TreePacking {
   std::vector<std::vector<EdgeId>> trees;  // edge ids of the input graph
   Weight lambda_seed = 0;                  // min-cut estimate used

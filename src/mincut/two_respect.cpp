@@ -40,9 +40,10 @@ CutResult solve_base(const Instance& inst, minoragg::Ledger& ledger) {
 /// Lemma 43's private branch instances H_i, one per child of the centroid
 /// `t.root()`, in child order: node 0 is the branch's virtual centroid
 /// (everything outside the branch), and the branch's j-th node in preorder
-/// is node 1 + j. Each equals remap_graph over that node map — same edges,
-/// ids and origins — but one pass over the preorder and one over the edges
-/// serve every branch, instead of an n-sized map and an m-edge scan each.
+/// is node 1 + j. Each equals build_sub_instance over that node map — same
+/// edges, ids, origins and virtual flags — but one pass over the preorder
+/// and one over the edges serve every branch, instead of an n-sized map and
+/// an m-edge scan each.
 std::vector<Instance> branch_instances(const Instance& inst, const RootedTree& t) {
   const WeightedGraph& g = inst.graph;
   const std::span<const NodeId> kids = t.children(t.root());
@@ -164,7 +165,7 @@ CutResult solve(const Instance& inst, minoragg::Ledger& parent, int depth) {
       c = minoragg::find_centroid_ma(t, *hld, local);
     }
     t.rebuild(inst.graph, inst.tree_edges, c);
-    best = between_subtree_mincut(t, inst.origin, inst.is_virtual, local);
+    best = between_subtree_mincut(t, inst, local);
     minoragg::settle_virtual_execution(parent, local, inst.beta());
 
     // Lemma 43: private cut-equivalent branch instances H_i, each with its

@@ -540,7 +540,7 @@ void IncrementalMinCut::repair_broken_trees(StreamSolveReport& rep, minoragg::Le
   ScratchLease<std::vector<std::int64_t>> cost_lease;
   std::vector<std::int64_t>& cost = *cost_lease;
   cost.assign(m, 0);
-  for (std::size_t e = 0; e < m; ++e) cost[e] = (load[e] << 20) / edges[e].w;
+  for (std::size_t e = 0; e < m; ++e) cost[e] = mincut::packing_cost(load[e], edges[e].w);
 
   ScratchLease<BoruvkaPacker> packer;
   packer->set_min_chunk_edges(static_cast<std::size_t>(std::max(cfg_.packing.chunk_min_edges, 1)));
@@ -557,7 +557,7 @@ void IncrementalMinCut::repair_broken_trees(StreamSolveReport& rep, minoragg::Le
       slots.push_back(sg_.slot_of_current(e));
       const auto idx = static_cast<std::size_t>(e);
       ++load[idx];
-      cost[idx] = (load[idx] << 20) / edges[idx].w;
+      cost[idx] = mincut::packing_cost(load[idx], edges[idx].w);
     }
     // Unsolved: must re-evaluate before serving (the old argmin belonged
     // to the dead tree).

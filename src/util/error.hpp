@@ -82,13 +82,6 @@ class Expected {
     return std::get<Error>(v_);
   }
 
-  /// Converts the recoverable error into the throwing convention of the
-  /// trusted layers (used by the legacy read_edge_list entry points).
-  T&& value_or_throw() && {
-    if (!has_value()) throw invariant_error(error().to_string());
-    return std::move(std::get<T>(v_));
-  }
-
  private:
   std::variant<T, Error> v_;
 };

@@ -1,14 +1,18 @@
 // Property tests for the cut-equivalent constructions at the heart of
 // Sections 6 and 9: absorbing a region of the graph into a boundary /
-// virtual node (remap_graph) preserves Cut(e, f) for every pair of
+// virtual node (build_sub_instance) preserves Cut(e, f) for every pair of
 // surviving tree edges — Facts 24/25 and Lemma 43, checked against the
-// reference cut machinery on random instances.
+// reference cut machinery on random instances — and the between-subtree
+// star minors built from a preorder supernode map are exactly
+// contract_edges's minors.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "graph/generators.hpp"
+#include "graph/minors.hpp"
 #include "mincut/cut_values.hpp"
 #include "mincut/instance.hpp"
 #include "tree/centroid.hpp"
@@ -32,8 +36,9 @@ TEST(CutEquivalence, Lemma43BranchGraphsPreserveAllPairs) {
     const RootedTree tc(g, tree, c);
     if (tc.children(c).empty()) continue;
 
-    std::vector<EdgeId> origin(static_cast<std::size_t>(g.m()));
-    std::iota(origin.begin(), origin.end(), EdgeId{0});
+    InstanceCore src{g, std::vector<bool>(static_cast<std::size_t>(n), false),
+                     std::vector<EdgeId>(static_cast<std::size_t>(g.m())), c};
+    std::iota(src.origin.begin(), src.origin.end(), EdgeId{0});
 
     for (const NodeId child : tc.children(c)) {
       // Build H_i exactly as two_respect does: branch nodes keep their
@@ -45,22 +50,23 @@ TEST(CutEquivalence, Lemma43BranchGraphsPreserveAllPairs) {
         map[static_cast<std::size_t>(v)] = static_cast<NodeId>(1 + members.size());
         members.push_back(v);
       }
-      const RemappedGraph rg =
-          remap_graph(g, origin, map, static_cast<NodeId>(1 + members.size()));
+      InstanceCore sub;
+      std::vector<EdgeId> edge_map;
+      build_sub_instance(src, map, static_cast<NodeId>(1 + members.size()), sub, edge_map);
       std::vector<EdgeId> sub_tree;
       for (const EdgeId e : tree) {
-        const EdgeId mapped = rg.edge_map[static_cast<std::size_t>(e)];
+        const EdgeId mapped = edge_map[static_cast<std::size_t>(e)];
         if (mapped != kNoEdge) sub_tree.push_back(mapped);
       }
-      const RootedTree ts(rg.graph, sub_tree, 0);
+      const RootedTree ts(sub.graph, sub_tree, 0);
 
       // Lemma 43 (3): Cut_{T'_i, H_i}(e, f) == Cut_{T, G}(e, f) for every
       // pair of surviving tree edges (including e == f).
       for (std::size_t i = 0; i < sub_tree.size(); ++i) {
         for (std::size_t j = i; j < sub_tree.size(); ++j) {
           const EdgeId se = sub_tree[i], sf = sub_tree[j];
-          const EdgeId oe = rg.origin[static_cast<std::size_t>(se)];
-          const EdgeId of = rg.origin[static_cast<std::size_t>(sf)];
+          const EdgeId oe = sub.origin[static_cast<std::size_t>(se)];
+          const EdgeId of = sub.origin[static_cast<std::size_t>(sf)];
           ASSERT_EQ(reference_cut_pair(ts, se, sf), reference_cut_pair(tc, oe, of))
               << "trial " << trial << " pair (" << oe << "," << of << ")";
         }
@@ -93,9 +99,12 @@ TEST(CutEquivalence, Fact25StyleDownRegionAbsorption) {
       map[static_cast<std::size_t>(len + 1 + j)] = next++;
       kept.push_back(len + 1 + j);
     }
-    std::vector<EdgeId> origin(static_cast<std::size_t>(g.m()));
-    std::iota(origin.begin(), origin.end(), EdgeId{0});
-    RemappedGraph rg = remap_graph(g, origin, map, next);
+    InstanceCore src{g, std::vector<bool>(static_cast<std::size_t>(g.n()), false),
+                     std::vector<EdgeId>(static_cast<std::size_t>(g.m())), 0};
+    std::iota(src.origin.begin(), src.origin.end(), EdgeId{0});
+    InstanceCore rg;
+    std::vector<EdgeId> edge_map;
+    build_sub_instance(src, map, next, rg, edge_map);
     // Synthetic connectors r_down -> tops (weight never counted for pairs).
     std::vector<EdgeId> sub_tree;
     sub_tree.push_back(rg.graph.add_edge(0, map[static_cast<std::size_t>(1 + a)], 1));
@@ -106,7 +115,7 @@ TEST(CutEquivalence, Fact25StyleDownRegionAbsorption) {
     // survive the remap as plain (non-tree) edges parallel to the
     // connectors, exactly as in the Lemma 23 construction.
     for (const EdgeId e : tree) {
-      const EdgeId mapped = rg.edge_map[static_cast<std::size_t>(e)];
+      const EdgeId mapped = edge_map[static_cast<std::size_t>(e)];
       if (mapped == kNoEdge) continue;
       const bool interior_p = e >= static_cast<EdgeId>(a + 1) && e < static_cast<EdgeId>(len);
       const bool interior_q = e >= static_cast<EdgeId>(len + b + 1);
@@ -126,6 +135,71 @@ TEST(CutEquivalence, Fact25StyleDownRegionAbsorption) {
             << "trial " << trial;
       }
     }
+  }
+}
+
+TEST(CutEquivalence, PreorderSupernodeMapAndBuilderReproduceContractEdges) {
+  // The between-subtree star minors (Figure 4) come from a preorder walk
+  // (a node joins its parent's supernode when its parent edge is
+  // contracted) plus build_sub_instance. contract_edges is the reference:
+  // supernode ids, the edge list in order, origins and OR-merged virtual
+  // flags must all match it exactly.
+  Rng rng(11);
+  std::vector<NodeId> map, top;
+  for (int trial = 0; trial < 200; ++trial) {
+    const NodeId n = 2 + static_cast<NodeId>(rng.next_below(40));
+    const EdgeId m = std::min<EdgeId>(n - 1 + static_cast<EdgeId>(rng.next_below(3 * n)),
+                                      n * (n - 1) / 2);
+    WeightedGraph g = random_connected(n, m, rng);
+    randomize_weights(g, 1, 30, rng);
+    const auto tree = wilson_random_spanning_tree(g, rng);
+    const NodeId root = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
+    const RootedTree t(g, tree, root);
+    // Contract each tree edge with probability 1/2 (every edge on some
+    // trials, none on others), mark random nodes virtual, and give every
+    // edge a distinct origin so a misplaced one is caught.
+    const int keep_mode = trial % 10;  // 0: contract all, 1: contract none
+    std::vector<bool> contract(static_cast<std::size_t>(g.m()), false);
+    for (const EdgeId e : tree)
+      contract[static_cast<std::size_t>(e)] =
+          keep_mode == 0 || (keep_mode != 1 && rng.next_below(2) == 0);
+    InstanceCore src{g, std::vector<bool>(static_cast<std::size_t>(n), false),
+                     std::vector<EdgeId>(static_cast<std::size_t>(g.m())), root};
+    for (NodeId v = 0; v < n; ++v) src.is_virtual[static_cast<std::size_t>(v)] = rng.next_below(4) == 0;
+    for (EdgeId e = 0; e < g.m(); ++e)
+      src.origin[static_cast<std::size_t>(e)] = rng.next_below(5) == 0 ? kNoEdge : 1000 + e;
+
+    const DerivedGraph want = contract_edges(g, contract);
+    const NodeId count = contracted_node_map(
+        t, [&](NodeId v) { return contract[static_cast<std::size_t>(t.parent_edge(v))]; }, map,
+        top);
+    ASSERT_EQ(count, want.graph.n()) << "trial " << trial;
+    ASSERT_EQ(map, want.node_map) << "trial " << trial;
+
+    InstanceCore got;
+    std::vector<EdgeId> edge_map;
+    build_sub_instance(src, map, count, got, edge_map);
+    ASSERT_EQ(got.graph.n(), want.graph.n());
+    ASSERT_EQ(got.graph.m(), want.graph.m()) << "trial " << trial;
+    ASSERT_EQ(got.origin.size(), want.edge_origin.size());
+    std::vector<EdgeId> want_edge_map(static_cast<std::size_t>(g.m()), kNoEdge);
+    for (EdgeId e = 0; e < want.graph.m(); ++e) {
+      const Edge& ge = got.graph.edge(e);
+      const Edge& we = want.graph.edge(e);
+      EXPECT_EQ(ge.u, we.u);
+      EXPECT_EQ(ge.v, we.v);
+      EXPECT_EQ(ge.w, we.w);
+      const EdgeId source = want.edge_origin[static_cast<std::size_t>(e)];
+      EXPECT_EQ(got.origin[static_cast<std::size_t>(e)], src.origin[static_cast<std::size_t>(source)]);
+      want_edge_map[static_cast<std::size_t>(source)] = e;
+    }
+    EXPECT_EQ(edge_map, want_edge_map) << "trial " << trial;
+    std::vector<bool> want_virtual(static_cast<std::size_t>(count), false);
+    for (NodeId v = 0; v < n; ++v)
+      if (src.is_virtual[static_cast<std::size_t>(v)])
+        want_virtual[static_cast<std::size_t>(want.node_map[static_cast<std::size_t>(v)])] = true;
+    EXPECT_EQ(got.is_virtual, want_virtual) << "trial " << trial;
+    EXPECT_EQ(got.root, want.node_map[static_cast<std::size_t>(root)]);
   }
 }
 

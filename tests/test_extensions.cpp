@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "baseline/karger_stein.hpp"
@@ -25,7 +26,9 @@ TEST(GraphIo, RoundTripPreservesEverything) {
   randomize_weights(g, 1, 99, rng);
   std::stringstream ss;
   write_edge_list(ss, g);
-  const WeightedGraph h = read_edge_list(ss);
+  const Expected<WeightedGraph> read = try_read_edge_list(ss);
+  ASSERT_TRUE(read.has_value()) << read.error().to_string();
+  const WeightedGraph& h = read.value();
   ASSERT_EQ(h.n(), g.n());
   ASSERT_EQ(h.m(), g.m());
   for (EdgeId e = 0; e < g.m(); ++e) {
@@ -37,31 +40,27 @@ TEST(GraphIo, RoundTripPreservesEverything) {
 
 TEST(GraphIo, ParsesCommentsAndDefaultWeights) {
   std::stringstream ss("# header comment\n\n3\n0 1\n1 2 7  # inline comment\n");
-  const WeightedGraph g = read_edge_list(ss);
-  EXPECT_EQ(g.n(), 3);
-  EXPECT_EQ(g.m(), 2);
-  EXPECT_EQ(g.edge(0).w, 1);
-  EXPECT_EQ(g.edge(1).w, 7);
+  const Expected<WeightedGraph> g = try_read_edge_list(ss);
+  ASSERT_TRUE(g.has_value()) << g.error().to_string();
+  EXPECT_EQ(g->n(), 3);
+  EXPECT_EQ(g->m(), 2);
+  EXPECT_EQ(g->edge(0).w, 1);
+  EXPECT_EQ(g->edge(1).w, 7);
 }
 
 TEST(GraphIo, RejectsMalformedInput) {
-  {
-    std::stringstream ss("3\n0 5 2\n");  // endpoint out of range
-    EXPECT_THROW((void)read_edge_list(ss), invariant_error);
-  }
-  {
-    std::stringstream ss("3\n0 1 2 junk\n");
-    EXPECT_THROW((void)read_edge_list(ss), invariant_error);
-  }
-  {
-    std::stringstream ss("# only comments\n");
-    EXPECT_THROW((void)read_edge_list(ss), invariant_error);
-  }
-  {
-    std::stringstream ss("2\n0\n");  // missing second endpoint
-    EXPECT_THROW((void)read_edge_list(ss), invariant_error);
-  }
-  EXPECT_THROW((void)read_edge_list_file("/nonexistent/path/graph.txt"), invariant_error);
+  const auto code = [](const char* text) {
+    std::stringstream ss(text);
+    const Expected<WeightedGraph> g = try_read_edge_list(ss);
+    EXPECT_FALSE(g.has_value()) << text;
+    return g.has_value() ? std::optional<ErrorCode>{} : g.error().code;
+  };
+  EXPECT_EQ(code("3\n0 5 2\n"), ErrorCode::kRange);  // endpoint out of range
+  EXPECT_EQ(code("3\n0 1 2 junk\n"), ErrorCode::kParse);
+  EXPECT_EQ(code("# only comments\n"), ErrorCode::kParse);
+  EXPECT_EQ(code("2\n0\n"), ErrorCode::kParse);  // missing second endpoint
+  EXPECT_EQ(try_read_edge_list_file("/nonexistent/path/graph.txt").error().code,
+            ErrorCode::kIo);
 }
 
 TEST(Witness, MatchesReportedValueOnRandomGraphs) {

@@ -276,11 +276,6 @@ TEST(Ingestion, MalformedCorpusCoversEveryErrorCode) {
   EXPECT_EQ(try_read_edge_list_file("/nonexistent/graph.txt").error().code, ErrorCode::kIo);
 }
 
-TEST(Ingestion, LegacyThrowingReaderStillThrows) {
-  std::istringstream in("3\n0 1 -3\n");
-  EXPECT_THROW((void)read_edge_list(in), invariant_error);
-}
-
 // ---------------------------------------------------------------------------
 // The guard battery on the one graph shape it checks without a packing
 // replay: with n == 2 the only cut is every edge, recounted directly.

@@ -45,10 +45,9 @@ struct CrossOracle {
   RootedTree t;
   std::vector<int> of;
 
-  explicit CrossOracle(const StarInstance& i)
-      : inst(&i),
-        t(i.graph, flatten(i), i.root),
-        of(path_of_node(i)) {}
+  explicit CrossOracle(const StarInstance& i) : inst(&i), t(i.graph, flatten(i), i.root) {
+    path_of_node(i, of);
+  }
 
   static std::vector<EdgeId> flatten(const StarInstance& i) {
     std::vector<EdgeId> tree;

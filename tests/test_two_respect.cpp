@@ -160,5 +160,59 @@ TEST(TwoRespect, RecursionDepthLogarithmic) {
   EXPECT_LE(ledger.counter("max_beta"), ceil_log2(200) + 2);  // |Virt| = O(log n)
 }
 
+TEST(TwoRespect, GoldenResultsAndLedgers) {
+  // Pinned answers and full ledgers on three fixed instances: a planar
+  // grid, an ER graph and a long path-heavy spider (Monge recursion depth
+  // 3). Any change to a sub-instance construction, a charge or a counter
+  // shows up here, not only a wrong value.
+  struct Golden {
+    Weight value;
+    EdgeId e, f;
+    const char* ledger;
+  };
+  const Golden want[] = {
+      {60, 23, 9,
+       R"({"rounds": 33347, "counters": {"cv_iterations": 780, "hl_merge_iterations": 753, )"
+       R"("max_beta": 3, "max_general_depth": 6, "max_interest_colors": 3, )"
+       R"("max_interest_degree": 3, "max_p2p_depth": 2, "subtree_star_calls": 87}})"},
+      {15, 145, kNoEdge,
+       R"({"rounds": 27933, "counters": {"cv_iterations": 642, "hl_merge_iterations": 603, )"
+       R"("max_beta": 2, "max_general_depth": 4, "max_interest_colors": 4, )"
+       R"("max_interest_degree": 4, "max_p2p_depth": 1, "subtree_star_calls": 86}})"},
+      {5, 62, 60,
+       R"({"rounds": 22034, "counters": {"cv_iterations": 826, "hl_merge_iterations": 826, )"
+       R"("max_beta": 3, "max_general_depth": 7, "max_interest_colors": 1, )"
+       R"("max_interest_degree": 1, "max_p2p_depth": 3, "subtree_star_calls": 72}})"},
+  };
+  for (int which = 0; which < 3; ++which) {
+    WeightedGraph g;
+    std::vector<EdgeId> tree;
+    if (which == 0) {
+      Rng rng(101);
+      g = random_planar_grid(8, 8, 0.4, rng);
+      randomize_weights(g, 1, 100, rng);
+      tree = wilson_random_spanning_tree(g, rng);
+    } else if (which == 1) {
+      Rng rng(202);
+      g = erdos_renyi_connected(64, 0.12, rng);
+      randomize_weights(g, 1, 50, rng);
+      tree = bfs_spanning_tree(g, 0);
+    } else {
+      Rng rng(303);
+      g = spider(3, 40, 150, rng);  // tree = the three 40-edge legs
+      randomize_weights(g, 1, 20, rng);
+      tree.resize(120);
+      std::iota(tree.begin(), tree.end(), EdgeId{0});
+    }
+    minoragg::Ledger ledger;
+    const CutResult got = two_respecting_mincut(g, tree, 0, ledger);
+    const Golden& w = want[which];
+    EXPECT_EQ(got.value, w.value) << "instance " << which;
+    EXPECT_EQ(got.e, w.e) << "instance " << which;
+    EXPECT_EQ(got.f, w.f) << "instance " << which;
+    EXPECT_EQ(ledger.to_json(), w.ledger) << "instance " << which;
+  }
+}
+
 }  // namespace
 }  // namespace umc::mincut
