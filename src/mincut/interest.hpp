@@ -22,6 +22,10 @@ struct StarInstance : InstanceCore {
   /// path_nodes[i][j].
   std::vector<std::vector<NodeId>> path_nodes;
   std::vector<std::vector<EdgeId>> path_edges;
+  /// path_chain[i]: the HL-chain of the enclosing between-subtree instance
+  /// that path i came from, in increasing order; empty for a star built by
+  /// hand (which disables pair replay).
+  std::vector<int> path_chain;
 
   [[nodiscard]] int k() const { return static_cast<int>(path_nodes.size()); }
 };

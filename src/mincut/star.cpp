@@ -47,10 +47,37 @@ void build_pair_instance(const StarInstance& inst, int i, int j, PathInstance& p
     pair.edgesQ.push_back(edge_map[static_cast<std::size_t>(e)]);
 }
 
+/// One path pair of the interest graph, in color-class order.
+struct PairItem {
+  int color, i, j;
+};
+
+/// A pair task's private result row.
+struct PairSlot {
+  minoragg::Ledger kid;
+  CutResult best;
+};
+
 }  // namespace
 
-CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger) {
+obs::Counter& p2p_pairs_counter(bool replayed) {
+  static obs::Counter* const counters[2] = {
+      &obs::MetricsRegistry::global().counter(
+          "umc_mincut_p2p_pairs_total", {{"outcome", "solved"}},
+          "Star path pairs by outcome: path-to-path solve run, or result copied "
+          "from an identical pair of the same between-subtree call."),
+      &obs::MetricsRegistry::global().counter("umc_mincut_p2p_pairs_total",
+                                              {{"outcome", "replayed"}}),
+  };
+  return *counters[replayed ? 1 : 0];
+}
+
+CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger, PairMemo* memo,
+                      int* pairs) {
   UMC_ASSERT(inst.k() >= 1);
+  UMC_ASSERT(inst.path_chain.empty() || static_cast<int>(inst.path_chain.size()) == inst.k());
+  if (inst.path_chain.empty()) memo = nullptr;
+  if (pairs != nullptr) *pairs = 0;
   // Logical clock: the number of star paths k.
   UMC_OBS_SPAN_VAR_L(obs_star, "mincut/star", "mincut", inst.k());
   obs_star.arg("n", inst.graph.n());
@@ -80,12 +107,15 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger) {
     local.set_max("max_interest_degree", delta);
 
     // Edge-color the interest graph (Lemma 35) via the CONGEST-on-interest-
-    // graph simulation (Lemma 34: one MA round per CONGEST round).
-    std::vector<Edge> ig_edges;
+    // graph simulation (Lemma 34: one MA round per CONGEST round). The
+    // per-star rows below are leased: every star on a thread reuses them.
+    ScratchLease<std::vector<Edge>> ig_edges_s;
+    std::vector<Edge>& ig_edges = *ig_edges_s;
+    ig_edges.clear();
     for (std::size_t i = 0; i < igraph.size(); ++i)
       for (const int j : igraph[i])
         if (static_cast<int>(i) < j) ig_edges.push_back(Edge{static_cast<NodeId>(i), j, 1});
-    const WeightedGraph ig(static_cast<NodeId>(inst.k()), std::move(ig_edges));
+    const WeightedGraph ig(static_cast<NodeId>(inst.k()), ig_edges);
     const congest::EdgeColoring coloring = congest::deterministic_edge_coloring(ig);
     local.charge(coloring.congest_rounds);
     local.set_max("max_interest_colors", coloring.num_colors);
@@ -99,44 +129,52 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger) {
     // spawned at once and only the LEDGER merge below walks the classes in
     // series — absorb in (color, edge-id) order, then charge_parallel per
     // class — reproducing the sequential charge sequence bit for bit.
-    struct PairItem {
-      int color, i, j;
-    };
-    std::vector<PairItem> items;
+    ScratchLease<std::vector<PairItem>> items_s;
+    std::vector<PairItem>& items = *items_s;
+    items.clear();
     for (int c = 0; c < coloring.num_colors; ++c) {
       for (EdgeId e = 0; e < ig.m(); ++e) {
         if (coloring.color[static_cast<std::size_t>(e)] != c) continue;
         items.push_back(PairItem{c, ig.edge(e).u, ig.edge(e).v});
       }
     }
-    struct PairSlot {
-      minoragg::Ledger kid;
-      CutResult best;
-    };
-    std::vector<PairSlot> slots(items.size());
+    if (pairs != nullptr) *pairs = static_cast<int>(items.size());
+    ScratchLease<std::vector<PairSlot>> slots_s;
+    std::vector<PairSlot>& slots = *slots_s;
+    slots.clear();
+    slots.resize(items.size());
     {
       TaskGroup p2p;
       for (std::size_t x = 0; x < items.size(); ++x) {
         const PairItem item = items[x];
         PairSlot& slot = slots[x];
-        p2p.spawn([&inst, item, &slot, x] {
+        p2p.spawn([&inst, memo, item, &slot, x] {
           UMC_OBS_SPAN_VAR_L(obs_item, "mincut/ttr_item", "mincut",
                              static_cast<std::int64_t>(x));
+          // Path i < j comes from chain a < b: the key is already ordered.
+          const int a = memo != nullptr ? inst.path_chain[static_cast<std::size_t>(item.i)] : 0;
+          const int b = memo != nullptr ? inst.path_chain[static_cast<std::size_t>(item.j)] : 0;
+          const bool replayed = memo != nullptr && memo->find(a, b, slot.best, slot.kid);
+          p2p_pairs_counter(replayed).inc();
           // TraceEvent holds two args max: kind + pool_thread win the slots
           // (the flattened item index x is the logical clock).
-          obs_item.arg("kind", 2);  // 2 = star path-to-path pair
+          obs_item.arg("kind", replayed ? 4 : 2);  // 2 = star pair solved, 4 = replayed
           obs_item.arg("pool_thread", ThreadPool::current_index());
+          if (replayed) return;
           ScratchLease<PathInstance> pair;
           build_pair_instance(inst, item.i, item.j, *pair);
           slot.best = path_to_path_mincut(*pair, slot.kid);
           pair->graph = WeightedGraph();  // the pool keeps the rows, not the graph
+          if (memo != nullptr) memo->insert(a, b, slot.best, slot.kid);
         });
       }
       p2p.join();
     }
+    ScratchLease<std::vector<minoragg::Ledger>> kids_s;
+    std::vector<minoragg::Ledger>& kids = *kids_s;
     std::size_t x = 0;
     for (int c = 0; c < coloring.num_colors; ++c) {
-      std::vector<minoragg::Ledger> kids;
+      kids.clear();
       while (x < items.size() && items[x].color == c) {
         best.absorb(slots[x].best);
         kids.push_back(std::move(slots[x].kid));

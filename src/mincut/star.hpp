@@ -9,14 +9,65 @@
 // (Theorem 19) on cut-equivalent pair instances built by absorbing
 // everything outside the pair into a virtual pair-root.
 
+#include <cstdint>
+#include <mutex>
+#include <unordered_map>
+
 #include "mincut/instance.hpp"
 #include "mincut/interest.hpp"
 #include "minoragg/ledger.hpp"
+#include "obs/metrics.hpp"
 
 namespace umc::mincut {
 
+/// Path-to-path results shared by the stars of one between_subtree_mincut
+/// call, keyed by the ordered pair of HL-chain indices (a < b). A chain
+/// pair's instance is the same in every star where both chains survive
+/// (DESIGN.md "Pair replay"), so a recorded result stands for a fresh
+/// solve. Thread-safe: every lookup and insert takes one mutex. Two tasks
+/// may both miss on a key and both solve it; their results are identical,
+/// and the first insert is kept.
+class PairMemo {
+ public:
+  /// Copies the recorded result of chain pair (a, b) into (best, kid);
+  /// false if there is none yet.
+  bool find(int a, int b, CutResult& best, minoragg::Ledger& kid) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = done_.find(key(a, b));
+    if (it == done_.end()) return false;
+    best = it->second.best;
+    kid = it->second.kid;
+    return true;
+  }
+  void insert(int a, int b, const CutResult& best, const minoragg::Ledger& kid) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    done_.try_emplace(key(a, b), Entry{best, kid});
+  }
+
+ private:
+  struct Entry {
+    CutResult best;
+    minoragg::Ledger kid;
+  };
+  static std::uint64_t key(int a, int b) {
+    UMC_ASSERT(0 <= a && a < b);
+    return static_cast<std::uint64_t>(a) << 32 | static_cast<std::uint32_t>(b);
+  }
+  std::mutex mu_;
+  std::unordered_map<std::uint64_t, Entry> done_;
+};
+
+/// Registry counter umc_mincut_p2p_pairs_total{outcome}: star path pairs
+/// whose path-to-path solve ran ("solved") or whose result was copied from
+/// an identical pair or star of the same between-subtree call ("replayed").
+[[nodiscard]] obs::Counter& p2p_pairs_counter(bool replayed);
+
 /// min of candidate 1-respecting cuts and candidate 2-respecting pairs on
 /// different paths. Counters: "max_interest_degree", "max_interest_colors".
-[[nodiscard]] CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger);
+/// With a memo and inst.path_chain set, a pair of chains the memo holds is
+/// copied instead of solved, and every solved pair is recorded. `pairs`, if
+/// given, receives the number of path pairs examined.
+[[nodiscard]] CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger,
+                                    PairMemo* memo = nullptr, int* pairs = nullptr);
 
 }  // namespace umc::mincut

@@ -1,6 +1,7 @@
 #include "mincut/subtree_instance.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "mincut/one_respect.hpp"
 #include "mincut/star.hpp"
@@ -98,8 +99,21 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
   // solve — a TaskGraph work item writing a private slot — and the merge
   // below replays `absorb / bump / charge_sequential` in exactly the
   // enumeration order, so ledger counters are bit-identical at any width.
+  // The kept tree edges of a configuration are exactly its surviving
+  // chains' parent edges, so two configurations with the same surviving
+  // chains build the same star: the later one runs nothing and the merge
+  // reads its first twin's slot.
   struct StarConfig {
     int bit, d1, d2;
+    std::uint64_t sig = 0;  // hash of the surviving chain indices
+    int twin = -1;          // earlier configuration with the same survivors
+  };
+  const auto target = [](const StarConfig& cfg, int br) {
+    const bool red = ((br >> cfg.bit) & 1) != 0;
+    return red ? cfg.d1 : cfg.d2;
+  };
+  const auto survives = [&target](const StarConfig& cfg, const Chain& c) {
+    return c.hl_depth == target(cfg, c.branch);
   };
   ScratchLease<std::vector<StarConfig>> configs_s;
   std::vector<StarConfig>& configs = *configs_s;
@@ -109,12 +123,23 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
       for (int d2 = 0; d2 <= maxd; ++d2) {
         if (d1 == d2 && bit > 0) continue;  // color-independent, do it once
         // Cheap pre-check: at least two surviving paths needed.
+        StarConfig cfg{bit, d1, d2};
         int surviving = 0;
-        for (const Chain& c : chains) {
-          const bool red = ((c.branch >> bit) & 1) != 0;
-          if (c.hl_depth == (red ? d1 : d2)) ++surviving;
+        for (std::size_t c = 0; c < chains.size(); ++c) {
+          if (!survives(cfg, chains[c])) continue;
+          ++surviving;
+          cfg.sig = cfg.sig * 0x9E3779B97F4A7C15ULL + c + 1;
         }
-        if (surviving >= 2) configs.push_back(StarConfig{bit, d1, d2});
+        if (surviving < 2) continue;
+        for (std::size_t p = 0; p < configs.size() && cfg.twin < 0; ++p) {
+          const StarConfig& prev = configs[p];
+          if (prev.twin < 0 && prev.sig == cfg.sig &&
+              std::all_of(chains.begin(), chains.end(), [&](const Chain& c) {
+                return survives(prev, c) == survives(cfg, c);
+              }))
+            cfg.twin = static_cast<int>(p);
+        }
+        configs.push_back(cfg);
       }
     }
   }
@@ -123,22 +148,21 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
     minoragg::Ledger iter;
     CutResult best;
     bool ran_star = false;
+    int pairs = 0;  // path pairs the star examined
   };
   std::vector<StarSlot> slots(configs.size());
+  PairMemo memo;  // every star of this call shares its chain pairs' solves
   {
     TaskGroup stars;
     for (std::size_t ci = 0; ci < configs.size(); ++ci) {
       const StarConfig cfg = configs[ci];
+      if (cfg.twin >= 0) continue;
       StarSlot& slot = slots[ci];
       stars.spawn([&, cfg, ci] {
         UMC_OBS_SPAN_VAR_L(obs_item, "mincut/ttr_item", "mincut",
                            static_cast<std::int64_t>(ci));
         obs_item.arg("kind", 1);  // 1 = between-subtree star config
         obs_item.arg("pool_thread", ThreadPool::current_index());
-        const auto target = [&cfg](int br) {
-          const bool red = ((br >> cfg.bit) & 1) != 0;
-          return red ? cfg.d1 : cfg.d2;
-        };
         minoragg::Ledger& iter = slot.iter;
         // Contract every tree edge of the wrong depth (Figure 4). The rows
         // are leased per-thread scratch: every config task on a worker
@@ -149,7 +173,7 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
             t,
             [&](NodeId v) {
               return hld.hl_depth_edge(t.parent_edge(v)) !=
-                     target(branch[static_cast<std::size_t>(v)]);
+                     target(cfg, branch[static_cast<std::size_t>(v)]);
             },
             map, *top_s);
         iter.charge(1);
@@ -162,7 +186,7 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
         path.assign(static_cast<std::size_t>(supernodes), -1);
         int paths = 0;
         for (const Chain& c : chains) {
-          if (c.hl_depth != target(c.branch)) continue;
+          if (!survives(cfg, c)) continue;
           for (const NodeId v : c.nodes)
             path[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])] = paths;
           ++paths;
@@ -186,15 +210,16 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
         star.root = map[static_cast<std::size_t>(root)];  // the hub, not inst.root
         star.path_nodes.resize(static_cast<std::size_t>(paths));
         star.path_edges.resize(static_cast<std::size_t>(paths));
-        std::size_t i = 0;
-        for (const Chain& c : chains) {
-          if (c.hl_depth != target(c.branch)) continue;
+        star.path_chain.clear();
+        for (std::size_t c = 0; c < chains.size(); ++c) {
+          if (!survives(cfg, chains[c])) continue;
+          const std::size_t i = star.path_chain.size();
+          star.path_chain.push_back(static_cast<int>(c));
           std::vector<NodeId>& nodes = star.path_nodes[i];
           std::vector<EdgeId>& edges = star.path_edges[i];
-          ++i;
           nodes.clear();
           edges.clear();
-          for (const NodeId v : c.nodes) {
+          for (const NodeId v : chains[c].nodes) {
             nodes.push_back(map[static_cast<std::size_t>(v)]);
             const EdgeId me = edge_map[static_cast<std::size_t>(t.parent_edge(v))];
             UMC_ASSERT_MSG(me != kNoEdge, "kept tree edge survives the minor");
@@ -204,17 +229,20 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
               star.graph.edge(edges.front()).other(nodes.front()) == star.root,
               "star paths hang off the root supernode");
         }
-        slot.best.absorb(star_mincut(star, iter));
+        slot.best.absorb(star_mincut(star, iter, &memo, &slot.pairs));
         slot.ran_star = true;
         star.graph = WeightedGraph();  // the pool keeps the rows, not the graph
       });
     }
     stars.join();
   }
-  for (const StarSlot& slot : slots) {
+  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+    const int twin = configs[ci].twin;
+    const StarSlot& slot = slots[twin >= 0 ? static_cast<std::size_t>(twin) : ci];
     if (slot.ran_star) {
       best.absorb(slot.best);
       ledger.bump("subtree_star_calls");
+      if (twin >= 0) p2p_pairs_counter(true).inc(slot.pairs);
     }
     ledger.charge_sequential(slot.iter);
   }

@@ -11,14 +11,19 @@
 
 #include <atomic>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "mincut/exact_mincut.hpp"
+#include "mincut/star.hpp"
 #include "mincut/tree_packing.hpp"
+#include "mincut/two_respect.hpp"
 #include "minoragg/ledger.hpp"
+#include "obs/metrics.hpp"
+#include "tree/spanning.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -117,6 +122,73 @@ TEST(MincutParallel, StreamingPackingMatchesRetainingOverload) {
   EXPECT_EQ(streamed, retained.trees);
   EXPECT_EQ(led_b.rounds(), led_a.rounds());
   EXPECT_EQ(led_b.counters(), led_a.counters());
+}
+
+TEST(MincutParallel, PairReplayKeepsTwoRespectGoldensAcrossWidths) {
+  // TwoRespect.GoldenResultsAndLedgers's three instances and goldens, run
+  // inside a task session: path pairs and star configurations replayed
+  // from the same between-subtree call (DESIGN.md "Pair replay") must leave
+  // every answer and ledger as it was, even when two tasks race on one
+  // pair. Every star pair is counted once, as solved or replayed; 152 is
+  // the pair-task count on the planar instance before replay existed.
+  struct Golden {
+    Weight value;
+    EdgeId e, f;
+    const char* ledger;
+  };
+  const Golden want[] = {
+      {60, 23, 9,
+       R"({"rounds": 33347, "counters": {"cv_iterations": 780, "hl_merge_iterations": 753, )"
+       R"("max_beta": 3, "max_general_depth": 6, "max_interest_colors": 3, )"
+       R"("max_interest_degree": 3, "max_p2p_depth": 2, "subtree_star_calls": 87}})"},
+      {15, 145, kNoEdge,
+       R"({"rounds": 27933, "counters": {"cv_iterations": 642, "hl_merge_iterations": 603, )"
+       R"("max_beta": 2, "max_general_depth": 4, "max_interest_colors": 4, )"
+       R"("max_interest_degree": 4, "max_p2p_depth": 1, "subtree_star_calls": 86}})"},
+      {5, 62, 60,
+       R"({"rounds": 22034, "counters": {"cv_iterations": 826, "hl_merge_iterations": 826, )"
+       R"("max_beta": 3, "max_general_depth": 7, "max_interest_colors": 1, )"
+       R"("max_interest_degree": 1, "max_p2p_depth": 3, "subtree_star_calls": 72}})"},
+  };
+  const obs::Counter& solved = mincut::p2p_pairs_counter(false);
+  const obs::Counter& replayed = mincut::p2p_pairs_counter(true);
+  for (const int width : {1, 4}) {
+    for (int which = 0; which < 3; ++which) {
+      WeightedGraph g;
+      std::vector<EdgeId> tree;
+      if (which == 0) {
+        Rng rng(101);
+        g = random_planar_grid(8, 8, 0.4, rng);
+        randomize_weights(g, 1, 100, rng);
+        tree = wilson_random_spanning_tree(g, rng);
+      } else if (which == 1) {
+        Rng rng(202);
+        g = erdos_renyi_connected(64, 0.12, rng);
+        randomize_weights(g, 1, 50, rng);
+        tree = bfs_spanning_tree(g, 0);
+      } else {
+        Rng rng(303);
+        g = spider(3, 40, 150, rng);  // tree = the three 40-edge legs
+        randomize_weights(g, 1, 20, rng);
+        tree.resize(120);
+        std::iota(tree.begin(), tree.end(), EdgeId{0});
+      }
+      const std::int64_t solved0 = solved.value(), replayed0 = replayed.value();
+      minoragg::Ledger ledger;
+      mincut::CutResult got;
+      TaskGraph::session(width, [&] { got = mincut::two_respecting_mincut(g, tree, 0, ledger); });
+      const Golden& w = want[which];
+      EXPECT_EQ(got.value, w.value) << "width " << width << " instance " << which;
+      EXPECT_EQ(got.e, w.e) << "width " << width << " instance " << which;
+      EXPECT_EQ(got.f, w.f) << "width " << width << " instance " << which;
+      EXPECT_EQ(ledger.to_json(), w.ledger) << "width " << width << " instance " << which;
+      if (which == 0) {
+        const std::int64_t s = solved.value() - solved0, r = replayed.value() - replayed0;
+        EXPECT_EQ(s + r, 152) << "width " << width;
+        EXPECT_GT(r, 0) << "width " << width;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
