@@ -19,15 +19,13 @@ void BM_BetweenSubtree(benchmark::State& state) {
   WeightedGraph g = random_connected(n, 3 * n, rng);
   randomize_weights(g, 1, 100, rng);
   const auto tree = bfs_spanning_tree(g, 0);
-  std::vector<EdgeId> origin(static_cast<std::size_t>(g.m()), kNoEdge);
-  for (const EdgeId e : tree) origin[static_cast<std::size_t>(e)] = e;
-  const std::vector<bool> is_virtual(static_cast<std::size_t>(g.n()), false);
+  const mincut::Instance inst = mincut::make_root_instance(g, tree, 0);
+  const RootedTree t(inst.graph, tree, 0);
 
   minoragg::Ledger ledger;
   for (auto _ : state) {
     minoragg::Ledger run;
-    benchmark::DoNotOptimize(
-        mincut::between_subtree_mincut(g, tree, 0, origin, is_virtual, run));
+    benchmark::DoNotOptimize(mincut::between_subtree_mincut(t, inst, run));
     ledger = run;
   }
   benchutil::export_ledger(state, ledger);

@@ -4,18 +4,20 @@
 // Karger-sampling route was taken, and — the theorem's whp guarantee — the
 // fraction of seeds for which some tree 2-respects the true min-cut.
 //
-// Experiment E23 (perf): the packing-producer fast path. BM_TreePackingSeed
-// pins the pre-change Minor-Aggregation-simulated producer (use_fast_path
-// off); BM_TreePackingThreads runs the BoruvkaPacker fast path at widths
-// 1/2/4/8. All variants export the same gated counters — num_trees,
-// ma_rounds, and a checksum over every tree's edge list — which CI diffs
-// against the committed baseline: the fast path and every width must
-// reproduce the seed producer's numbers exactly, only wall/cpu time may
-// move.
+// Experiment E23 (perf): the packing producer against its reference.
+// BM_TreePackingSeed drives the Minor-Aggregation-simulated Borůvka
+// (minoragg::boruvka_mst, all m costs recomputed per iteration) through the
+// same greedy loop here in bench code; BM_TreePackingThreads runs the
+// production BoruvkaPacker producer at widths 1/2/4/8. All variants export
+// the same gated counters — num_trees, ma_rounds, and a checksum over every
+// tree's edge list — which CI diffs against the committed baseline: the
+// producer at every width must reproduce the reference's numbers exactly,
+// only wall/cpu time may move.
 
 #include "baseline/stoer_wagner.hpp"
 #include "bench_common.hpp"
 #include "mincut/tree_packing.hpp"
+#include "minoragg/boruvka.hpp"
 #include "util/thread_pool.hpp"
 
 namespace umc {
@@ -77,35 +79,97 @@ BENCHMARK(BM_PackingSparse)->Arg(32)->Arg(64)->Arg(128)->Iterations(1)->Unit(ben
 BENCHMARK(BM_PackingDense)->Arg(16)->Arg(24)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// E23: producer fast path vs the simulated seed producer, and width scaling.
+// E23: the producer vs the simulated reference, and width scaling.
 
-/// One full packing of the E23 workload; the cache is disabled so every run
-/// measures the producer, and the session width is explicit so the sweep is
-/// reproducible regardless of the UMC_THREADS knob. The config forces the
-/// direct greedy route (case A) on a lambda=136 graph, capped at 512 MST
-/// iterations: the measurement is the packing phase itself, not the
-/// lambda-seed/sampling setup both producers share.
-void run_packing_producer(benchmark::State& state, bool fast_path, int threads) {
-  const WeightedGraph g = benchutil::weighted_er(96, 8.0, 21);
+/// The E23 workload: the direct greedy route (case A) forced on a
+/// lambda=136 graph, capped at 512 MST iterations, cache off so every run
+/// packs. The measurement is the packing phase itself, not the
+/// lambda-seed/sampling setup. chunk_min_edges stays at its production
+/// default: at m=386 the fold is a single inline chunk (spawning ~100-edge
+/// tasks costs more than the scan). The width column therefore gates
+/// counter equality, not wall scaling; the chunk-parallel fold path is
+/// pinned by test_tree_packing_threads8 at a forced small grain.
+const WeightedGraph& e23_graph() {
+  static const WeightedGraph g = benchutil::weighted_er(96, 8.0, 21);
+  return g;
+}
+
+mincut::PackingConfig e23_config() {
+  mincut::PackingConfig config;
+  config.use_cache = false;
+  config.direct_threshold_c = 1e9;  // force case A: pure greedy packing
+  config.max_trees = 512;
+  return config;
+}
+
+constexpr std::uint64_t kE23Checksum = 0x756d635f45323362ULL;  // "umc_E23b"
+
+/// Gated: every variant must reproduce the same trees bit-for-bit (the
+/// checksum is folded to stay exactly representable in a double), the same
+/// tree count and the same charged rounds.
+void export_producer(benchmark::State& state, std::int64_t trees, std::int64_t rounds,
+                     std::uint64_t h) {
+  state.counters["n"] = e23_graph().n();
+  state.counters["num_trees"] = static_cast<double>(trees);
+  state.counters["ma_rounds"] = static_cast<double>(rounds);
+  state.counters["checksum"] = static_cast<double>(h % (1u << 30));
+}
+
+/// The reference: the greedy loop with a full Minor-Aggregation simulation
+/// per Borůvka phase and all m edges re-costed per iteration. The setup
+/// charges and the iteration count come from an untimed journaled
+/// production call (the setup is shared code, not what E23 compares). The
+/// fast-path speedup in EXPERIMENTS.md E23 is this run vs
+/// BM_TreePackingThreads/1.
+void BM_TreePackingSeed(benchmark::State& state) {
+  const WeightedGraph& g = e23_graph();
+  mincut::PackingCheckpoint journal;
+  {
+    Rng rng(7);
+    minoragg::Ledger setup;
+    (void)mincut::tree_packing(g, rng, setup, e23_config(), [](std::vector<EdgeId>) {},
+                               &journal);
+  }
+  const auto m = static_cast<std::size_t>(g.m());
+  std::uint64_t h = 0;
+  std::int64_t trees = 0, rounds = 0;
+  for (auto _ : state) {
+    minoragg::Ledger ledger;
+    ledger.charge_sequential(journal.setup_charges);
+    std::vector<std::int64_t> load(m, 0);
+    std::vector<std::int64_t> cost(m);
+    h = kE23Checksum;
+    trees = 0;
+    for (int it = 0; it < journal.iterations; ++it) {
+      for (std::size_t i = 0; i < m; ++i)
+        cost[i] = mincut::packing_cost(load[i], g.edge(static_cast<EdgeId>(i)).w);
+      for (const EdgeId e : minoragg::boruvka_mst(g, cost, ledger)) {
+        ++load[static_cast<std::size_t>(e)];
+        h = mix64(h ^ static_cast<std::uint64_t>(e));
+      }
+      ++trees;
+    }
+    rounds = ledger.rounds();
+    benchmark::DoNotOptimize(h);
+  }
+  export_producer(state, trees, rounds, h);
+}
+
+/// The production producer at an explicit session width (reproducible
+/// regardless of the UMC_THREADS knob): chunk-parallel candidate folds +
+/// incremental re-costing. Counters must match the reference exactly at
+/// every width — only wall/cpu time may change.
+void BM_TreePackingThreads(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
   std::uint64_t h = 0;
   std::int64_t trees = 0, rounds = 0;
   for (auto _ : state) {
     Rng rng(7);
     minoragg::Ledger ledger;
-    mincut::PackingConfig config;
-    config.use_fast_path = fast_path;
-    config.use_cache = false;
-    config.direct_threshold_c = 1e9;  // force case A: pure greedy packing
-    config.max_trees = 512;
-    // chunk_min_edges stays at its production default: at m=386 the fold is
-    // a single inline chunk (spawning ~100-edge tasks costs more than the
-    // scan). The width column therefore gates counter equality, not wall
-    // scaling; the chunk-parallel fold path is pinned by
-    // test_tree_packing_threads8 at a forced small grain.
-    h = 0x756d635f45323362ULL;  // "umc_E23b"
+    h = kE23Checksum;
     trees = 0;
     TaskGraph::session(threads, [&] {
-      (void)mincut::tree_packing(g, rng, ledger, config,
+      (void)mincut::tree_packing(e23_graph(), rng, ledger, e23_config(),
                                  [&h, &trees](std::vector<EdgeId> tree) {
                                    for (const EdgeId e : tree)
                                      h = mix64(h ^ static_cast<std::uint64_t>(e));
@@ -115,26 +179,7 @@ void run_packing_producer(benchmark::State& state, bool fast_path, int threads) 
     rounds = ledger.rounds();
     benchmark::DoNotOptimize(h);
   }
-  state.counters["n"] = g.n();
-  state.counters["num_trees"] = static_cast<double>(trees);
-  state.counters["ma_rounds"] = static_cast<double>(rounds);
-  // Gated: the fast path at every width must reproduce the seed producer's
-  // trees bit-for-bit (folded to stay exactly representable in a double).
-  state.counters["checksum"] = static_cast<double>(h % (1u << 30));
-}
-
-/// The pre-change reference: full Minor-Aggregation simulation per Borůvka
-/// phase, all m edges re-costed per iteration. The ≥2x fast-path claim in
-/// EXPERIMENTS.md E23 is this run vs BM_TreePackingThreads/1.
-void BM_TreePackingSeed(benchmark::State& state) {
-  run_packing_producer(state, /*fast_path=*/false, /*threads=*/1);
-}
-
-/// The BoruvkaPacker fast path at an explicit session width: chunk-parallel
-/// candidate folds + incremental re-costing. Counters must match /1 exactly
-/// at every width — only wall/cpu time may change.
-void BM_TreePackingThreads(benchmark::State& state) {
-  run_packing_producer(state, /*fast_path=*/true, static_cast<int>(state.range(0)));
+  export_producer(state, trees, rounds, h);
 }
 
 BENCHMARK(BM_TreePackingSeed)->Iterations(1)->Unit(benchmark::kMillisecond);

@@ -3,11 +3,11 @@
 // Host-speed exact evaluation of EVERY 1- and 2-respecting cut of one
 // rooted spanning tree — the warm path's fast twin of
 // two_respecting_mincut, in the same spirit as BoruvkaPacker next to the
-// MA-simulated packing producer: the round-faithful solver charges
-// Definition 9 rounds and is what the CONGEST claims rest on; this oracle
-// answers the identical combinatorial question at native speed for callers
-// (the incremental stream tier) that need per-tree minima dozens of times
-// per second.
+// MA-simulated Borůvka (minoragg::boruvka_mst) that tests keep as its
+// reference: the round-faithful solver charges Definition 9 rounds and is
+// what the CONGEST claims rest on; this oracle answers the identical
+// combinatorial question at native speed for callers (the incremental
+// stream tier) that need per-tree minima dozens of times per second.
 //
 // The candidate set is exactly the solver's: cuts crossing one tree edge
 // (subtree(v) for every non-root v) or two tree edges (S_u \ S_v for

@@ -31,8 +31,10 @@
 // share the LRU but can never collide (a stream key always carries a
 // non-base fingerprint role and its own delta). Stream entries additionally
 // carry `tree_values` (the per-tree 2-respecting minima at store time) so an
-// identical lineage replays trees AND their solved values with rng
-// fast-forward, skipping every Borůvka iteration and tree solve.
+// identical lineage replays trees AND their solved values, skipping every
+// Borůvka iteration and tree solve; they leave `charges` empty and
+// `rng_after` unset (warm tiers charge their own replay and draw no
+// randomness).
 //
 // Thread safety: all operations take the cache mutex; entries are immutable
 // after insert.

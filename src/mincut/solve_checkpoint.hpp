@@ -69,7 +69,7 @@ class crash_error : public std::runtime_error {
 using CrashHook = std::function<void(SolvePhase, std::int64_t)>;
 
 /// Journal of the tree-packing producer. `setup_done` gates the committed
-/// setup fields; `trees` / `iteration_charges` grow one entry per committed
+/// setup fields; `trees` / `iteration_phases` grow one entry per committed
 /// iteration. The binding triple (graph_fp, config_fp, rng_entry) pins the
 /// journal to one solve — resuming with a different graph, config, or seed
 /// is a model violation, not a silent wrong replay.
@@ -89,7 +89,9 @@ struct PackingCheckpoint {
   int iterations = 0;  // target greedy iteration count
 
   std::vector<std::vector<EdgeId>> trees;  // original edge ids, emit order
-  std::vector<minoragg::Ledger> iteration_charges;
+  /// Borůvka phases of each committed iteration, which determine its charge
+  /// (charge_packing_iteration in tree_packing.hpp).
+  std::vector<int> iteration_phases;
 
   [[nodiscard]] bool empty() const { return !setup_done; }
   [[nodiscard]] bool complete() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "mincut/one_respect.hpp"
 #include "mincut/star.hpp"
@@ -26,16 +27,6 @@ struct Chain {
 };
 
 }  // namespace
-
-CutResult between_subtree_mincut(const WeightedGraph& g, std::span<const EdgeId> tree_edges,
-                                 NodeId root, std::span<const EdgeId> origin,
-                                 const std::vector<bool>& is_virtual,
-                                 minoragg::Ledger& ledger) {
-  const InstanceCore inst{g, is_virtual, std::vector<EdgeId>(origin.begin(), origin.end()), root};
-  ScratchLease<RootedTree> t;
-  t->rebuild(inst.graph, tree_edges, root);
-  return between_subtree_mincut(*t, inst, ledger);
-}
 
 CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
                                  minoragg::Ledger& ledger) {

@@ -10,24 +10,15 @@
 // (Figure 4), solved by Theorem 27. Contractions preserve the cut values of
 // the surviving tree edges, so every value examined is a true cut.
 
-#include <span>
-
 #include "mincut/instance.hpp"
 #include "minoragg/ledger.hpp"
 
 namespace umc::mincut {
 
 /// min of candidate 1-respecting cuts and candidate pairs (e, f) lying in
-/// DIFFERENT child branches of `root` (branch edges {root, child} belong to
-/// their branch). Counters: "subtree_star_calls".
-[[nodiscard]] CutResult between_subtree_mincut(const WeightedGraph& g,
-                                               std::span<const EdgeId> tree_edges, NodeId root,
-                                               std::span<const EdgeId> origin,
-                                               const std::vector<bool>& is_virtual,
-                                               minoragg::Ledger& ledger);
-
-/// Same, over an already rooted instance tree: `t.root()` is the hub and
-/// `t.host()` is `inst.graph` (inst.root is not read).
+/// DIFFERENT child branches of the hub `t.root()` (branch edges {root,
+/// child} belong to their branch). `t` spans `inst.graph` (`t.host()` is
+/// it); inst.root is not read. Counters: "subtree_star_calls".
 [[nodiscard]] CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
                                                minoragg::Ledger& ledger);
 

@@ -9,7 +9,6 @@
 #include "baseline/stoer_wagner.hpp"
 #include "graph/properties.hpp"
 #include "mincut/packing_cache.hpp"
-#include "minoragg/boruvka.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tree/spanning.hpp"
@@ -25,11 +24,6 @@ namespace {
 constexpr double kSampleC = 2.0;
 
 struct PackingMetrics {
-  obs::Counter& resort_edges = obs::MetricsRegistry::global().counter(
-      "umc_packing_resort_edges_total", {},
-      "Edges re-costed by the packing producer. The fast path repairs only "
-      "the <= n-1 edges whose load changed since the previous iteration; "
-      "the reference recomputes all m every iteration.");
   obs::Counter& cache_hits = obs::MetricsRegistry::global().counter(
       "umc_packing_cache_hits_total", {},
       "tree_packing calls served by replaying a PackingCache entry.");
@@ -148,21 +142,17 @@ Substrate setup(const WeightedGraph& g, Rng& rng, const PackingConfig& config,
 /// original edge ids, to `emit`.
 ///
 /// With a `journal`, every unit commits into it (firing `hook` just before
-/// the commit) with its own ledger, so a replayed prefix absorbs exactly
+/// the commit): the setup with its own ledger, each iteration with its tree
+/// and Borůvka phase count. A replayed prefix therefore absorbs exactly
 /// what the live run charged: a committed setup is not re-run, and the
 /// committed iterations replay through `emit` before packing continues
 /// live. Without one, nothing is journaled and `hook` never fires.
 ///
-/// Two loop bodies, one contract. The reference (`use_fast_path == false`)
-/// drives a full Minor-Aggregation simulation per Borůvka phase and
-/// recomputes all costs per iteration. The fast path selects the same
-/// (cost, edge id)-minimal trees through the reusable BoruvkaPacker —
+/// Each iteration's MST comes from the reusable BoruvkaPacker, whose
 /// per-phase candidate folds run chunk-parallel on the ambient TaskGraph
-/// session — and between iterations repairs only the <= n-1 costs whose
-/// load changed. Both charge the ledger identically: one Definition 9 round
-/// per phase, one termination-check round, one boruvka_iterations bump per
-/// phase (the fast path replays those charges from its own — provably
-/// equal — phase count).
+/// session; between iterations only the <= n-1 costs whose load changed
+/// are repaired. An iteration's charge is a function of its phase count
+/// alone (charge_packing_iteration) plus one packing_iterations bump.
 TreePacking pack(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger,
                  const PackingConfig& config, const TreeSink& emit, PackingCheckpoint* journal,
                  const CrashHook& hook) {
@@ -203,55 +193,40 @@ TreePacking pack(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger
     cost[i] = packing_cost(load[i], sub.multiplicity[i]);
   };
 
+  const auto charge_iteration = [&pack_ledger](int phases) {
+    charge_packing_iteration(pack_ledger, phases);
+    pack_ledger.bump("packing_iterations");
+  };
+
   // Replay the committed prefix (loads rebuilt from the journaled trees).
   const int committed = ckpt.committed_iterations();
   for (int it = 0; it < committed; ++it) {
-    pack_ledger.charge_sequential(ckpt.iteration_charges[static_cast<std::size_t>(it)]);
+    charge_iteration(ckpt.iteration_phases[static_cast<std::size_t>(it)]);
     for (const EdgeId e : ckpt.trees[static_cast<std::size_t>(it)])
       ++load[static_cast<std::size_t>(to_pack_id(e))];
     emit(std::vector<EdgeId>(ckpt.trees[static_cast<std::size_t>(it)]));
   }
   cost.resize(m);
   for (std::size_t i = 0; i < m; ++i) recost(i);
-  // The fast path's full initial re-cost, done once instead of per iteration.
-  if (config.use_fast_path && committed < ckpt.iterations)
-    packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
 
   for (int it = committed; it < ckpt.iterations; ++it) {
     UMC_OBS_SPAN_VAR_L(obs_iter, "mincut/packing_iter", "mincut", it);
     obs_iter.arg("pool_thread", ThreadPool::current_index());
-    minoragg::Ledger unit;  // journaled runs charge per iteration
-    minoragg::Ledger& charged = journal != nullptr ? unit : pack_ledger;
-    std::vector<EdgeId> tree;
-    if (config.use_fast_path) {
-      const BoruvkaPacker::Result r = packer->run(pack_g, cost);
-      // Replay the Minor-Aggregation producer's charges from the (identical)
-      // phase structure: one round per selection phase, one final round that
-      // observes the single supernode, one iteration bump per phase.
-      charged.charge(r.phases + 1);
-      charged.bump("boruvka_iterations", r.phases);
-      tree.assign(r.tree.begin(), r.tree.end());
-      // Incremental re-costing: only the tree's n-1 edges changed load.
-      for (const EdgeId e : tree) {
-        ++load[static_cast<std::size_t>(e)];
-        recost(static_cast<std::size_t>(e));
-      }
-      packing_metrics().resort_edges.inc(static_cast<std::int64_t>(tree.size()));
-    } else {
-      for (std::size_t i = 0; i < m; ++i) recost(i);
-      packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
-      tree = minoragg::boruvka_mst(pack_g, cost, charged);
-      for (const EdgeId e : tree) ++load[static_cast<std::size_t>(e)];
+    const BoruvkaPacker::Result r = packer->run(pack_g, cost);
+    std::vector<EdgeId> tree(r.tree.begin(), r.tree.end());
+    // Incremental re-costing: only the tree's n-1 edges changed load.
+    for (const EdgeId e : tree) {
+      ++load[static_cast<std::size_t>(e)];
+      recost(static_cast<std::size_t>(e));
     }
-    charged.bump("packing_iterations");
     if (ckpt.sampled)
       for (EdgeId& e : tree) e = sub.present[static_cast<std::size_t>(e)];
     if (journal != nullptr) {
       if (hook) hook(SolvePhase::kPackingIteration, it);
       journal->trees.push_back(tree);
-      journal->iteration_charges.push_back(unit);
-      pack_ledger.charge_sequential(unit);
+      journal->iteration_phases.push_back(r.phases);
     }
+    charge_iteration(r.phases);
     emit(std::move(tree));
   }
 
@@ -278,7 +253,6 @@ std::uint64_t packing_config_fingerprint(const PackingConfig& config) {
   std::uint64_t h = 0x7061636b636667ULL;  // "packcfg"
   h = mix64(h ^ std::bit_cast<std::uint64_t>(config.direct_threshold_c));
   h = mix64(h ^ static_cast<std::uint64_t>(config.max_trees));
-  h = mix64(h ^ (config.use_fast_path ? 1ULL : 0ULL));
   return h;
 }
 

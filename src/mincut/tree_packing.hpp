@@ -14,6 +14,14 @@
 // lambda used to set the sampling rate is cited prior work [17] in the
 // paper; this implementation seeds it with the exact Stoer-Wagner value and
 // charges a polylog placeholder round cost for it.
+//
+// One producer: every greedy iteration runs the chunk-parallel
+// BoruvkaPacker (tree/spanning.hpp) and re-costs only the edges the new
+// tree loaded. It selects the same (cost, edge id)-minimal tree as the
+// Minor-Aggregation Borůvka (`minoragg::boruvka_mst`) and is charged from
+// its phase count (`charge_packing_iteration`). The simulated Borůvka stays
+// the reference that tests/test_tree_packing_parallel.cpp and
+// BM_TreePackingSeed re-derive every tree with.
 
 #include <functional>
 #include <vector>
@@ -33,15 +41,6 @@ struct PackingConfig {
   /// Hard cap on the number of trees (0 = the theorem's I); useful for
   /// quick experiments that trade the whp guarantee for speed.
   int max_trees = 0;
-  /// Fast path: per-iteration MSTs via the reusable chunk-parallel
-  /// BoruvkaPacker with incremental load re-costing, instead of driving a
-  /// full Minor-Aggregation simulation per Borůvka phase. Trees, iteration
-  /// counts, rng consumption, and every ledger charge are bit-identical to
-  /// the simulated reference (the replayed charges are computed from the
-  /// identical phase structure); only wall time changes. OFF pins the
-  /// original producer for differential tests and the seed-vs-fastpath
-  /// bench.
-  bool use_fast_path = true;
   /// Consult/populate the global PackingCache, keyed by (graph fingerprint,
   /// rng state, config): a hit replays the recorded trees, charges, and rng
   /// fast-forward instead of recomputing — how verify_mincut_result's
@@ -49,12 +48,12 @@ struct PackingConfig {
   /// sessions keep their own delta-aware entries in the same cache; see
   /// src/stream.)
   bool use_cache = true;
-  /// Minimum live edges per Borůvka fold chunk on the fast path. Pure
-  /// wall-time granularity: chunking cannot change any output (per-component
-  /// minima under a strict total order merge identically under any split),
-  /// so this field is deliberately EXCLUDED from the PackingCache
-  /// fingerprint. Tests lower it to force multi-chunk folds on small
-  /// graphs; the default keeps tiny folds inline.
+  /// Minimum live edges per Borůvka fold chunk. Pure wall-time granularity:
+  /// chunking cannot change any output (per-component minima under a strict
+  /// total order merge identically under any split), so this field is
+  /// deliberately EXCLUDED from the PackingCache fingerprint. Tests lower it
+  /// to force multi-chunk folds on small graphs; the default keeps tiny
+  /// folds inline.
   int chunk_min_edges = 2048;
   /// The PackingCache consulted when `use_cache` is on: nullptr (the
   /// default) means the process-wide PackingCache::global(). A multi-tenant
@@ -70,6 +69,17 @@ struct PackingConfig {
 /// so Borůvka keys on integers (ties broken by edge id inside Borůvka).
 [[nodiscard]] inline std::int64_t packing_cost(std::int64_t load, Weight multiplicity) {
   return (load << 20) / multiplicity;
+}
+
+/// The charge of one greedy packing iteration whose Borůvka MST took
+/// `phases` supernode-selection phases: one Definition 9 round per phase,
+/// one termination-check round that observes the single supernode, and one
+/// "boruvka_iterations" bump per phase — what `minoragg::boruvka_mst`
+/// charges for the same tree. Live iterations, journal replay and the
+/// stream's tree repair all charge through this one rule.
+inline void charge_packing_iteration(minoragg::Ledger& ledger, int phases) {
+  ledger.charge(phases + 1);
+  ledger.bump("boruvka_iterations", phases);
 }
 
 struct TreePacking {

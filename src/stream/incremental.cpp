@@ -24,8 +24,9 @@ namespace {
 // Keyspace tag folded into every delta-aware PackingKey.delta_fp. A plain
 // tree_packing key always carries delta_fp == 0; mixing the journal fold
 // with this tag keeps the stream keyspace disjoint even at delta 0 (where a
-// stream entry — whose charges and tree_values mean something different —
-// would otherwise overwrite the plain packing entry under the same key).
+// stream entry — only `trees` and `tree_values`, no charges, no rng exit
+// state — would otherwise overwrite the plain packing entry under the same
+// key).
 constexpr std::uint64_t kStreamDeltaTag = 0x73747265616dULL;  // "stream"
 
 // Full re-solve once deletions broke (cumulatively, repairs included) more
@@ -333,7 +334,6 @@ bool IncrementalMinCut::adopt_from_cache(StreamSolveReport& rep) {
     rep.exact.winning_tree = static_cast<int>(winner);
     rep.exact.num_trees = static_cast<int>(trees_.size());
     rep.ledger.charge(1);  // the replay itself: one aggregation round
-    rep.ledger.charge_sequential(hit->charges);
     rep.ledger.charge_sequential(witness_ledger);
     rep.ledger.bump("stream_delta_cache_hits");
   } catch (const invariant_error&) {
@@ -546,10 +546,7 @@ void IncrementalMinCut::repair_broken_trees(StreamSolveReport& rep, minoragg::Le
   packer->set_min_chunk_edges(static_cast<std::size_t>(std::max(cfg_.packing.chunk_min_edges, 1)));
   for (const std::size_t i : broken) {
     const BoruvkaPacker::Result r = packer->run(g, cost);
-    // Same charge shape as a packing iteration: one Definition 9 round per
-    // Boruvka phase plus the termination check.
-    ledger.charge(r.phases + 1);
-    ledger.bump("boruvka_iterations", r.phases);
+    mincut::charge_packing_iteration(ledger, r.phases);
     ledger.bump("stream_trees_repaired");
     std::vector<EdgeId> slots;
     slots.reserve(r.tree.size());
@@ -610,11 +607,8 @@ void IncrementalMinCut::store_delta_entry() {
     entry->tree_values.push_back(t.value);
   }
   entry->lambda_seed = lambda_pack_;
-  entry->sampled = false;
-  // Adoption charges its own replay round + winner re-solve; the stored
-  // ledger stays empty and the rng fast-forwards to the base state (warm
-  // tiers consume no randomness).
-  entry->rng_after = base_rng_state_;
+  // No charges and no rng exit state: adoption charges its own replay round
+  // and winner re-evaluation, and warm tiers consume no randomness.
   cache.insert(key, std::move(entry));
 }
 

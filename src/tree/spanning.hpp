@@ -34,7 +34,7 @@ namespace umc {
 /// Reusable deterministic Borůvka MST under external integer costs, with
 /// ties broken by (cost, edge id) — the same strict total order the
 /// Minor-Aggregation `minoragg::boruvka_mst` folds through MinPairAgg, so
-/// both producers select the bit-identical unique MST. Built for the greedy
+/// both select the bit-identical unique MST. Built for the greedy
 /// tree-packing loop, which runs ~2·λ·log m MSTs back to back over slowly
 /// drifting costs: every internal buffer (DSU parents, component labels,
 /// live-edge worklist, per-chunk candidate slots) persists across run()
@@ -55,9 +55,10 @@ class BoruvkaPacker {
     /// Tree edge ids in increasing id order; a view into packer-owned
     /// storage, valid until the next run() on this packer.
     std::span<const EdgeId> tree;
-    /// Supernode-selection phases executed (the Minor-Aggregation producer
-    /// spends one Definition 9 round per phase plus one termination-check
-    /// round; tree_packing replays those charges from this count).
+    /// Supernode-selection phases executed (`minoragg::boruvka_mst` spends
+    /// one Definition 9 round per phase plus one termination-check round;
+    /// mincut::charge_packing_iteration charges exactly that from this
+    /// count).
     int phases = 0;
   };
 

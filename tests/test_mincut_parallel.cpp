@@ -14,6 +14,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -189,6 +190,65 @@ TEST(MincutParallel, PairReplayKeepsTwoRespectGoldensAcrossWidths) {
       }
     }
   }
+}
+
+TEST(MincutParallel, PairMemoRacingMissesKeepTheFirstInsert) {
+  // The memo's race, forced: two tasks of one width-2 session both miss on
+  // chain pair (3, 5) before either inserts (the barrier needs both tasks
+  // on their own threads, which a width-2 session gives), then insert
+  // concurrently with distinguishable results. Whichever insert takes the
+  // lock first is kept: both tasks' finds after their own insert, a find
+  // after the session, and a find after a late third insert all return
+  // it. The registry counts every examined pair once: two racing solves,
+  // then one replay.
+  mincut::PairMemo memo;
+  obs::Counter& solved = mincut::p2p_pairs_counter(false);
+  obs::Counter& replayed = mincut::p2p_pairs_counter(true);
+  const std::int64_t solved0 = solved.value(), replayed0 = replayed.value();
+  const auto result = [](int k) { return mincut::CutResult{10 + k, 20 + k, kNoEdge}; };
+  const auto charges = [](int k) {
+    minoragg::Ledger kid;
+    kid.charge(1 + k);
+    return kid;
+  };
+  std::atomic<int> missed{0};
+  Weight seen[2] = {-1, -1};
+  const auto stats = TaskGraph::session(2, [&] {
+    TaskGroup group;
+    for (int k = 0; k < 2; ++k) {
+      group.spawn([&, k] {
+        mincut::CutResult best;
+        minoragg::Ledger kid;
+        const bool hit = memo.find(3, 5, best, kid);
+        mincut::p2p_pairs_counter(hit).inc();
+        EXPECT_FALSE(hit) << "task " << k;
+        missed.fetch_add(1);
+        while (missed.load() < 2) std::this_thread::yield();
+        memo.insert(3, 5, result(k), charges(k));
+        EXPECT_TRUE(memo.find(3, 5, best, kid)) << "task " << k;
+        seen[k] = best.value;
+      });
+    }
+    group.join();
+  });
+  ASSERT_EQ(stats.width, 2);
+
+  mincut::CutResult best;
+  minoragg::Ledger kid;
+  const bool hit = memo.find(3, 5, best, kid);
+  mincut::p2p_pairs_counter(hit).inc();
+  ASSERT_TRUE(hit);
+  const int first = static_cast<int>(best.value) - 10;
+  ASSERT_TRUE(first == 0 || first == 1) << best.value;
+  EXPECT_EQ(best.e, result(first).e);
+  EXPECT_EQ(kid.rounds(), charges(first).rounds());
+  EXPECT_EQ(seen[0], best.value);
+  EXPECT_EQ(seen[1], best.value);
+  memo.insert(3, 5, result(7), charges(7));
+  ASSERT_TRUE(memo.find(3, 5, best, kid));
+  EXPECT_EQ(best.value, result(first).value);
+  EXPECT_EQ(solved.value() - solved0, 2);
+  EXPECT_EQ(replayed.value() - replayed0, 1);
 }
 
 // ---------------------------------------------------------------------------

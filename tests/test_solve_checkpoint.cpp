@@ -139,41 +139,32 @@ TEST(SolveCheckpoint, ResumableHitsPackingCacheWhenCheckpointEmpty) {
 TEST(SolveCheckpoint, CrashAtEveryCommitPointResumesBitIdentical) {
   PackingCache::global().clear();
   const WeightedGraph g = test_graph(107, 20, 0.3);
-  // Both greedy loop bodies: the BoruvkaPacker fast path and the simulated
-  // Minor-Aggregation reference.
-  for (const bool fast : {true, false}) {
-    SCOPED_TRACE(fast ? "fast path" : "reference path");
-    PackingConfig config;
-    config.use_cache = false;  // force the live resume path on every attempt
-    config.use_fast_path = fast;
-    // The reference simulates every Borůvka phase; a short packing keeps
-    // its every-site enumeration (sites x solves) cheap.
-    if (!fast) config.max_trees = 16;
-    const Baseline want = uninterrupted(g, 11, config, 2);
+  PackingConfig config;
+  config.use_cache = false;  // force the live resume path on every attempt
+  const Baseline want = uninterrupted(g, 11, config, 2);
 
-    // Enumerate the commit sites one crash-free run fires.
-    std::vector<Site> sites;
-    {
-      SolveCheckpoint probe;
-      Rng rng(11);
-      minoragg::Ledger ledger;
-      std::mutex mu;
-      (void)exact_mincut(g, rng, ledger, config, 2, &probe,
-                         [&](SolvePhase phase, std::int64_t index) {
-                           const std::lock_guard<std::mutex> lock(mu);
-                           sites.emplace_back(phase, index);
-                         });
-      EXPECT_FALSE(probe.packing.sampled);  // case A
-    }
-    ASSERT_GE(sites.size(), 3u);
+  // Enumerate the commit sites one crash-free run fires.
+  std::vector<Site> sites;
+  {
+    SolveCheckpoint probe;
+    Rng rng(11);
+    minoragg::Ledger ledger;
+    std::mutex mu;
+    (void)exact_mincut(g, rng, ledger, config, 2, &probe,
+                       [&](SolvePhase phase, std::int64_t index) {
+                         const std::lock_guard<std::mutex> lock(mu);
+                         sites.emplace_back(phase, index);
+                       });
+    EXPECT_FALSE(probe.packing.sampled);  // case A
+  }
+  ASSERT_GE(sites.size(), 3u);
 
-    for (const Site& site : sites) {
-      SCOPED_TRACE(std::string(to_string(site.first)) + " #" + std::to_string(site.second));
-      Recovered r;
-      solve_with_crashes(g, 11, config, 2, {site}, r);
-      EXPECT_EQ(r.attempts, 2);  // one crash, one clean resume
-      expect_same(want, r.result, r.ledger, r.rng, "crash site");
-    }
+  for (const Site& site : sites) {
+    SCOPED_TRACE(std::string(to_string(site.first)) + " #" + std::to_string(site.second));
+    Recovered r;
+    solve_with_crashes(g, 11, config, 2, {site}, r);
+    EXPECT_EQ(r.attempts, 2);  // one crash, one clean resume
+    expect_same(want, r.result, r.ledger, r.rng, "crash site");
   }
 }
 
@@ -257,43 +248,39 @@ TEST(SolveCheckpoint, MultiCrashProtocolAcrossAllPhasesConverges) {
 TEST(SolveCheckpoint, SampledRouteCrashResumesBitIdentical) {
   PackingCache::global().clear();
   const WeightedGraph g = test_graph(127, 26, 0.5);
-  for (const bool fast : {true, false}) {
-    SCOPED_TRACE(fast ? "fast path" : "reference path");
-    PackingConfig config;
-    config.use_cache = false;
-    config.use_fast_path = fast;
-    config.direct_threshold_c = 0.0;  // force the Karger-sampling route (case B)
-    const Baseline want = uninterrupted(g, 19, config, 2);
+  PackingConfig config;
+  config.use_cache = false;
+  config.direct_threshold_c = 0.0;  // force the Karger-sampling route (case B)
+  const Baseline want = uninterrupted(g, 19, config, 2);
 
-    // Crash after setup committed (so the sample + rng snapshot must carry
-    // the resume) and again mid-iterations.
-    SolveCheckpoint ckpt;
-    std::set<Site> crashes{{SolvePhase::kPackingIteration, 0},
-                           {SolvePhase::kPackingIteration, 2}};
-    std::mutex mu;
-    ExactMinCutResult got;
-    Rng rng(19);
-    minoragg::Ledger ledger;
-    int attempts = 0;
-    for (;;) {
-      ++attempts;
-      ASSERT_LE(attempts, 8);
-      rng = Rng(19);
-      ledger = minoragg::Ledger();
-      try {
-        got = exact_mincut(g, rng, ledger, config, 2, &ckpt, crash_once_at(crashes, mu));
-        break;
-      } catch (const crash_error&) {
-        EXPECT_TRUE(ckpt.packing.sampled);
-        continue;
-      }
+  // Crash after setup committed (so the sample + rng snapshot must carry
+  // the resume) and again mid-iterations.
+  SolveCheckpoint ckpt;
+  std::set<Site> crashes{{SolvePhase::kPackingIteration, 0},
+                         {SolvePhase::kPackingIteration, 2}};
+  std::mutex mu;
+  ExactMinCutResult got;
+  Rng rng(19);
+  minoragg::Ledger ledger;
+  int attempts = 0;
+  for (;;) {
+    ++attempts;
+    ASSERT_LE(attempts, 8);
+    rng = Rng(19);
+    ledger = minoragg::Ledger();
+    try {
+      got = exact_mincut(g, rng, ledger, config, 2, &ckpt, crash_once_at(crashes, mu));
+      break;
+    } catch (const crash_error&) {
+      EXPECT_TRUE(ckpt.packing.sampled);
+      continue;
     }
-    EXPECT_EQ(attempts, 3);
-    EXPECT_TRUE(ckpt.packing.sampled);
-    EXPECT_FALSE(ckpt.packing.multiplicity.empty());
-    expect_same(want, got, ledger, rng, "sampled-route resume");
-    EXPECT_EQ(got.value, baseline::stoer_wagner(g).value);
   }
+  EXPECT_EQ(attempts, 3);
+  EXPECT_TRUE(ckpt.packing.sampled);
+  EXPECT_FALSE(ckpt.packing.multiplicity.empty());
+  expect_same(want, got, ledger, rng, "sampled-route resume");
+  EXPECT_EQ(got.value, baseline::stoer_wagner(g).value);
 }
 
 TEST(SolveCheckpoint, ResumingAgainstDifferentSolveIsRejected) {

@@ -1,12 +1,13 @@
-// Determinism gate for the tree-packing fast path: the BoruvkaPacker may
+// Determinism gate for the tree-packing producer: the BoruvkaPacker may
 // fold its per-phase candidate scans on any number of session workers, but
 // the packing output — every tree's edge list, the iteration count, the rng
 // consumption, and every Ledger counter (full map, not a gated subset) —
-// must be bit-identical at widths 1 through 8 AND identical to the
-// pre-change Minor-Aggregation-simulated producer (use_fast_path = false).
-// Plus unit tests for the PackingCache: hit replay transparency, the
-// fingerprint invalidation rule, LRU eviction, and the guard battery's
-// replay-as-hit contract.
+// must be bit-identical at widths 1 through 8. A differential re-derives
+// every tree of a journaled packing with the Minor-Aggregation-simulated
+// Borůvka (`minoragg::boruvka_mst`) and checks its charge. Plus unit tests
+// for the PackingCache: hit replay transparency, the fingerprint
+// invalidation rule, LRU eviction, and the guard battery's replay-as-hit
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "mincut/exact_mincut.hpp"
 #include "mincut/packing_cache.hpp"
 #include "mincut/tree_packing.hpp"
+#include "minoragg/boruvka.hpp"
 #include "minoragg/ledger.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -40,17 +42,16 @@ struct PackSnapshot {
 /// Runs the streaming packing inside a TaskGraph session of the given
 /// width — the shape exact_mincut opens — so the BoruvkaPacker's chunk
 /// folds actually land on pool workers (width 1 = inline sequential
-/// reference).
+/// reference). `journal`, if given, records the packing.
 PackSnapshot run_pack(const WeightedGraph& g, int threads, mincut::PackingConfig config,
-                      std::uint64_t seed = 7) {
+                      std::uint64_t seed = 7, mincut::PackingCheckpoint* journal = nullptr) {
   Rng rng(seed);
   minoragg::Ledger ledger;
   PackSnapshot s;
   TaskGraph::session(threads, [&] {
-    const auto meta = mincut::tree_packing(g, rng, ledger, config,
-                                           [&s](std::vector<EdgeId> tree) {
-                                             s.trees.push_back(std::move(tree));
-                                           });
+    const auto meta = mincut::tree_packing(
+        g, rng, ledger, config,
+        [&s](std::vector<EdgeId> tree) { s.trees.push_back(std::move(tree)); }, journal);
     s.lambda_seed = meta.lambda_seed;
     s.sampled = meta.sampled;
   });
@@ -60,6 +61,70 @@ PackSnapshot run_pack(const WeightedGraph& g, int threads, mincut::PackingConfig
   return s;
 }
 
+/// The case-B family: heavy weights push lambda over the direct threshold
+/// into the Karger-sampling route.
+WeightedGraph sampled_family() {
+  Rng rng(13);
+  WeightedGraph g = ring_expander(40, 3, rng);
+  randomize_weights(g, 40, 90, rng);
+  return g;
+}
+
+/// Runs a journaled production packing and re-derives each of its trees
+/// from the loads of the trees before it: all m costs recomputed, then the
+/// simulated `minoragg::boruvka_mst` on the packed substrate (g in case A,
+/// the Karger sample in case B). Each must be the journaled tree, charged
+/// one round per journaled Borůvka phase plus one and one
+/// boruvka_iterations bump per phase. The journaled run must also match an
+/// unjournaled one, and its ledger must be the setup plus those charges.
+void expect_matches_simulated_reference(const WeightedGraph& g, mincut::PackingConfig config,
+                                        int threads) {
+  mincut::PackingCheckpoint journal;
+  const PackSnapshot got = run_pack(g, threads, config, 7, &journal);
+  EXPECT_EQ(got, run_pack(g, threads, config)) << "journaling must not change the packing";
+  ASSERT_TRUE(journal.complete());
+  ASSERT_EQ(journal.iteration_phases.size(), journal.trees.size());
+  EXPECT_EQ(journal.trees, got.trees);
+
+  // The packed substrate, in original edge order: present[i] is the
+  // original id of substrate edge i.
+  WeightedGraph sub(g.n());
+  std::vector<EdgeId> present;
+  std::vector<Weight> multiplicity;
+  for (EdgeId e = 0; e < g.m(); ++e) {
+    const Weight w =
+        journal.sampled ? journal.multiplicity[static_cast<std::size_t>(e)] : g.edge(e).w;
+    if (w == 0) continue;
+    present.push_back(e);
+    multiplicity.push_back(w);
+    sub.add_edge(g.edge(e).u, g.edge(e).v, w);
+  }
+  ASSERT_TRUE(journal.sampled || sub.m() == g.m());
+
+  minoragg::Ledger want = journal.setup_charges;
+  std::vector<std::int64_t> load(static_cast<std::size_t>(sub.m()), 0);
+  std::vector<std::int64_t> cost(load.size());
+  for (std::size_t it = 0; it < journal.trees.size(); ++it) {
+    for (std::size_t i = 0; i < load.size(); ++i)
+      cost[i] = mincut::packing_cost(load[i], multiplicity[i]);
+    minoragg::Ledger charged;
+    std::vector<EdgeId> tree = minoragg::boruvka_mst(sub, cost, charged);
+    for (EdgeId& e : tree) {
+      ++load[static_cast<std::size_t>(e)];
+      e = present[static_cast<std::size_t>(e)];
+    }
+    const int phases = journal.iteration_phases[it];
+    EXPECT_EQ(tree, journal.trees[it]) << "iteration " << it;
+    EXPECT_EQ(charged.rounds(), phases + 1) << "iteration " << it;
+    EXPECT_EQ(charged.counter("boruvka_iterations"), phases) << "iteration " << it;
+    EXPECT_EQ(charged.counters().size(), 1u) << "iteration " << it;
+    want.charge_sequential(charged);
+    want.bump("packing_iterations");
+  }
+  EXPECT_EQ(got.rounds, want.rounds());
+  EXPECT_EQ(got.counters, want.counters());
+}
+
 /// Width sweep 1..8 against the width-1 reference, full counter maps. The
 /// cache is disabled so every run actually packs, and the fold granularity
 /// is forced down so even these small families split into multiple chunk
@@ -67,7 +132,6 @@ PackSnapshot run_pack(const WeightedGraph& g, int threads, mincut::PackingConfig
 /// never exercise the parallel fold path it exists to pin.
 void expect_pack_width_invariant(const WeightedGraph& g, mincut::PackingConfig config = {}) {
   config.use_cache = false;
-  config.use_fast_path = true;
   config.chunk_min_edges = 16;
   const PackSnapshot want = run_pack(g, 1, config);
   ASSERT_FALSE(want.trees.empty());
@@ -112,11 +176,10 @@ TEST(TreePackingParallel, DominantTreeBitIdenticalAcrossWidths) {
 TEST(TreePackingParallel, WeightedSampledCaseBitIdenticalAcrossWidths) {
   // Heavy weights push lambda over the direct threshold into the Karger-
   // sampling route (case B), whose rng draws precede the packing proper —
-  // the sweep pins that the fast path leaves the sampling stream untouched.
-  Rng rng(13);
-  WeightedGraph g = ring_expander(40, 3, rng);
-  randomize_weights(g, 40, 90, rng);
-  const PackSnapshot probe = run_pack(g, 1, {.use_fast_path = true, .use_cache = false});
+  // the sweep pins that the chunked folds leave the sampling stream
+  // untouched.
+  const WeightedGraph g = sampled_family();
+  const PackSnapshot probe = run_pack(g, 1, {.use_cache = false});
   ASSERT_TRUE(probe.sampled) << "family must exercise the sampling route";
   expect_pack_width_invariant(g);
 }
@@ -140,50 +203,25 @@ TEST(TreePackingParallel, ChunkGranularityCannotChangeOutput) {
 }
 
 TEST(TreePackingParallel, FastPathMatchesSimulatedReference) {
-  // The differential the whole tentpole rests on: the BoruvkaPacker fast
-  // path must reproduce the Minor-Aggregation-simulated producer exactly —
-  // same trees in the same order, same rounds, same counters, same rng exit
-  // state — on every family, at width 1 and width 8.
+  // The differential the producer rests on: every tree the BoruvkaPacker
+  // loop packs is the tree the Minor-Aggregation simulation selects under
+  // the same loads, charged what that simulation charges — on every family,
+  // case B included, at width 1 and width 8.
   Rng grng(29);
   const std::vector<WeightedGraph> families = {
       grid_graph(6, 6),
       erdos_renyi_connected(48, 0.18, grng),
       random_planar_grid(6, 6, 0.5, grng),
       dumbbell(8, 4),
+      sampled_family(),
   };
+  ASSERT_TRUE(run_pack(families.back(), 1, {.use_cache = false}).sampled);
   for (std::size_t i = 0; i < families.size(); ++i) {
-    const WeightedGraph& g = families[i];
-    const PackSnapshot legacy = run_pack(g, 1, {.use_fast_path = false, .use_cache = false});
-    const PackSnapshot fast1 = run_pack(g, 1, {.use_fast_path = true, .use_cache = false});
-    const PackSnapshot fast8 =
-        run_pack(g, 8, {.use_fast_path = true, .use_cache = false, .chunk_min_edges = 16});
-    EXPECT_EQ(fast1, legacy) << "family=" << i;
-    EXPECT_EQ(fast8, legacy) << "family=" << i;
+    SCOPED_TRACE("family=" + std::to_string(i));
+    expect_matches_simulated_reference(families[i], {.use_cache = false}, 1);
+    expect_matches_simulated_reference(families[i], {.use_cache = false, .chunk_min_edges = 16},
+                                       8);
   }
-}
-
-TEST(TreePackingParallel, ExactMincutUnaffectedByFastPathToggle) {
-  // End-to-end: the solver on top must not see the producer swap.
-  Rng grng(37);
-  const WeightedGraph g = erdos_renyi_connected(40, 0.2, grng);
-  const auto solve = [&g](bool fast) {
-    Rng rng(7);
-    minoragg::Ledger ledger;
-    mincut::PackingConfig config;
-    config.use_fast_path = fast;
-    config.use_cache = false;
-    const auto r = mincut::exact_mincut(g, rng, ledger, config, 4);
-    return std::make_pair(r, ledger);
-  };
-  const auto [fast, fast_led] = solve(true);
-  const auto [slow, slow_led] = solve(false);
-  EXPECT_EQ(fast.value, slow.value);
-  EXPECT_EQ(fast.e, slow.e);
-  EXPECT_EQ(fast.f, slow.f);
-  EXPECT_EQ(fast.winning_tree, slow.winning_tree);
-  EXPECT_EQ(fast.num_trees, slow.num_trees);
-  EXPECT_EQ(fast_led.rounds(), slow_led.rounds());
-  EXPECT_EQ(fast_led.counters(), slow_led.counters());
 }
 
 // ---------------------------------------------------------------------------
