@@ -20,7 +20,9 @@ void BM_ColeVishkin(benchmark::State& state) {
   minoragg::Ledger ledger;
   for (auto _ : state) {
     minoragg::Ledger run;
-    benchmark::DoNotOptimize(minoragg::cole_vishkin_3color(out, run));
+    std::vector<int> color;
+    minoragg::cole_vishkin_3color(out, run, color);
+    benchmark::DoNotOptimize(color);
     ledger = run;
   }
   benchutil::export_ledger(state, ledger);

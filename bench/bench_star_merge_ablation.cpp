@@ -13,9 +13,33 @@
 #include "graph/dsu.hpp"
 #include "minoragg/star_merge.hpp"
 #include "tree/rooted_tree.hpp"
+#include "util/rng.hpp"
 
 namespace umc {
 namespace {
+
+/// The classic RANDOMIZED star merging that Lemma 44 derandomizes: each part
+/// flips a fair coin; a part joins iff it came up "joiner" and its
+/// out-target came up "receiver". One round; E[|J|] = |O|/4, but any single
+/// round can merge nothing.
+minoragg::StarMergeResult random_star_merge(std::span<const int> out, Rng& rng,
+                                            minoragg::Ledger& ledger) {
+  // One round: every part announces its coin; joiners point at receivers.
+  ledger.charge(1);
+  std::vector<bool> heads(out.size());
+  for (std::size_t v = 0; v < out.size(); ++v) heads[v] = rng.next_bool(0.5);
+  minoragg::StarMergeResult res;
+  res.is_joiner.assign(out.size(), false);
+  for (std::size_t v = 0; v < out.size(); ++v) {
+    if (out[v] < 0) continue;
+    ++res.out_degree_one;
+    if (heads[v] && !heads[static_cast<std::size_t>(out[v])]) {
+      res.is_joiner[v] = true;
+      ++res.num_joiners;
+    }
+  }
+  return res;
+}
 
 template <typename MergeFn>
 std::pair<int, std::int64_t> merge_to_one(const RootedTree& t, MergeFn&& merge_fn) {
@@ -64,11 +88,13 @@ void BM_StarMerge(benchmark::State& state) {
   std::pair<int, std::int64_t> det{}, rnd{};
   for (auto _ : state) {
     det = merge_to_one(t, [](std::span<const int> out, minoragg::Ledger& l) {
-      return minoragg::star_merge(out, l);
+      minoragg::StarMergeResult res;
+      minoragg::star_merge(out, l, res);
+      return res;
     });
     Rng coin(99);
     rnd = merge_to_one(t, [&coin](std::span<const int> out, minoragg::Ledger& l) {
-      return minoragg::random_star_merge(out, coin, l);
+      return random_star_merge(out, coin, l);
     });
     benchmark::DoNotOptimize(det);
   }

@@ -12,9 +12,10 @@ EdgeColoring deterministic_edge_coloring(const WeightedGraph& g) {
   out.color.assign(static_cast<std::size_t>(g.m()), -1);
   for (NodeId v = 0; v < g.n(); ++v) out.max_degree = std::max(out.max_degree, g.degree(v));
 
+  std::vector<bool> used;
   for (EdgeId e = 0; e < g.m(); ++e) {
     // mex over colors already used at either endpoint.
-    std::vector<bool> used(static_cast<std::size_t>(2 * out.max_degree), false);
+    used.assign(static_cast<std::size_t>(2 * out.max_degree), false);
     const Edge& ed = g.edge(e);
     for (const NodeId x : {ed.u, ed.v}) {
       for (const AdjEntry& a : g.adj(x)) {

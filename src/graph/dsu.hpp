@@ -14,8 +14,15 @@ namespace umc {
 
 class Dsu {
  public:
-  explicit Dsu(NodeId n) : parent_(static_cast<std::size_t>(n)), size_(static_cast<std::size_t>(n), 1) {
+  Dsu() = default;
+  explicit Dsu(NodeId n) { reset(n); }
+
+  /// Back to n singletons, reusing the rows' capacity.
+  void reset(NodeId n) {
+    parent_.resize(static_cast<std::size_t>(n));
     std::iota(parent_.begin(), parent_.end(), NodeId{0});
+    size_.assign(static_cast<std::size_t>(n), 1);
+    components_ = 0;
   }
 
   [[nodiscard]] NodeId find(NodeId x) {

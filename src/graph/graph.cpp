@@ -2,55 +2,43 @@
 
 #include <utility>
 
-#include "util/scratch.hpp"
-
 namespace umc {
 
-WeightedGraph::WeightedGraph(NodeId n, std::vector<Edge> edges)
-    : edges_(std::move(edges)), adj_(static_cast<std::size_t>(n)) {
+namespace {
+
+void check_edge(NodeId n, const Edge& e) {
+  UMC_ASSERT(e.u >= 0 && e.u < n);
+  UMC_ASSERT(e.v >= 0 && e.v < n);
+  UMC_ASSERT_MSG(e.u != e.v, "self-loops are not representable");
+  UMC_ASSERT_MSG(e.w > 0, "edge weights must be positive");
+}
+
+}  // namespace
+
+void WeightedGraph::assign(NodeId n, std::span<const Edge> edges) {
   UMC_ASSERT(n >= 0);
-  ScratchLease<std::vector<std::int32_t>> degree_s;
-  std::vector<std::int32_t>& degree = *degree_s;
-  degree.assign(static_cast<std::size_t>(n), 0);
-  for (const Edge& e : edges_) {
-    UMC_ASSERT(e.u >= 0 && e.u < n);
-    UMC_ASSERT(e.v >= 0 && e.v < n);
-    UMC_ASSERT_MSG(e.u != e.v, "self-loops are not representable");
-    UMC_ASSERT_MSG(e.w > 0, "edge weights must be positive");
-    ++degree[static_cast<std::size_t>(e.u)];
-    ++degree[static_cast<std::size_t>(e.v)];
-  }
-  for (std::size_t v = 0; v < adj_.size(); ++v) adj_[v].reserve(static_cast<std::size_t>(degree[v]));
-  for (EdgeId id = 0; id < m(); ++id) {
-    const Edge& e = edges_[static_cast<std::size_t>(id)];
-    adj_[static_cast<std::size_t>(e.u)].push_back(AdjEntry{e.v, id});
-    adj_[static_cast<std::size_t>(e.v)].push_back(AdjEntry{e.u, id});
-  }
+  for (const Edge& e : edges) check_edge(n, e);
+  n_ = n;
+  edges_.assign(edges.begin(), edges.end());
+  csr_.rebuild(n, edges_);
+  csr_valid_.store(true, std::memory_order_relaxed);
 }
 
 void WeightedGraph::reserve(NodeId nodes, EdgeId edges) {
   UMC_ASSERT(nodes >= 0 && edges >= 0);
-  adj_.reserve(static_cast<std::size_t>(nodes));
   edges_.reserve(static_cast<std::size_t>(edges));
 }
 
 NodeId WeightedGraph::add_node() {
-  adj_.emplace_back();
   csr_valid_ = false;
-  return static_cast<NodeId>(adj_.size() - 1);
+  return n_++;
 }
 
 EdgeId WeightedGraph::add_edge(NodeId u, NodeId v, Weight w) {
-  UMC_ASSERT(u >= 0 && u < n());
-  UMC_ASSERT(v >= 0 && v < n());
-  UMC_ASSERT_MSG(u != v, "self-loops are not representable");
-  UMC_ASSERT_MSG(w > 0, "edge weights must be positive");
-  const EdgeId id = static_cast<EdgeId>(edges_.size());
+  check_edge(n_, Edge{u, v, w});
   edges_.push_back(Edge{u, v, w});
-  adj_[static_cast<std::size_t>(u)].push_back(AdjEntry{v, id});
-  adj_[static_cast<std::size_t>(v)].push_back(AdjEntry{u, id});
   csr_valid_ = false;
-  return id;
+  return static_cast<EdgeId>(edges_.size() - 1);
 }
 
 Weight WeightedGraph::weighted_degree(NodeId v) const {
@@ -71,21 +59,52 @@ void WeightedGraph::set_weight(EdgeId e, Weight w) {
   edges_[static_cast<std::size_t>(e)].w = w;
 }
 
+WeightedGraph& WeightedGraph::operator=(const WeightedGraph& o) {
+  if (this != &o) {
+    n_ = o.n_;
+    edges_ = o.edges_;
+    csr_valid_.store(false, std::memory_order_relaxed);
+  }
+  return *this;
+}
+
+WeightedGraph& WeightedGraph::operator=(WeightedGraph&& o) noexcept {
+  if (this != &o) {
+    n_ = o.n_;
+    edges_ = std::move(o.edges_);
+    csr_ = std::move(o.csr_);
+    csr_valid_.store(o.csr_valid_.exchange(false, std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+  }
+  return *this;
+}
+
 const CsrAdjacency& WeightedGraph::csr() const {
-  if (!csr_valid_) {
-    csr_.offsets.assign(adj_.size() + 1, 0);
-    std::size_t total = 0;
-    for (std::size_t v = 0; v < adj_.size(); ++v) {
-      total += adj_[v].size();
-      csr_.offsets[v + 1] = static_cast<std::int32_t>(total);
-    }
-    csr_.entries.clear();
-    csr_.entries.reserve(total);
-    for (const std::vector<AdjEntry>& row : adj_)
-      csr_.entries.insert(csr_.entries.end(), row.begin(), row.end());
-    csr_valid_ = true;
+  if (csr_valid_.load(std::memory_order_acquire)) return csr_;
+  const std::lock_guard<std::mutex> lock(csr_mu_);
+  if (!csr_valid_.load(std::memory_order_relaxed)) {
+    csr_.rebuild(n(), edges_);
+    csr_valid_.store(true, std::memory_order_release);
   }
   return csr_;
+}
+
+void CsrAdjacency::rebuild(NodeId n, std::span<const Edge> edges) {
+  offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const Edge& e : edges) {
+    ++offsets[static_cast<std::size_t>(e.u) + 1];
+    ++offsets[static_cast<std::size_t>(e.v) + 1];
+  }
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) offsets[v + 1] += offsets[v];
+  entries.resize(2 * edges.size());
+  // Fill through the offsets as cursors, then shift them back.
+  for (EdgeId id = 0; id < static_cast<EdgeId>(edges.size()); ++id) {
+    const Edge& e = edges[static_cast<std::size_t>(id)];
+    entries[static_cast<std::size_t>(offsets[static_cast<std::size_t>(e.u)]++)] = AdjEntry{e.v, id};
+    entries[static_cast<std::size_t>(offsets[static_cast<std::size_t>(e.v)]++)] = AdjEntry{e.u, id};
+  }
+  for (std::size_t v = static_cast<std::size_t>(n); v > 0; --v) offsets[v] = offsets[v - 1];
+  offsets[0] = 0;
 }
 
 }  // namespace umc

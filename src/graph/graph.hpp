@@ -9,8 +9,11 @@
 // they never affect cuts and the Minor-Aggregation model removes them on
 // contraction.
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -55,25 +58,36 @@ struct CsrAdjacency {
     return {entries.data() + offsets[static_cast<std::size_t>(v)],
             entries.data() + offsets[static_cast<std::size_t>(v) + 1]};
   }
+
+  /// Rebuilds the adjacency of `edges` on n nodes in place: node v lists
+  /// its incident edges in id order, u side before v side.
+  void rebuild(NodeId n, std::span<const Edge> edges);
 };
 
-/// Weighted undirected multigraph with O(1) edge lookup by id.
+/// Weighted undirected multigraph with O(1) edge lookup by id: an edge row
+/// plus its CSR adjacency (csr()), rebuilt lazily after the edge row grows.
+/// Graphs built whole — the 2-respecting recursion's sub-instances — are
+/// rebuilt in place by assign(), so a leased one keeps its rows' capacity.
 class WeightedGraph {
  public:
   WeightedGraph() = default;
-  explicit WeightedGraph(NodeId n) : adj_(static_cast<std::size_t>(n)) { UMC_ASSERT(n >= 0); }
+  explicit WeightedGraph(NodeId n) : n_(n) { UMC_ASSERT(n >= 0); }
+  // A copy rebuilds its CSR cache on first use; a move takes it along.
+  WeightedGraph(const WeightedGraph& o) : n_(o.n_), edges_(o.edges_) {}
+  WeightedGraph(WeightedGraph&& o) noexcept { *this = std::move(o); }
+  WeightedGraph& operator=(const WeightedGraph& o);
+  WeightedGraph& operator=(WeightedGraph&& o) noexcept;
 
-  /// Builds the graph on n nodes from a complete edge list in one sized
-  /// pass: each adjacency row is reserved exactly. Edge ids and adjacency
-  /// order equal those of add_edge() called on `edges` in order, with the
-  /// same self-loop and weight checks.
-  WeightedGraph(NodeId n, std::vector<Edge> edges);
+  /// Rebuilds this graph in place as the graph on n nodes with these edges
+  /// (ids = positions), with add_edge()'s checks and adjacency order; the
+  /// CSR is built at once.
+  void assign(NodeId n, std::span<const Edge> edges);
 
-  [[nodiscard]] NodeId n() const { return static_cast<NodeId>(adj_.size()); }
+  [[nodiscard]] NodeId n() const { return n_; }
   [[nodiscard]] EdgeId m() const { return static_cast<EdgeId>(edges_.size()); }
 
-  /// Pre-sizes the node and edge stores (never shrinks). Generators use
-  /// this to avoid reallocation churn when building large graphs.
+  /// Pre-sizes the edge store (never shrinks). Generators use this to avoid
+  /// reallocation churn when building large graphs.
   void reserve(NodeId nodes, EdgeId edges);
 
   /// Appends an isolated vertex; returns its id.
@@ -90,9 +104,10 @@ class WeightedGraph {
   }
   [[nodiscard]] std::span<const Edge> edges() const { return edges_; }
 
+  /// v's incident edges in id order (an edge's u side before its v side).
   [[nodiscard]] std::span<const AdjEntry> adj(NodeId v) const {
     UMC_ASSERT(v >= 0 && v < n());
-    return adj_[static_cast<std::size_t>(v)];
+    return csr().row(v);
   }
 
   [[nodiscard]] int degree(NodeId v) const {
@@ -108,17 +123,18 @@ class WeightedGraph {
   /// Re-weights an existing edge. New weight must be positive.
   void set_weight(EdgeId e, Weight w);
 
-  /// The CSR adjacency view, built lazily on first use and rebuilt after
-  /// topology changes (add_node/add_edge). NOT safe to build concurrently:
-  /// call it once before handing the graph to parallel code (set_weight
-  /// does not invalidate it — entries carry no weights).
+  /// The CSR adjacency, built on first use after add_node/add_edge. Safe to
+  /// call concurrently on an unchanging graph: the first caller builds it
+  /// under a lock (set_weight does not invalidate it — entries carry no
+  /// weights).
   [[nodiscard]] const CsrAdjacency& csr() const;
 
  private:
+  NodeId n_ = 0;
   std::vector<Edge> edges_;
-  std::vector<std::vector<AdjEntry>> adj_;
-  mutable CsrAdjacency csr_;       // wall-time cache only
-  mutable bool csr_valid_ = false;
+  mutable std::mutex csr_mu_;  // serializes the lazy build of csr_
+  mutable CsrAdjacency csr_;
+  mutable std::atomic<bool> csr_valid_{false};
 };
 
 }  // namespace umc

@@ -1,11 +1,9 @@
 #pragma once
 
-// Minor operations: edge contraction and induced subgraphs, with mappings
-// back to the source graph.
-//
-// The Minor-Aggregation model's contraction step (Definition 9) and the
-// instance transformations of Sections 6–9 (e.g. contracting tree edges of
-// the wrong HL-depth, Figure 4) are all built on these.
+// Induced subgraphs, with mappings back to the source graph (Theorem 14's
+// real-node part and the part-wise CONGEST tests). The solver's contracted
+// minors are cut-equivalent sub-instances (mincut/instance.hpp); the plain
+// edge-contraction reference they are tested against lives under tests/.
 
 #include <vector>
 
@@ -21,12 +19,6 @@ struct DerivedGraph {
   /// edge_origin[e_new] = source edge id in the original graph.
   std::vector<EdgeId> edge_origin;
 };
-
-/// Contracts every edge e with contract[e] == true. Self-loops are removed;
-/// parallel edges are kept (cuts need their individual weights). Supernode
-/// ids are assigned by smallest contained original node id order.
-[[nodiscard]] DerivedGraph contract_edges(const WeightedGraph& g,
-                                          const std::vector<bool>& contract);
 
 /// Induced subgraph on {v : keep[v]}. Edges with a dropped endpoint vanish.
 [[nodiscard]] DerivedGraph induced_subgraph(const WeightedGraph& g,

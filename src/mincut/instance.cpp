@@ -1,13 +1,13 @@
 #include "mincut/instance.hpp"
 
-#include <utility>
+#include "util/scratch.hpp"
 
 namespace umc::mincut {
 
 Instance make_root_instance(const WeightedGraph& g, std::span<const EdgeId> tree_edges,
                             NodeId root) {
   Instance inst;
-  inst.graph = g;
+  inst.graph.assign(g.n(), g.edges());
   inst.is_virtual.assign(static_cast<std::size_t>(g.n()), false);
   inst.tree_edges.assign(tree_edges.begin(), tree_edges.end());
   inst.root = root;
@@ -17,21 +17,16 @@ Instance make_root_instance(const WeightedGraph& g, std::span<const EdgeId> tree
 }
 
 void build_sub_instance(const InstanceCore& src, std::span<const NodeId> node_map,
-                        NodeId new_n, InstanceCore& out, std::vector<EdgeId>& edge_map) {
+                        NodeId new_n, InstanceCore& out, std::vector<EdgeId>& edge_map,
+                        std::span<const Edge> extra) {
   const WeightedGraph& g = src.graph;
   UMC_ASSERT(static_cast<NodeId>(node_map.size()) == g.n());
   UMC_ASSERT(static_cast<EdgeId>(src.origin.size()) == g.m());
   edge_map.assign(static_cast<std::size_t>(g.m()), kNoEdge);
   out.origin.clear();
-  // Size the edge rows exactly: the new graph keeps its edge row, and
-  // sub-instances stay alive through their own recursion, so reserving
-  // g.m() would hold a parent-sized row per level.
-  std::size_t kept = 0;
-  for (const Edge& ed : g.edges())
-    kept += node_map[static_cast<std::size_t>(ed.u)] != node_map[static_cast<std::size_t>(ed.v)];
-  std::vector<Edge> edges;
-  edges.reserve(kept);
-  out.origin.reserve(kept);
+  ScratchLease<std::vector<Edge>> edges_s;
+  std::vector<Edge>& edges = *edges_s;
+  edges.clear();
   for (EdgeId e = 0; e < g.m(); ++e) {
     const Edge& ed = g.edge(e);
     const NodeId u = node_map[static_cast<std::size_t>(ed.u)];
@@ -42,7 +37,9 @@ void build_sub_instance(const InstanceCore& src, std::span<const NodeId> node_ma
     edges.push_back(Edge{u, v, ed.w});
     out.origin.push_back(src.origin[static_cast<std::size_t>(e)]);
   }
-  out.graph = WeightedGraph(new_n, std::move(edges));
+  edges.insert(edges.end(), extra.begin(), extra.end());
+  out.origin.resize(edges.size(), kNoEdge);
+  out.graph.assign(new_n, edges);
   out.is_virtual.assign(static_cast<std::size_t>(new_n), false);
   for (NodeId v = 0; v < g.n(); ++v)
     if (src.is_virtual[static_cast<std::size_t>(v)])

@@ -69,15 +69,17 @@ struct Instance : InstanceCore {
 /// endpoints collide become self-loops and are dropped; the rest keep their
 /// order, weights and origins. A new node is virtual iff some node mapped
 /// to it is, and out.root = node_map[src.root]. edge_map[e] is source
-/// edge e's new id, or kNoEdge if it was dropped.
+/// edge e's new id, or kNoEdge if it was dropped. The `extra` edges (new
+/// ids) follow the kept ones as auxiliary edges (origin kNoEdge).
 void build_sub_instance(const InstanceCore& src, std::span<const NodeId> node_map,
-                        NodeId new_n, InstanceCore& out, std::vector<EdgeId>& edge_map);
+                        NodeId new_n, InstanceCore& out, std::vector<EdgeId>& edge_map,
+                        std::span<const Edge> extra = {});
 
 /// Node map of contracting the tree edges of `t` (spanning its host) whose
 /// bottom node v has contracted(v): one preorder walk puts such a v in its
 /// parent's supernode, and supernodes are numbered in smallest-member
-/// order, as contract_edges numbers them. `top` is scratch. Returns the
-/// number of supernodes.
+/// order, as plain edge contraction numbers them. `top` is scratch.
+/// Returns the number of supernodes.
 template <typename Contracted>
 NodeId contracted_node_map(const RootedTree& t, Contracted&& contracted,
                            std::vector<NodeId>& map, std::vector<NodeId>& top) {

@@ -9,6 +9,8 @@
 // each path (Lemma 32) — cross-edges only, so no sketch deletions are ever
 // needed.
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mincut/instance.hpp"
@@ -34,16 +36,28 @@ struct StarInstance : InstanceCore {
 /// row (overwritten); bookkeeping.
 void path_of_node(const StarInstance& inst, std::vector<int>& of);
 
-/// Lemma 32: per path, the ids of paths it is interested in — contains
-/// every strongly (1/2-) interested path, only weakly (1/5-) interested
-/// ones. Built from Misra-Gries sketches (Example 8) suffix-folded along
-/// each path (all paths in parallel), plus one union round.
-[[nodiscard]] std::vector<std::vector<int>> interest_lists(const StarInstance& inst,
-                                                           minoragg::Ledger& ledger);
+/// Per-path rows of path ids in one flat layout: row i is
+/// ids[offsets[i], offsets[i+1]). Rebuilt in place, so a leased one does not
+/// allocate.
+struct PathRows {
+  std::vector<std::int32_t> offsets;  // size() + 1
+  std::vector<int> ids;
+
+  [[nodiscard]] std::size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  [[nodiscard]] std::span<const int> operator[](std::size_t i) const {
+    return {ids.data() + offsets[i], ids.data() + offsets[i + 1]};
+  }
+};
+
+/// Lemma 32: per path, the ids of paths it is interested in, sorted —
+/// contains every strongly (1/2-) interested path, only weakly (1/5-)
+/// interested ones. Built from Misra-Gries sketches (Example 8)
+/// suffix-folded along each path (all paths in parallel), plus one union
+/// round. Rebuilds `lists`.
+void interest_lists(const StarInstance& inst, minoragg::Ledger& ledger, PathRows& lists);
 
 /// Definition 33: the mutual-interest graph over path indices, as sorted
-/// adjacency lists.
-[[nodiscard]] std::vector<std::vector<int>> interest_graph(
-    const std::vector<std::vector<int>>& lists);
+/// adjacency rows, rebuilt into `adj`.
+void interest_graph(const PathRows& lists, PathRows& adj);
 
 }  // namespace umc::mincut

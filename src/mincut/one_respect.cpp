@@ -11,41 +11,16 @@ namespace umc::mincut {
 
 namespace {
 
-/// Aggregation operator for the Theorem 18 delta routing: a key-sorted list
-/// of (target ancestor, weight delta) pairs, merged key-wise. In the model
-/// the support stays Õ(1) (targets are light-edge endpoints on the root
-/// path, Fact 3); the simulation keeps all keys, which only affects memory.
-struct DeltaMapAgg {
-  using value_type = std::vector<std::pair<NodeId, Weight>>;
-  static value_type identity() { return {}; }
-  /// Key-wise sum. An empty operand yields the other one, moved when the
-  /// caller hands it over, so folds through delta-free nodes copy nothing.
-  template <typename X, typename Y>
-  static value_type merge(X&& a, Y&& b) {
-    if (a.empty()) return std::forward<Y>(b);
-    if (b.empty()) return std::forward<X>(a);
-    value_type out;
-    out.reserve(a.size() + b.size());
-    std::size_t i = 0, j = 0;
-    while (i < a.size() || j < b.size()) {
-      if (j == b.size() || (i < a.size() && a[i].first < b[j].first)) {
-        out.push_back(a[i++]);
-      } else if (i == a.size() || b[j].first < a[i].first) {
-        out.push_back(b[j++]);
-      } else {
-        out.emplace_back(a[i].first, a[i].second + b[j].second);
-        ++i;
-        ++j;
-      }
-    }
-    return out;
-  }
-};
-
 /// One Step 2b delivery: `delta` for target `target`, handed to node
 /// `responsible`.
 struct Delivery {
   NodeId responsible;
+  NodeId target;
+  Weight delta;
+};
+
+/// One (target, delta) entry of a Step 2b map row.
+struct DeltaEntry {
   NodeId target;
   Weight delta;
 };
@@ -66,13 +41,18 @@ OneRespectResult one_respecting_cuts(const RootedTree& t, std::span<const EdgeId
                                      minoragg::Ledger& ledger) {
   const WeightedGraph& g = t.host();
   UMC_ASSERT(static_cast<EdgeId>(origin.size()) == g.m());
-  minoragg::Network net(g, ledger);
+  const minoragg::Network net(g, ledger);
+  const auto un = static_cast<std::size_t>(g.n());
 
   // Step 1: A(v) = weighted degree — one aggregation round.
-  std::vector<Weight> a = net.neighborhood_aggregate<SumAgg>([&g](EdgeId e) {
-    const Weight w = g.edge(e).w;
-    return std::pair<std::int64_t, std::int64_t>{w, w};
-  });
+  ScratchLease<std::vector<Weight>> a_s, corr_s;
+  std::vector<Weight>& a = *a_s;
+  net.neighborhood_aggregate<SumAgg>(
+      [&g](EdgeId e) {
+        const Weight w = g.edge(e).w;
+        return std::pair<std::int64_t, std::int64_t>{w, w};
+      },
+      a);
 
   // Every edge derives its endpoints' LCA from their HL-info (Fact 4) once;
   // steps 2a and 2b both read it.
@@ -87,17 +67,17 @@ OneRespectResult one_respecting_cuts(const RootedTree& t, std::span<const EdgeId
 
   // Step 2a: ancestor-descendant edges deliver -2w to their LCA (= upper
   // endpoint) in one aggregation round.
-  {
-    const auto corr = net.neighborhood_aggregate<SumAgg>([&](EdgeId e) {
-      const Edge& ed = g.edge(e);
-      const NodeId l = lca[static_cast<std::size_t>(e)];
-      std::int64_t to_u = 0, to_v = 0;
-      if (l == ed.u) to_u = -2 * ed.w;
-      if (l == ed.v) to_v = -2 * ed.w;
-      return std::pair{to_u, to_v};
-    });
-    for (NodeId v = 0; v < g.n(); ++v) a[static_cast<std::size_t>(v)] += corr[static_cast<std::size_t>(v)];
-  }
+  net.neighborhood_aggregate<SumAgg>(
+      [&](EdgeId e) {
+        const Edge& ed = g.edge(e);
+        const NodeId l = lca[static_cast<std::size_t>(e)];
+        std::int64_t to_u = 0, to_v = 0;
+        if (l == ed.u) to_u = -2 * ed.w;
+        if (l == ed.v) to_v = -2 * ed.w;
+        return std::pair{to_u, to_v};
+      },
+      *corr_s);
+  for (std::size_t v = 0; v < un; ++v) a[v] += (*corr_s)[v];
 
   // Step 2b: non-ancestor-descendant edges route -2w to the LCA through a
   // subtree sum keyed by target. The responsible endpoint is one whose
@@ -116,39 +96,63 @@ OneRespectResult one_respecting_cuts(const RootedTree& t, std::span<const EdgeId
                      "Fact 4: the LCA is a light-edge top of one endpoint");
       deliveries.push_back(Delivery{responsible, l, -2 * ed.w});
     }
-    // Canonicalize: per node, sorted by target, one entry per target. Only
-    // nodes that receive a delivery get a (exactly sized) row.
     std::sort(deliveries.begin(), deliveries.end(), [](const Delivery& x, const Delivery& y) {
-      return x.responsible != y.responsible ? x.responsible < y.responsible
-                                            : x.target < y.target;
+      return x.responsible < y.responsible;
     });
-    std::vector<DeltaMapAgg::value_type> deltas(static_cast<std::size_t>(g.n()));
-    for (std::size_t i = 0; i < deliveries.size();) {
-      const NodeId r = deliveries[i].responsible;
-      std::size_t end = i, keys = 0;
-      for (; end < deliveries.size() && deliveries[end].responsible == r; ++end)
-        keys += end == i || deliveries[end].target != deliveries[end - 1].target;
-      DeltaMapAgg::value_type& row = deltas[static_cast<std::size_t>(r)];
-      row.reserve(keys);
-      for (; i < end; ++i) {
-        if (!row.empty() && row.back().first == deliveries[i].target) {
-          row.back().second += deliveries[i].delta;
-        } else {
-          row.emplace_back(deliveries[i].target, deliveries[i].delta);
-        }
+    // The subtree sum of the key-wise map aggregator, folded bottom-up in
+    // reverse preorder into one flat arena: v's row is its own deliveries
+    // plus its children's rows, key-sorted with one entry per key. Only
+    // key v is read at v, so a child c's key c is dead above c and is
+    // dropped: a row holds keys of v and its ancestors only. It is charged
+    // with step 3 below.
+    ScratchLease<std::vector<DeltaEntry>> arena_s, merge_s;
+    ScratchLease<std::vector<std::int32_t>> row_s;
+    std::vector<DeltaEntry>& arena = *arena_s;
+    std::vector<DeltaEntry>& merge = *merge_s;
+    std::vector<std::int32_t>& row = *row_s;  // v's row: arena[row[2v], row[2v+1])
+    arena.clear();
+    row.resize(2 * un);
+    const std::span<const NodeId> pre = t.preorder();
+    for (std::size_t i = un; i-- > 0;) {
+      const NodeId v = pre[i];
+      const auto vu = static_cast<std::size_t>(v);
+      merge.clear();
+      // Deliveries are sorted by responsible node: v's are one range.
+      const auto first = std::lower_bound(
+          deliveries.begin(), deliveries.end(), v,
+          [](const Delivery& d, NodeId x) { return d.responsible < x; });
+      for (auto it = first; it != deliveries.end() && it->responsible == v; ++it)
+        merge.push_back(DeltaEntry{it->target, it->delta});
+      for (const NodeId c : t.children(v)) {
+        const auto cu = static_cast<std::size_t>(c);
+        for (std::int32_t x = row[2 * cu]; x < row[2 * cu + 1]; ++x)
+          if (arena[static_cast<std::size_t>(x)].target != c)
+            merge.push_back(arena[static_cast<std::size_t>(x)]);
       }
-    }
-    const auto routed = minoragg::hl_subtree_sums<DeltaMapAgg>(t, hld, deltas, ledger);
-    for (NodeId v = 0; v < g.n(); ++v) {
-      for (const auto& [target, delta] : routed[static_cast<std::size_t>(v)]) {
-        if (target == v) a[static_cast<std::size_t>(v)] += delta;
+      std::sort(merge.begin(), merge.end(),
+                [](const DeltaEntry& x, const DeltaEntry& y) { return x.target < y.target; });
+      const std::size_t start = arena.size();
+      for (const DeltaEntry& d : merge) {
+        if (arena.size() > start && arena.back().target == d.target)
+          arena.back().delta += d.delta;
+        else
+          arena.push_back(d);
+        if (d.target == v) a[vu] += d.delta;
       }
+      row[2 * vu] = static_cast<std::int32_t>(start);
+      row[2 * vu + 1] = static_cast<std::int32_t>(arena.size());
     }
   }
 
-  // Step 3: Cut(parent_edge(x)) = subtree sum of A at x.
-  const auto sums = minoragg::hl_subtree_sums<SumAgg>(
-      t, hld, std::span<const std::int64_t>(a.data(), a.size()), ledger);
+  // Step 3: Cut(parent_edge(x)) = subtree sum of A at x. Step 2b's subtree
+  // sum ran over the same tree, and a subtree sum's charge depends on the
+  // tree alone, not on the payload: it is charged the same again.
+  ScratchLease<std::vector<std::int64_t>> sums_s;
+  const std::vector<std::int64_t>& sums = *sums_s;
+  const std::int64_t before = ledger.rounds();
+  minoragg::hl_subtree_sums<SumAgg>(t, hld, std::span<const std::int64_t>(a.data(), a.size()),
+                                    ledger, *sums_s);
+  ledger.charge(ledger.rounds() - before);
 
   OneRespectResult out;
   out.cut.assign(static_cast<std::size_t>(g.m()), 0);

@@ -243,15 +243,15 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
       map[static_cast<std::size_t>(inst.nodesP[i])] = static_cast<NodeId>(1 + (i - a));
     for (std::size_t j = b; j < nq; ++j)
       map[static_cast<std::size_t>(inst.nodesQ[j])] = static_cast<NodeId>(1 + lp + (j - b));
-    build_sub_instance(inst, map, static_cast<NodeId>(1 + lp + lq), down, edge_map);
-    down.is_virtual[0] = true;  // r_down
     // Synthetic connectors {r_down, top}: tree edges, never candidates.
+    const Edge connectors[2] = {Edge{0, 1, 1}, Edge{0, static_cast<NodeId>(1 + lp), 1}};
+    build_sub_instance(inst, map, static_cast<NodeId>(1 + lp + lq), down, edge_map, connectors);
+    down.is_virtual[0] = true;  // r_down
+    const EdgeId first_connector = down.graph.m() - 2;
     down.nodesP.assign(1, 1);
-    down.edgesP.assign(1, down.graph.add_edge(0, 1, 1));
-    down.origin.push_back(kNoEdge);
+    down.edgesP.assign(1, first_connector);
     down.nodesQ.assign(1, static_cast<NodeId>(1 + lp));
-    down.edgesQ.assign(1, down.graph.add_edge(0, static_cast<NodeId>(1 + lp), 1));
-    down.origin.push_back(kNoEdge);
+    down.edgesQ.assign(1, first_connector + 1);
     append(inst.edgesP, a + 1, np, 2, down.nodesP, down.edgesP);
     append(inst.edgesQ, b + 1, nq, 2 + lp, down.nodesQ, down.edgesQ);
     out.down = true;
@@ -266,7 +266,7 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
   obs_solve.arg("np", static_cast<std::int64_t>(inst.edgesP.size()));
   obs_solve.arg("nq", static_cast<std::int64_t>(inst.edgesQ.size()));
   minoragg::Ledger local;
-  local.set_max("max_p2p_depth", depth);
+  local.set_max(minoragg::CounterId::max_p2p_depth, depth);
 
   OneRespectResult r1;
   {
@@ -349,9 +349,9 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
     }
     halves.join();
   }
-  up_s->graph = WeightedGraph();  // the pool keeps the rows, not the graphs
-  down_s->graph = WeightedGraph();
-  std::vector<minoragg::Ledger> kids;
+  ScratchLease<std::vector<minoragg::Ledger>> kids_s;
+  std::vector<minoragg::Ledger>& kids = *kids_s;
+  kids.clear();
   if (subs.up) {
     best.absorb(up_best);
     kids.push_back(std::move(up_ledger));

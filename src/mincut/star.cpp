@@ -100,25 +100,30 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger, PairMe
 
   if (inst.k() >= 2) {
     // Interest lists (Lemma 32) and the mutual-interest graph (Def. 33).
-    const auto lists = interest_lists(inst, local);
-    const auto igraph = interest_graph(lists);
+    // The per-star rows below are leased: every star on a thread reuses
+    // them.
+    ScratchLease<PathRows> lists, igraph;
+    interest_lists(inst, local, *lists);
+    interest_graph(*lists, *igraph);
     int delta = 0;
-    for (const auto& adj : igraph) delta = std::max(delta, static_cast<int>(adj.size()));
-    local.set_max("max_interest_degree", delta);
+    for (std::size_t i = 0; i < igraph->size(); ++i)
+      delta = std::max(delta, static_cast<int>((*igraph)[i].size()));
+    local.set_max(minoragg::CounterId::max_interest_degree, delta);
 
     // Edge-color the interest graph (Lemma 35) via the CONGEST-on-interest-
-    // graph simulation (Lemma 34: one MA round per CONGEST round). The
-    // per-star rows below are leased: every star on a thread reuses them.
+    // graph simulation (Lemma 34: one MA round per CONGEST round).
     ScratchLease<std::vector<Edge>> ig_edges_s;
     std::vector<Edge>& ig_edges = *ig_edges_s;
     ig_edges.clear();
-    for (std::size_t i = 0; i < igraph.size(); ++i)
-      for (const int j : igraph[i])
+    for (std::size_t i = 0; i < igraph->size(); ++i)
+      for (const int j : (*igraph)[i])
         if (static_cast<int>(i) < j) ig_edges.push_back(Edge{static_cast<NodeId>(i), j, 1});
-    const WeightedGraph ig(static_cast<NodeId>(inst.k()), ig_edges);
+    ScratchLease<WeightedGraph> ig_s;
+    WeightedGraph& ig = *ig_s;
+    ig.assign(static_cast<NodeId>(inst.k()), ig_edges);
     const congest::EdgeColoring coloring = congest::deterministic_edge_coloring(ig);
     local.charge(coloring.congest_rounds);
-    local.set_max("max_interest_colors", coloring.num_colors);
+    local.set_max(minoragg::CounterId::max_interest_colors, coloring.num_colors);
 
     minoragg::settle_virtual_execution(ledger, local, inst.beta());
 
@@ -164,7 +169,6 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger, PairMe
           ScratchLease<PathInstance> pair;
           build_pair_instance(inst, item.i, item.j, *pair);
           slot.best = path_to_path_mincut(*pair, slot.kid);
-          pair->graph = WeightedGraph();  // the pool keeps the rows, not the graph
           if (memo != nullptr) memo->insert(a, b, slot.best, slot.kid);
         });
       }

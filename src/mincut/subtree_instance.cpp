@@ -222,7 +222,6 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
         }
         slot.best.absorb(star_mincut(star, iter, &memo, &slot.pairs));
         slot.ran_star = true;
-        star.graph = WeightedGraph();  // the pool keeps the rows, not the graph
       });
     }
     stars.join();
@@ -232,7 +231,7 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
     const StarSlot& slot = slots[twin >= 0 ? static_cast<std::size_t>(twin) : ci];
     if (slot.ran_star) {
       best.absorb(slot.best);
-      ledger.bump("subtree_star_calls");
+      ledger.bump(minoragg::CounterId::subtree_star_calls);
       if (twin >= 0) p2p_pairs_counter(true).inc(slot.pairs);
     }
     ledger.charge_sequential(slot.iter);

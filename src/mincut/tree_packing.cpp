@@ -195,7 +195,7 @@ TreePacking pack(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger
 
   const auto charge_iteration = [&pack_ledger](int phases) {
     charge_packing_iteration(pack_ledger, phases);
-    pack_ledger.bump("packing_iterations");
+    pack_ledger.bump(minoragg::CounterId::packing_iterations);
   };
 
   // Replay the committed prefix (loads rebuilt from the journaled trees).

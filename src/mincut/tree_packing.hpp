@@ -79,7 +79,7 @@ struct PackingConfig {
 /// stream's tree repair all charge through this one rule.
 inline void charge_packing_iteration(minoragg::Ledger& ledger, int phases) {
   ledger.charge(phases + 1);
-  ledger.bump("boruvka_iterations", phases);
+  ledger.bump(minoragg::CounterId::boruvka_iterations, phases);
 }
 
 struct TreePacking {

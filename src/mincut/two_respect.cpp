@@ -43,8 +43,11 @@ CutResult solve_base(const Instance& inst, minoragg::Ledger& ledger) {
 /// is node 1 + j. Each equals build_sub_instance over that node map — same
 /// edges, ids, origins and virtual flags — but one pass over the preorder
 /// and one over the edges serve every branch, instead of an n-sized map and
-/// an m-edge scan each.
-std::vector<Instance> branch_instances(const Instance& inst, const RootedTree& t) {
+/// an m-edge scan each. They are rebuilt in place into subs[0, k), a row
+/// that only grows, so a leased one keeps every instance's capacity.
+/// Returns k.
+std::size_t branch_instances(const Instance& inst, const RootedTree& t,
+                             std::vector<Instance>& subs) {
   const WeightedGraph& g = inst.graph;
   const std::span<const NodeId> kids = t.children(t.root());
   const std::span<const NodeId> pre = t.preorder();
@@ -102,7 +105,9 @@ std::vector<Instance> branch_instances(const Instance& inst, const RootedTree& t
   ScratchLease<std::vector<EdgeId>> tree_local_s;
   std::vector<EdgeId>& tree_local = *tree_local_s;
   tree_local.assign(static_cast<std::size_t>(g.m()), kNoEdge);
-  std::vector<Instance> subs(k);
+  if (subs.size() < k) subs.resize(k);
+  ScratchLease<std::vector<Edge>> edges_s;
+  std::vector<Edge>& edges = *edges_s;
   for (std::size_t i = 0; i < k; ++i) {
     const int bi = static_cast<int>(i);
     const auto to_local = [&](NodeId x) {
@@ -111,9 +116,8 @@ std::vector<Instance> branch_instances(const Instance& inst, const RootedTree& t
     const std::size_t lo = static_cast<std::size_t>(begin[i]);
     const std::size_t hi = static_cast<std::size_t>(begin[i + 1]);
     Instance& sub = subs[i];
-    std::vector<Edge> edges;
-    edges.reserve(hi - lo);
-    sub.origin.reserve(hi - lo);
+    edges.clear();
+    sub.origin.clear();
     for (std::size_t x = lo; x < hi; ++x) {
       const EdgeId e = bucket[x];
       const Edge& ed = g.edge(e);
@@ -122,7 +126,7 @@ std::vector<Instance> branch_instances(const Instance& inst, const RootedTree& t
       sub.origin.push_back(inst.origin[static_cast<std::size_t>(e)]);
     }
     const NodeId size = t.subtree_size(kids[i]);
-    sub.graph = WeightedGraph(1 + size, std::move(edges));
+    sub.graph.assign(1 + size, edges);
     sub.root = 0;  // the virtual centroid; re-rooted at the next centroid anyway
     sub.is_virtual.assign(static_cast<std::size_t>(1 + size), false);
     sub.is_virtual[0] = true;
@@ -130,26 +134,28 @@ std::vector<Instance> branch_instances(const Instance& inst, const RootedTree& t
     for (NodeId j = 0; j < size; ++j)
       sub.is_virtual[static_cast<std::size_t>(1 + j)] =
           inst.is_virtual[static_cast<std::size_t>(pre[first + static_cast<std::size_t>(j)])];
-    sub.tree_edges.reserve(static_cast<std::size_t>(size));
+    sub.tree_edges.clear();
   }
   for (const EdgeId e : inst.tree_edges) {
     const int bi = branch[static_cast<std::size_t>(t.bottom(e))];
     subs[static_cast<std::size_t>(bi)].tree_edges.push_back(tree_local[static_cast<std::size_t>(e)]);
   }
-  for (const Instance& sub : subs)
-    UMC_ASSERT(static_cast<NodeId>(sub.tree_edges.size()) == sub.graph.n() - 1);
-  return subs;
+  for (std::size_t i = 0; i < k; ++i)
+    UMC_ASSERT(static_cast<NodeId>(subs[i].tree_edges.size()) == subs[i].graph.n() - 1);
+  return k;
 }
 
 CutResult solve(const Instance& inst, minoragg::Ledger& parent, int depth) {
-  parent.set_max("max_general_depth", depth);
+  parent.set_max(minoragg::CounterId::max_general_depth, depth);
   // Logical clock: the centroid-recursion depth.
   UMC_OBS_SPAN_VAR_L(obs_solve, "mincut/general_solve", "mincut", depth);
   obs_solve.arg("n", inst.graph.n());
   if (inst.graph.n() <= 3) return solve_base(inst, parent);
 
   CutResult best;
-  std::vector<Instance> subs;
+  ScratchLease<std::vector<Instance>> subs_s;
+  std::vector<Instance>& subs = *subs_s;
+  std::size_t k = 0;
   {
     minoragg::Ledger local;
     // Root anywhere, find the centroid (Lemma 42), then re-root the same
@@ -174,14 +180,18 @@ CutResult solve(const Instance& inst, minoragg::Ledger& parent, int depth) {
     // TaskGraph tasks: each writes a private slot, and the merge below runs
     // in child order — the same absorb/charge_parallel sequence the inline
     // path produces, so counters stay bit-identical at any width.
-    subs = branch_instances(inst, t);
+    k = branch_instances(inst, t, subs);
   }
 
-  std::vector<CutResult> branch_best(subs.size());
-  std::vector<minoragg::Ledger> kids(subs.size());
+  ScratchLease<std::vector<CutResult>> branch_best_s;
+  ScratchLease<std::vector<minoragg::Ledger>> kids_s;
+  std::vector<CutResult>& branch_best = *branch_best_s;
+  std::vector<minoragg::Ledger>& kids = *kids_s;
+  branch_best.assign(k, CutResult{});
+  kids.assign(k, minoragg::Ledger{});
   {
     TaskGroup branches;
-    for (std::size_t i = 0; i < subs.size(); ++i) {
+    for (std::size_t i = 0; i < k; ++i) {
       const Instance& sub = subs[i];
       CutResult& slot = branch_best[i];
       minoragg::Ledger& kid = kids[i];

@@ -39,7 +39,7 @@ std::vector<EdgeId> boruvka_mst(const WeightedGraph& g, std::span<const std::int
     if (contracted_everything) break;
     UMC_ASSERT_MSG(!chosen.empty(), "boruvka requires a connected graph");
     for (const EdgeId e : chosen) selected[static_cast<std::size_t>(e)] = true;
-    ledger.bump("boruvka_iterations");
+    ledger.bump(CounterId::boruvka_iterations);
   }
 
   std::vector<EdgeId> tree;

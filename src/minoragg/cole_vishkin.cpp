@@ -24,7 +24,7 @@ int pick_not_in(int banned1, int banned2) {
 
 }  // namespace
 
-std::vector<int> cole_vishkin_3color(std::span<const int> out, Ledger& ledger) {
+void cole_vishkin_3color(std::span<const int> out, Ledger& ledger, std::vector<int>& result) {
   const std::size_t n = out.size();
   // The color tables are per-thread scratch (star merging calls this once
   // per merge iteration, thousands of times per solve): every iteration
@@ -54,7 +54,7 @@ std::vector<int> cole_vishkin_3color(std::span<const int> out, Ledger& ledger) {
     }
     color.swap(next);
     ledger.charge(1);
-    ledger.bump("cv_iterations");
+    ledger.bump(CounterId::cv_iterations);
     big = std::any_of(color.begin(), color.end(), [](std::uint64_t c) { return c >= 6; });
   }
 
@@ -82,12 +82,11 @@ std::vector<int> cole_vishkin_3color(std::span<const int> out, Ledger& ledger) {
     ledger.charge(2);  // one round to shift, one to recolor the class
   }
 
-  std::vector<int> result(n);
+  result.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
     UMC_ASSERT(color[v] <= 2);
     result[v] = static_cast<int>(color[v]);
   }
-  return result;
 }
 
 }  // namespace umc::minoragg

@@ -20,7 +20,8 @@ namespace umc::minoragg {
 /// out[v] = the out-neighbor of v, or -1 if v has out-degree 0. Self-loops
 /// are forbidden; 2-cycles are allowed (they arise in Theorem 48, where
 /// parts mark arbitrary adjacent edges). Returns a proper coloring with
-/// colors in {0, 1, 2} ("proper" w.r.t. the underlying undirected edges).
-[[nodiscard]] std::vector<int> cole_vishkin_3color(std::span<const int> out, Ledger& ledger);
+/// colors in {0, 1, 2} ("proper" w.r.t. the underlying undirected edges)
+/// in `color` (overwritten).
+void cole_vishkin_3color(std::span<const int> out, Ledger& ledger, std::vector<int>& color);
 
 }  // namespace umc::minoragg

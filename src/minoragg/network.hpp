@@ -97,9 +97,11 @@ class Network {
   /// One aggregation-only round: every node learns ⊗ over its incident
   /// edges of z-values computed edge-locally (no contraction). Folded
   /// directly, bypassing the engine's plan cache; `edge_values(e)` runs
-  /// once per edge, in ascending id order, on the calling thread.
+  /// once per edge, in ascending id order, on the calling thread. The
+  /// result goes into `out` (overwritten).
   template <Aggregator XAgg, typename EdgeFn>
-  std::vector<typename XAgg::value_type> neighborhood_aggregate(EdgeFn&& edge_values) const;
+  void neighborhood_aggregate(EdgeFn&& edge_values,
+                              std::vector<typename XAgg::value_type>& out) const;
 
   /// Supernode ids (smallest contained node id) for a contraction choice;
   /// free of charge (bookkeeping shared by round()).
@@ -143,8 +145,8 @@ std::vector<typename CAgg::value_type> Network::part_aggregate(
 }
 
 template <Aggregator XAgg, typename EdgeFn>
-std::vector<typename XAgg::value_type> Network::neighborhood_aggregate(
-    EdgeFn&& edge_values) const {
+void Network::neighborhood_aggregate(EdgeFn&& edge_values,
+                                     std::vector<typename XAgg::value_type>& out) const {
   using Z = typename XAgg::value_type;
   // With no contraction every node is its own supernode and, graphs holding
   // no self-loops, every edge survives: the plan is the identity. So the
@@ -155,7 +157,7 @@ std::vector<typename XAgg::value_type> Network::neighborhood_aggregate(
   UMC_OBS_SPAN_VAR_L(obs_round, "ma/round", "ma", ledger_->rounds());
   obs_round.arg("n", g.n());
   obs_round.arg("minor_edges", g.m());
-  std::vector<Z> out(static_cast<std::size_t>(g.n()), XAgg::identity());
+  out.assign(static_cast<std::size_t>(g.n()), XAgg::identity());
   for (EdgeId e = 0; e < g.m(); ++e) {
     const Edge& ed = g.edge(e);
     auto [zu, zv] = edge_values(e);
@@ -165,7 +167,6 @@ std::vector<typename XAgg::value_type> Network::neighborhood_aggregate(
     av = XAgg::merge(std::move(av), std::move(zv));
   }
   ledger_->charge(1);
-  return out;
 }
 
 }  // namespace umc::minoragg

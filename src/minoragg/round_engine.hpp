@@ -265,9 +265,6 @@ RoundResult<typename CAgg::value_type, typename XAgg::value_type> RoundEngine::e
         "umc_engine_parallel_folds_total", {}, "Rounds folded chunk-parallel.");
     parallel_folds.inc();
   }
-  // Edge callbacks may consult g.csr(), whose lazy build is not thread-safe
-  // (graph.hpp): force it on this thread before fanning out.
-  if (width > 1) (void)g_->csr();
 
   RoundResult<Y, Z> out;
   out.supernode = plan.supernode;

@@ -4,11 +4,14 @@
 
 #include "minoragg/cole_vishkin.hpp"
 #include "util/assert.hpp"
+#include "util/scratch.hpp"
 
 namespace umc::minoragg {
 
-StarMergeResult star_merge(std::span<const int> out, Ledger& ledger) {
-  const std::vector<int> color = cole_vishkin_3color(out, ledger);
+void star_merge(std::span<const int> out, Ledger& ledger, StarMergeResult& res) {
+  ScratchLease<std::vector<int>> color_s;
+  const std::vector<int>& color = *color_s;
+  cole_vishkin_3color(out, ledger, *color_s);
 
   // One counting round: N_k = #{v in O : color k}; pick the most frequent.
   std::array<int, 3> count{0, 0, 0};
@@ -23,8 +26,8 @@ StarMergeResult star_merge(std::span<const int> out, Ledger& ledger) {
   for (int k = 1; k < 3; ++k)
     if (count[static_cast<std::size_t>(k)] > count[static_cast<std::size_t>(best)]) best = k;
 
-  StarMergeResult res;
   res.out_degree_one = out_degree_one;
+  res.num_joiners = 0;
   res.is_joiner.assign(out.size(), false);
   for (std::size_t v = 0; v < out.size(); ++v) {
     if (out[v] >= 0 && color[v] == best) {
@@ -37,25 +40,6 @@ StarMergeResult star_merge(std::span<const int> out, Ledger& ledger) {
   // all joiners share one color, so no joiner points at a joiner.
   for (std::size_t v = 0; v < out.size(); ++v)
     if (res.is_joiner[v]) UMC_ASSERT(!res.is_joiner[static_cast<std::size_t>(out[v])]);
-  return res;
-}
-
-StarMergeResult random_star_merge(std::span<const int> out, Rng& rng, Ledger& ledger) {
-  // One round: every part announces its coin; joiners point at receivers.
-  ledger.charge(1);
-  std::vector<bool> heads(out.size());
-  for (std::size_t v = 0; v < out.size(); ++v) heads[v] = rng.next_bool(0.5);
-  StarMergeResult res;
-  res.is_joiner.assign(out.size(), false);
-  for (std::size_t v = 0; v < out.size(); ++v) {
-    if (out[v] < 0) continue;
-    ++res.out_degree_one;
-    if (heads[v] && !heads[static_cast<std::size_t>(out[v])]) {
-      res.is_joiner[v] = true;
-      ++res.num_joiners;
-    }
-  }
-  return res;
 }
 
 }  // namespace umc::minoragg

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "minoragg/ledger.hpp"
-#include "util/rng.hpp"
 
 namespace umc::minoragg {
 
@@ -27,14 +26,7 @@ struct StarMergeResult {
 };
 
 /// out[p] = out-neighbor part of p, or -1. Charges the Cole-Vishkin rounds
-/// plus one counting round.
-[[nodiscard]] StarMergeResult star_merge(std::span<const int> out, Ledger& ledger);
-
-/// The classic RANDOMIZED star merging this module derandomizes (kept for
-/// the E16 ablation): each part flips a fair coin; a part joins iff it came
-/// up "joiner" and its out-target came up "receiver". One round; E[|J|] =
-/// |O|/4, but any single round can merge nothing.
-[[nodiscard]] StarMergeResult random_star_merge(std::span<const int> out, Rng& rng,
-                                                Ledger& ledger);
+/// plus one counting round. Rebuilds `res` in place.
+void star_merge(std::span<const int> out, Ledger& ledger, StarMergeResult& res);
 
 }  // namespace umc::minoragg

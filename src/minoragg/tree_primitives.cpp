@@ -52,7 +52,9 @@ void detail::hl_merge_schedule(const RootedTree& t, Ledger& ledger) {
   // Lemma 47 merging schedule over the part graph: parts start as
   // singletons; every non-root part marks its parent edge; deterministic
   // star-merging merges >= 1/3 of the parts per iteration.
-  Dsu parts(n);
+  ScratchLease<Dsu> parts_s;
+  Dsu& parts = *parts_s;
+  parts.reset(n);
   const std::int64_t lemma46_cost =
       2 * (static_cast<std::int64_t>(ceil_log2(static_cast<std::uint64_t>(n) + 1)) + 2);
   // Merge-loop scratch: these tables are rebuilt every iteration (this loop
@@ -60,6 +62,8 @@ void detail::hl_merge_schedule(const RootedTree& t, Ledger& ledger) {
   // and let assign() recycle the capacity.
   ScratchLease<std::vector<NodeId>> rep_of_s, part_rep_s, top_s;
   ScratchLease<std::vector<int>> out_s;
+  ScratchLease<StarMergeResult> sm_s;
+  const StarMergeResult& sm = *sm_s;
   std::vector<NodeId>& rep_of = *rep_of_s;
   std::vector<NodeId>& part_rep = *part_rep_s;
   std::vector<NodeId>& top = *top_s;
@@ -90,7 +94,7 @@ void detail::hl_merge_schedule(const RootedTree& t, Ledger& ledger) {
       if (parent == kNoNode) continue;  // root part marks nothing
       out[p] = rep_of[static_cast<std::size_t>(parts.find(parent))];
     }
-    const StarMergeResult sm = star_merge(out, ledger);
+    star_merge(out, ledger, *sm_s);
     for (std::size_t p = 0; p < k; ++p) {
       if (sm.is_joiner[p]) parts.unite(part_rep[p], top[static_cast<std::size_t>(out[p])]);
     }
@@ -98,7 +102,7 @@ void detail::hl_merge_schedule(const RootedTree& t, Ledger& ledger) {
     // calls on the merged parts (node-disjoint, so the cost is the max —
     // bounded by the full-tree Lemma 46 cost charged here).
     ledger.charge(lemma46_cost);
-    ledger.bump("hl_merge_iterations");
+    ledger.bump(CounterId::hl_merge_iterations);
   }
 }
 
@@ -114,8 +118,8 @@ struct ScheduleCharge {
   /// the schedule bumped them.
   void apply(Ledger& ledger) const {
     ledger.charge(rounds);
-    if (merges != 0) ledger.bump("hl_merge_iterations", merges);
-    if (cv != 0) ledger.bump("cv_iterations", cv);
+    if (merges != 0) ledger.bump(CounterId::hl_merge_iterations, merges);
+    if (cv != 0) ledger.bump(CounterId::cv_iterations, cv);
   }
 };
 
@@ -190,9 +194,9 @@ void hl_construct(const RootedTree& t, Ledger& ledger, HeavyLightDecomposition& 
   } else {
     Ledger fresh;
     detail::hl_merge_schedule(t, fresh);
-    const ScheduleCharge charge{fresh.rounds(), fresh.counter("hl_merge_iterations"),
-                                fresh.counter("cv_iterations")};
-    UMC_ASSERT_MSG(fresh.counters().size() ==
+    const ScheduleCharge charge{fresh.rounds(), fresh.counter(CounterId::hl_merge_iterations),
+                                fresh.counter(CounterId::cv_iterations)};
+    UMC_ASSERT_MSG(fresh.num_counters() ==
                        static_cast<std::size_t>((charge.merges != 0) + (charge.cv != 0)),
                    "the replayed charge covers every counter the schedule bumps");
     table.insert(key, hash, charge);
@@ -252,6 +256,8 @@ RootedTree orient_tree(const WeightedGraph& g, std::span<const EdgeId> tree_edge
   // Same merge-loop scratch pattern as hl_construct above.
   ScratchLease<std::vector<NodeId>> rep_of_s, part_rep_s, via_s;
   ScratchLease<std::vector<int>> out_s;
+  ScratchLease<StarMergeResult> sm_s;
+  const StarMergeResult& sm = *sm_s;
   std::vector<NodeId>& rep_of = *rep_of_s;
   std::vector<NodeId>& part_rep = *part_rep_s;
   std::vector<NodeId>& via = *via_s;
@@ -287,7 +293,7 @@ RootedTree orient_tree(const WeightedGraph& g, std::span<const EdgeId> tree_edge
         }
       }
     }
-    const StarMergeResult sm = star_merge(out, ledger);
+    star_merge(out, ledger, *sm_s);
     // A spanning tree gives every non-root part an outgoing edge, so
     // Lemma 44 guarantees a joiner; none means the edges do not span g.
     UMC_ASSERT_MSG(sm.num_joiners > 0, "orient_tree: tree edges do not span the graph");
@@ -296,7 +302,7 @@ RootedTree orient_tree(const WeightedGraph& g, std::span<const EdgeId> tree_edge
     // Orientation fix within merged parts: reverse the root-to-attachment
     // path (one HL construction + ancestor-sum pass, proof of Theorem 48).
     ledger.charge(fix_cost);
-    ledger.bump("orient_merge_iterations");
+    ledger.bump(CounterId::orient_merge_iterations);
   }
   return RootedTree(g, tree_edges, root);
 }

@@ -114,11 +114,12 @@ void run_chain_level(const ChainLayout& layout, int d, std::vector<V>& row, Ledg
 }
 }  // namespace detail
 
-/// Lemma 46 (subtree sums): s_v = fold of input over desc(v).
+/// Lemma 46 (subtree sums): s_v = fold of input over desc(v), into `s`
+/// (overwritten; a leased row keeps its capacity).
 template <Aggregator A>
-std::vector<typename A::value_type> hl_subtree_sums(
-    const RootedTree& t, const HeavyLightDecomposition& hld,
-    std::span<const typename A::value_type> input, Ledger& ledger) {
+void hl_subtree_sums(const RootedTree& t, const HeavyLightDecomposition& hld,
+                     std::span<const typename A::value_type> input, Ledger& ledger,
+                     std::vector<typename A::value_type>& s) {
   using V = typename A::value_type;
   UMC_ASSERT(static_cast<NodeId>(input.size()) == t.n());
   ScratchLease<ChainLayout> layout_s;
@@ -127,7 +128,7 @@ std::vector<typename A::value_type> hl_subtree_sums(
   ScratchLease<std::vector<V>> row;
   // Filled deepest-first: a chain reads only slots that deeper levels
   // already wrote, and writes only its own nodes' slots.
-  std::vector<V> s(static_cast<std::size_t>(t.n()), A::identity());
+  s.assign(static_cast<std::size_t>(t.n()), A::identity());
   const auto chain_fn = [&](std::size_t c, Ledger& cl, std::vector<V>& x) {
     const std::span<const NodeId> chain = layout.chain(c);
     // x_v = input_v ⊕ (already-computed sums of non-heavy children).
@@ -147,6 +148,13 @@ std::vector<typename A::value_type> hl_subtree_sums(
   };
   for (int d = layout.levels() - 1; d >= 0; --d)
     detail::run_chain_level<V>(layout, d, *row, ledger, chain_fn);
+}
+template <Aggregator A>
+std::vector<typename A::value_type> hl_subtree_sums(
+    const RootedTree& t, const HeavyLightDecomposition& hld,
+    std::span<const typename A::value_type> input, Ledger& ledger) {
+  std::vector<typename A::value_type> s;
+  hl_subtree_sums<A>(t, hld, input, ledger, s);
   return s;
 }
 

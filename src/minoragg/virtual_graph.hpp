@@ -50,7 +50,7 @@ inline void settle_virtual_execution(Ledger& outer, const Ledger& inner, int bet
   UMC_ASSERT(beta >= 0);
   outer.charge(inner.rounds() * (beta + 1));
   outer.absorb_counters(inner);
-  outer.set_max("max_beta", beta);
+  outer.set_max(CounterId::max_beta, beta);
 }
 
 /// Lemma 15: replace node v by a virtual substitute with the same neighbor

@@ -8,7 +8,10 @@
 // `heavy_hitters()` therefore returns a list that (1) contains every key x
 // with f(x) > 2W/h and (2) contains no key with f(x) <= W/h.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -21,13 +24,29 @@ class MisraGries {
   using Key = std::uint64_t;
 
   struct Item {
-    Key key = 0;
-    Weight count = 0;  // lower bound on true frequency
+    Key key;
+    Weight count;  // lower bound on true frequency
   };
+
+  /// Largest supported capacity: a sketch holds at most `capacity` counters
+  /// (one more while an insert is reduced), so its rows are inline and
+  /// building, copying or merging one never allocates.
+  static constexpr int kMaxCapacity = 32;
 
   /// Sketch with at most `capacity` counters. Bit size is Õ(capacity).
   explicit MisraGries(int capacity = 8) : capacity_(capacity) {
-    UMC_ASSERT(capacity >= 1);
+    UMC_ASSERT(capacity >= 1 && capacity <= kMaxCapacity);
+  }
+  // Copies move only the counters in use, not the whole inline row.
+  MisraGries(const MisraGries& o) : capacity_(o.capacity_), total_(o.total_), size_(o.size_) {
+    std::copy_n(o.items_.begin(), size_, items_.begin());
+  }
+  MisraGries& operator=(const MisraGries& o) {
+    capacity_ = o.capacity_;
+    total_ = o.total_;
+    size_ = o.size_;
+    std::copy_n(o.items_.begin(), size_, items_.begin());
+    return *this;
   }
 
   void add(Key key, Weight w);
@@ -43,7 +62,9 @@ class MisraGries {
   [[nodiscard]] Weight total_weight() const { return total_; }
 
   [[nodiscard]] int capacity() const { return capacity_; }
-  [[nodiscard]] const std::vector<Item>& items() const { return items_; }
+  [[nodiscard]] std::span<const Item> items() const {
+    return {items_.data(), static_cast<std::size_t>(size_)};
+  }
 
   /// Example 8 output: keys whose true frequency exceeds 2W/h are all
   /// present; keys with frequency <= W/h are all absent.
@@ -52,11 +73,14 @@ class MisraGries {
   void append_heavy_hitters(std::vector<Key>& out) const;
 
  private:
-  void reduce();
+  /// Reduces items[0, size) to at most `capacity` counters; returns the
+  /// new size.
+  static int reduce(Item* items, int size, int capacity);
 
   int capacity_;
   Weight total_ = 0;
-  std::vector<Item> items_;  // kept sorted by key for deterministic merging
+  int size_ = 0;
+  std::array<Item, kMaxCapacity + 1> items_;  // [0, size_), sorted by key
 };
 
 }  // namespace umc

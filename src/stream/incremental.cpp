@@ -306,7 +306,7 @@ bool IncrementalMinCut::adopt_from_cache(StreamSolveReport& rep) {
     const mincut::TwoRespectEval ev = mincut::evaluate_two_respecting(t);
     if (ev.best.value != best_value) return false;
     witness_ledger.charge(1);  // the certification pass: one aggregation round
-    witness_ledger.bump("stream_tree_evals");
+    witness_ledger.bump(minoragg::CounterId::stream_tree_evals);
 
     trees_.assign(hit->trees.size(), {});
     for (std::size_t i = 0; i < trees_.size(); ++i) {
@@ -335,7 +335,7 @@ bool IncrementalMinCut::adopt_from_cache(StreamSolveReport& rep) {
     rep.exact.num_trees = static_cast<int>(trees_.size());
     rep.ledger.charge(1);  // the replay itself: one aggregation round
     rep.ledger.charge_sequential(witness_ledger);
-    rep.ledger.bump("stream_delta_cache_hits");
+    rep.ledger.bump(minoragg::CounterId::stream_delta_cache_hits);
   } catch (const invariant_error&) {
     return false;
   }
@@ -434,7 +434,7 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
           const RootedTree t(g, edges, /*root=*/0);
           slot = mincut::evaluate_two_respecting(t);
           task_ledger.charge(1);  // one aggregation-round equivalent
-          task_ledger.bump("stream_tree_evals");
+          task_ledger.bump(minoragg::CounterId::stream_tree_evals);
         });
       }
       tasks.join();
@@ -504,9 +504,9 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
   rep.exact.f = win_f;
   rep.exact.winning_tree = static_cast<int>(winner);
   rep.exact.num_trees = static_cast<int>(num_trees);
-  ledger.bump("stream_warm_solves");
-  ledger.bump("stream_trees_resolved", resolved);
-  if (skipped > 0) ledger.bump("stream_trees_skipped", skipped);
+  ledger.bump(minoragg::CounterId::stream_warm_solves);
+  ledger.bump(minoragg::CounterId::stream_trees_resolved, resolved);
+  if (skipped > 0) ledger.bump(minoragg::CounterId::stream_trees_skipped, skipped);
 
   ++counters_.warm_hits;
   counters_.trees_skipped += skipped;
@@ -547,7 +547,7 @@ void IncrementalMinCut::repair_broken_trees(StreamSolveReport& rep, minoragg::Le
   for (const std::size_t i : broken) {
     const BoruvkaPacker::Result r = packer->run(g, cost);
     mincut::charge_packing_iteration(ledger, r.phases);
-    ledger.bump("stream_trees_repaired");
+    ledger.bump(minoragg::CounterId::stream_trees_repaired);
     std::vector<EdgeId> slots;
     slots.reserve(r.tree.size());
     for (const EdgeId e : r.tree) {

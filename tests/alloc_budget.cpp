@@ -77,11 +77,13 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace {
 
 /// operator new calls per solve, averaged over the three counted solves, as
-/// measured with path pairs and star configurations replayed within each
-/// between-subtree call and the star's per-star rows leased (g++ 12,
-/// libstdc++). One sub-instance builder alone made 274,632; the flat tree
-/// layouts 286,275; the layout before them 791,718. Budget = achieved + 10%.
-constexpr std::int64_t kAchievedPerSolve = 223'858;
+/// measured with fixed-slot Ledger counters, CSR sub-instance graphs rebuilt
+/// in place, the flat Step 2b delta arena, flat interest rows with inline
+/// sketches and leased Lemma 47 schedule rows (g++ 12, libstdc++). Pair
+/// replay alone made 223,858; one sub-instance builder 274,632; the flat
+/// tree layouts 286,275; the layout before them 791,718. Budget = achieved
+/// + 10%.
+constexpr std::int64_t kAchievedPerSolve = 26'283;
 constexpr std::int64_t kBudgetPerSolve = kAchievedPerSolve + kAchievedPerSolve / 10;
 
 umc::WeightedGraph planar_instance(std::uint64_t seed) {

@@ -3,16 +3,16 @@
 // virtual node (build_sub_instance) preserves Cut(e, f) for every pair of
 // surviving tree edges — Facts 24/25 and Lemma 43, checked against the
 // reference cut machinery on random instances — and the between-subtree
-// star minors built from a preorder supernode map are exactly
-// contract_edges's minors.
+// star minors built from a preorder supernode map are exactly the plain
+// edge-contraction minors of contract_reference.hpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 
+#include "contract_reference.hpp"
 #include "graph/generators.hpp"
-#include "graph/minors.hpp"
 #include "mincut/cut_values.hpp"
 #include "mincut/instance.hpp"
 #include "tree/centroid.hpp"
@@ -104,13 +104,13 @@ TEST(CutEquivalence, Fact25StyleDownRegionAbsorption) {
     std::iota(src.origin.begin(), src.origin.end(), EdgeId{0});
     InstanceCore rg;
     std::vector<EdgeId> edge_map;
-    build_sub_instance(src, map, next, rg, edge_map);
-    // Synthetic connectors r_down -> tops (weight never counted for pairs).
-    std::vector<EdgeId> sub_tree;
-    sub_tree.push_back(rg.graph.add_edge(0, map[static_cast<std::size_t>(1 + a)], 1));
-    rg.origin.push_back(kNoEdge);
-    sub_tree.push_back(rg.graph.add_edge(0, map[static_cast<std::size_t>(len + 1 + b)], 1));
-    rg.origin.push_back(kNoEdge);
+    // Synthetic connectors r_down -> tops (weight never counted for pairs),
+    // appended after the kept edges.
+    const Edge connectors[2] = {Edge{0, map[static_cast<std::size_t>(1 + a)], 1},
+                                Edge{0, map[static_cast<std::size_t>(len + 1 + b)], 1}};
+    build_sub_instance(src, map, next, rg, edge_map, connectors);
+    ASSERT_EQ(rg.origin[static_cast<std::size_t>(rg.graph.m() - 1)], kNoEdge);
+    std::vector<EdgeId> sub_tree = {rg.graph.m() - 2, rg.graph.m() - 1};
     // Only INTERIOR tree edges stay tree edges; the boundary edges e_a/f_b
     // survive the remap as plain (non-tree) edges parallel to the
     // connectors, exactly as in the Lemma 23 construction.

@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
+#include <vector>
 
+#include "contract_reference.hpp"
 #include "graph/dsu.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/minors.hpp"
 #include "graph/properties.hpp"
 #include "util/rng.hpp"
 
@@ -50,6 +52,53 @@ TEST(WeightedGraph, AddNodeGrows) {
   EXPECT_EQ(v, 1);
   g.add_edge(0, v, 7);
   EXPECT_EQ(g.weighted_degree(v), 7);
+}
+
+TEST(WeightedGraph, AssignRebuildsInPlaceWithAddEdgeOrder) {
+  // assign() must equal add_edge() on the same edges, adjacency order
+  // included, also when it reuses a larger graph's rows.
+  Rng rng(5);
+  WeightedGraph reused = random_connected(30, 90, rng);
+  for (int trial = 0; trial < 5; ++trial) {
+    const WeightedGraph want = random_connected(10 + 2 * trial, 25 + 5 * trial, rng);
+    reused.assign(want.n(), want.edges());
+    ASSERT_EQ(reused.n(), want.n());
+    ASSERT_EQ(reused.m(), want.m());
+    for (NodeId v = 0; v < want.n(); ++v) {
+      ASSERT_EQ(reused.degree(v), want.degree(v));
+      for (int i = 0; i < want.degree(v); ++i) {
+        EXPECT_EQ(reused.adj(v)[static_cast<std::size_t>(i)].to,
+                  want.adj(v)[static_cast<std::size_t>(i)].to);
+        EXPECT_EQ(reused.adj(v)[static_cast<std::size_t>(i)].edge,
+                  want.adj(v)[static_cast<std::size_t>(i)].edge);
+      }
+    }
+  }
+  const Edge loop[1] = {Edge{1, 1, 1}};
+  EXPECT_THROW(reused.assign(3, loop), invariant_error);
+}
+
+TEST(WeightedGraph, ConcurrentFirstAdjacencyReadsAgree) {
+  // The adjacency of a freshly grown graph is built on first read; several
+  // threads reading it at once must see one complete build.
+  Rng rng(9);
+  const WeightedGraph g = random_connected(200, 800, rng);
+  std::vector<std::int64_t> sums(4, 0);
+  {
+    std::vector<std::thread> readers;
+    for (std::size_t r = 0; r < sums.size(); ++r) {
+      readers.emplace_back([&g, &sums, r] {
+        std::int64_t sum = 0;
+        for (NodeId v = 0; v < g.n(); ++v)
+          for (const AdjEntry& a : g.adj(v)) sum += a.to * 1000 + a.edge;
+        sums[r] = sum;
+      });
+    }
+    for (std::thread& t : readers) t.join();
+  }
+  std::int64_t want = 0;
+  for (const Edge& e : g.edges()) want += (e.u + e.v) * 1000 + 2 * (&e - g.edges().data());
+  for (const std::int64_t s : sums) EXPECT_EQ(s, want);
 }
 
 TEST(Dsu, UniteAndComponents) {

@@ -94,7 +94,8 @@ TEST(InterestDeep, ListsContainAllStronglyInterestedAndOnlyWeakly) {
     const CrossOracle oracle(inst);
 
     minoragg::Ledger ledger;
-    const auto lists = interest_lists(inst, ledger);
+    PathRows lists;
+  interest_lists(inst, ledger, lists);
     for (int i = 0; i < k; ++i) {
       for (int j = 0; j < k; ++j) {
         if (i == j) continue;
@@ -161,10 +162,11 @@ TEST(InterestDeep, Lemma30ListsStayLogarithmicUnderAdversarialWeights) {
   }
   const StarInstance inst = spider_instance(g, k, len);
   minoragg::Ledger ledger;
-  const auto lists = interest_lists(inst, ledger);
+  PathRows lists;
+  interest_lists(inst, ledger, lists);
   const std::size_t bound =
       static_cast<std::size_t>(10 * (ceil_log2(static_cast<std::uint64_t>(g.n())) + 1));
-  for (const auto& l : lists) EXPECT_LE(l.size(), bound);
+  for (std::size_t i = 0; i < lists.size(); ++i) EXPECT_LE(lists[i].size(), bound);
 }
 
 }  // namespace

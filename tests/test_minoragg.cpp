@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
+#include <sstream>
+#include <string>
+#include <string_view>
 
 #include "graph/dsu.hpp"
+#include "contract_reference.hpp"
 #include "graph/generators.hpp"
-#include "graph/minors.hpp"
 #include "minoragg/boruvka.hpp"
 #include "tree/spanning.hpp"
 #include "minoragg/ledger.hpp"
@@ -171,10 +176,13 @@ TEST(Network, NeighborhoodAggregateSumsIncidentEdges) {
   g.add_edge(1, 2, 7);
   Ledger ledger;
   Network net(g, ledger);
-  const auto agg = net.neighborhood_aggregate<SumAgg>([&g](EdgeId e) {
-    const Weight w = g.edge(e).w;
-    return std::pair<std::int64_t, std::int64_t>{w, w};
-  });
+  std::vector<std::int64_t> agg;
+  net.neighborhood_aggregate<SumAgg>(
+      [&g](EdgeId e) {
+        const Weight w = g.edge(e).w;
+        return std::pair<std::int64_t, std::int64_t>{w, w};
+      },
+      agg);
   EXPECT_EQ(agg[0], 5);
   EXPECT_EQ(agg[1], 12);
   EXPECT_EQ(agg[2], 7);
@@ -277,6 +285,162 @@ TEST(Ledger, ReverseOrderMergesKeepKeyOrderAndKinds) {
             "\"zeta\": 102, \"zz_last\": 5}}");
   EXPECT_EQ(parent.counters().front().first, "aardvark");
   EXPECT_EQ(parent.counters().back().first, "zz_last");
+}
+
+/// The string-keyed Ledger the fixed-slot one replaced (its kind asserts
+/// left out), kept as the reference its counters(), counter() and
+/// to_json() must reproduce.
+class ReferenceLedger {
+ public:
+  using Counters = Ledger::Counters;
+  void charge(std::int64_t r) { rounds_ += r; }
+  void charge_parallel(std::span<const ReferenceLedger> children) {
+    std::int64_t mx = 0;
+    for (const ReferenceLedger& c : children) {
+      mx = std::max(mx, c.rounds_);
+      absorb_counters(c);
+    }
+    rounds_ += mx;
+  }
+  void charge_sequential(const ReferenceLedger& child) {
+    rounds_ += child.rounds_;
+    absorb_counters(child);
+  }
+  void bump(std::string_view key, std::int64_t v) { slot(key)->second += v; }
+  void set_max(std::string_view key, std::int64_t v) {
+    auto& s = slot(key)->second;
+    s = std::max(s, v);
+  }
+  [[nodiscard]] std::int64_t counter(std::string_view key) const {
+    const auto it = std::lower_bound(counters_.begin(), counters_.end(), key, KeyLess{});
+    return it != counters_.end() && it->first == key ? it->second : 0;
+  }
+  [[nodiscard]] std::int64_t rounds() const { return rounds_; }
+  [[nodiscard]] const Counters& counters() const { return counters_; }
+  [[nodiscard]] std::string to_json() const {
+    std::ostringstream os;
+    os << "{\"rounds\": " << rounds_ << ", \"counters\": {";
+    bool first = true;
+    for (const auto& [k, v] : counters_) {
+      if (!first) os << ", ";
+      first = false;
+      os << '\"' << k << "\": " << v;
+    }
+    os << "}}";
+    return os.str();
+  }
+  void absorb_counter(std::string_view key, std::int64_t v) {
+    merge_into(slot(key)->second, key, v);
+  }
+  void absorb_counters(const ReferenceLedger& child) {
+    std::size_t from = 0;
+    for (const auto& [k, v] : child.counters_) {
+      const auto it = slot(k, from);
+      merge_into(it->second, k, v);
+      from = static_cast<std::size_t>(it - counters_.begin()) + 1;
+    }
+  }
+
+ private:
+  struct KeyLess {
+    bool operator()(const Counters::value_type& a, std::string_view b) const {
+      return std::string_view(a.first) < b;
+    }
+  };
+  static bool is_max_key(std::string_view key) { return key.substr(0, 4) == "max_"; }
+  static void merge_into(std::int64_t& s, std::string_view key, std::int64_t v) {
+    s = is_max_key(key) ? std::max(s, v) : s + v;
+  }
+  Counters::iterator slot(std::string_view key, std::size_t from = 0) {
+    auto it = std::lower_bound(counters_.begin() + static_cast<std::ptrdiff_t>(from),
+                               counters_.end(), key, KeyLess{});
+    if (it == counters_.end() || it->first != key) it = counters_.emplace(it, key, 0);
+    return it;
+  }
+  std::int64_t rounds_ = 0;
+  Counters counters_;
+};
+
+TEST(Ledger, FixedSlotsMatchStringKeyedReference) {
+  // Every fixed key, ad-hoc keys sorting first ("aardvark"), last
+  // ("zz_last") and between two fixed keys ("mid", "max_c"), and zero-valued
+  // bumps, driven through every operation in seeded random order.
+  std::vector<std::string_view> keys(kCounterNames.begin(), kCounterNames.end());
+  for (const std::string_view k : {"aardvark", "zz_last", "mid", "max_c"}) keys.push_back(k);
+  const auto is_max = [](std::string_view k) { return k.substr(0, 4) == "max_"; };
+  Rng rng(2024);
+  // Applies `ops` random single-counter operations to both ledgers.
+  const auto drive = [&](Ledger& got, ReferenceLedger& want, int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const std::string_view k = keys[rng.next_below(keys.size())];
+      const std::int64_t v = static_cast<std::int64_t>(rng.next_below(7)) - 2;
+      const auto id = std::find(kCounterNames.begin(), kCounterNames.end(), k);
+      switch (rng.next_below(4)) {
+        case 0:  // absorb_counter: either kind, any sign
+          got.absorb_counter(k, v);
+          want.absorb_counter(k, v);
+          break;
+        case 1:  // the CounterId overload where the key has one
+          if (is_max(k)) {
+            if (id != kCounterNames.end())
+              got.set_max(static_cast<CounterId>(id - kCounterNames.begin()), v);
+            else
+              got.set_max(k, v);
+            want.set_max(k, v);
+          } else {
+            const std::int64_t w = v < 0 ? 0 : v;  // includes bumps by 0
+            if (id != kCounterNames.end())
+              got.bump(static_cast<CounterId>(id - kCounterNames.begin()), w);
+            else
+              got.bump(k, w);
+            want.bump(k, w);
+          }
+          break;
+        default:  // the string overload
+          if (is_max(k)) {
+            got.set_max(k, v);
+            want.set_max(k, v);
+          } else {
+            got.bump(k, v < 0 ? 0 : v);
+            want.bump(k, v < 0 ? 0 : v);
+          }
+      }
+      const std::int64_t r = static_cast<std::int64_t>(rng.next_below(3));
+      got.charge(r);
+      want.charge(r);
+    }
+  };
+  const auto expect_same = [&](const Ledger& got, const ReferenceLedger& want, int trial) {
+    EXPECT_EQ(got.counters(), want.counters()) << "trial " << trial;
+    EXPECT_EQ(got.to_json(), want.to_json()) << "trial " << trial;
+    EXPECT_EQ(got.rounds(), want.rounds()) << "trial " << trial;
+    EXPECT_EQ(got.num_counters(), want.counters().size()) << "trial " << trial;
+    for (const std::string_view k : keys) EXPECT_EQ(got.counter(k), want.counter(k)) << k;
+    EXPECT_EQ(got.counter("missing"), 0);
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    Ledger got;
+    ReferenceLedger want;
+    drive(got, want, static_cast<int>(rng.next_below(6)));
+    for (int step = 0; step < 4; ++step) {
+      const std::size_t kids = rng.next_below(4);
+      std::vector<Ledger> got_kids(kids);
+      std::vector<ReferenceLedger> want_kids(kids);
+      for (std::size_t c = 0; c < kids; ++c)
+        drive(got_kids[c], want_kids[c], static_cast<int>(rng.next_below(8)));
+      if (kids == 1 && rng.next_bool(0.5)) {
+        got.charge_sequential(got_kids[0]);
+        want.charge_sequential(want_kids[0]);
+      } else {
+        got.charge_parallel(got_kids);
+        want.charge_parallel(want_kids);
+      }
+      drive(got, want, static_cast<int>(rng.next_below(3)));
+    }
+    expect_same(got, want, trial);
+    const Ledger copy = got;  // a copy carries every counter
+    expect_same(copy, want, trial);
+  }
 }
 
 TEST(Network, RoundAlgebraicProperties) {

@@ -43,7 +43,8 @@ TEST(ColeVishkin, ProperOnChains) {
     std::vector<int> out(static_cast<std::size_t>(n));
     for (int v = 0; v < n; ++v) out[static_cast<std::size_t>(v)] = v + 1 < n ? v + 1 : -1;
     Ledger ledger;
-    const auto color = cole_vishkin_3color(out, ledger);
+    std::vector<int> color;
+    cole_vishkin_3color(out, ledger, color);
     expect_proper(out, color);
     // O(log* n) bit-reduction iterations: tiny even for n = 1000.
     EXPECT_LE(ledger.counter("cv_iterations"), 6);
@@ -63,7 +64,8 @@ TEST(ColeVishkin, ProperOnRandomForestsAndTwoCycles) {
       }
     }
     Ledger ledger;
-    const auto color = cole_vishkin_3color(out, ledger);
+    std::vector<int> color;
+    cole_vishkin_3color(out, ledger, color);
     expect_proper(out, color);
   }
 }
@@ -77,7 +79,8 @@ TEST(StarMerge, Lemma44Guarantees) {
     for (int v = 1; v < n; ++v)
       out[static_cast<std::size_t>(v)] = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(v)));
     Ledger ledger;
-    const StarMergeResult res = star_merge(out, ledger);
+    StarMergeResult res;
+    star_merge(out, ledger, res);
     EXPECT_EQ(res.out_degree_one, n - 1);
     EXPECT_GE(3 * res.num_joiners, res.out_degree_one);     // (1)
     for (int v = 0; v < n; ++v) {

@@ -136,7 +136,8 @@ struct IncidenceTraceAgg {
 template <Aggregator XAgg, typename EdgeFn>
 void expect_neighborhood_matches_engine(const WeightedGraph& g, EdgeFn&& edge_values) {
   Ledger direct_ledger;
-  const auto direct = Network(g, direct_ledger).neighborhood_aggregate<XAgg>(edge_values);
+  std::vector<typename XAgg::value_type> direct;
+  Network(g, direct_ledger).neighborhood_aggregate<XAgg>(edge_values, direct);
   EXPECT_EQ(direct_ledger.rounds(), 1);
   const std::vector<bool> none(static_cast<std::size_t>(g.m()), false);
   const std::vector<std::uint8_t> zeros(static_cast<std::size_t>(g.n()), 0);

@@ -68,7 +68,8 @@ TEST(Interest, ListsContainStronglyInterestedPaths) {
   g.add_edge(bottom0, 1 + 2 * 6 + 2, 1);
   const StarInstance inst = spider_instance(g, 4, 6);
   minoragg::Ledger ledger;
-  const auto lists = interest_lists(inst, ledger);
+  PathRows lists;
+  interest_lists(inst, ledger, lists);
   // Path 0's cross weight is ~1501 toward path 1 vs 1 toward path 2.
   EXPECT_TRUE(std::find(lists[0].begin(), lists[0].end(), 1) != lists[0].end());
   EXPECT_TRUE(std::find(lists[1].begin(), lists[1].end(), 0) != lists[1].end());
@@ -84,20 +85,24 @@ TEST(Interest, Lemma30DegreeBoundHolds) {
     randomize_weights(g, 1, 50, rng);
     const StarInstance inst = spider_instance(g, k, len);
     minoragg::Ledger ledger;
-    const auto lists = interest_lists(inst, ledger);
+    PathRows lists;
+  interest_lists(inst, ledger, lists);
     const std::size_t bound =
         static_cast<std::size_t>(10 * (ceil_log2(static_cast<std::uint64_t>(g.n())) + 1));
-    for (const auto& l : lists) EXPECT_LE(l.size(), bound);
+    for (std::size_t i = 0; i < lists.size(); ++i) EXPECT_LE(lists[i].size(), bound);
   }
 }
 
 TEST(Interest, MutualGraphIsSymmetric) {
-  const std::vector<std::vector<int>> lists = {{1, 2}, {0}, {0, 1}, {}};
-  const auto adj = interest_graph(lists);
+  // Rows {1, 2}, {0}, {0, 1}, {}.
+  const PathRows lists{{0, 2, 3, 5, 5}, {1, 2, 0, 0, 1}};
+  PathRows adj;
+  interest_graph(lists, adj);
+  const auto row = [&adj](std::size_t i) { return std::vector<int>(adj[i].begin(), adj[i].end()); };
   // 0-1 mutual; 0-2 only one-way (2 lists 0 but 0 lists 2 -> mutual!).
-  EXPECT_EQ(adj[0], (std::vector<int>{1, 2}));
-  EXPECT_EQ(adj[1], (std::vector<int>{0}));   // 1-2 not mutual (1 doesn't list 2)
-  EXPECT_EQ(adj[2], (std::vector<int>{0}));
+  EXPECT_EQ(row(0), (std::vector<int>{1, 2}));
+  EXPECT_EQ(row(1), (std::vector<int>{0}));   // 1-2 not mutual (1 doesn't list 2)
+  EXPECT_EQ(row(2), (std::vector<int>{0}));
   EXPECT_TRUE(adj[3].empty());
 }
 
