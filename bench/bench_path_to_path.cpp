@@ -5,6 +5,7 @@
 // the instance grows 64x.
 
 #include "bench_common.hpp"
+#include "mincut/one_respect.hpp"
 #include "mincut/path_to_path.hpp"
 
 namespace umc {
@@ -24,6 +25,9 @@ mincut::PathInstance broom_instance(const WeightedGraph& g, NodeId len) {
     inst.edgesQ.push_back(len + i);
     inst.origin[static_cast<std::size_t>(len + i)] = len + i;
   }
+  std::vector<EdgeId> tree(inst.edgesP.begin(), inst.edgesP.end());
+  tree.insert(tree.end(), inst.edgesQ.begin(), inst.edgesQ.end());
+  mincut::fill_cut_row(inst, tree);
   return inst;
 }
 

@@ -5,6 +5,7 @@
 // edge-coloring classes (O(Δ)), and Minor-Aggregation rounds.
 
 #include "bench_common.hpp"
+#include "mincut/one_respect.hpp"
 #include "mincut/star.hpp"
 
 namespace umc {
@@ -28,6 +29,9 @@ mincut::StarInstance spider_instance(const WeightedGraph& g, int k, NodeId len) 
     inst.path_nodes.push_back(std::move(nodes));
     inst.path_edges.push_back(std::move(edges));
   }
+  std::vector<EdgeId> tree;
+  for (const auto& pe : inst.path_edges) tree.insert(tree.end(), pe.begin(), pe.end());
+  mincut::fill_cut_row(inst, tree);
   return inst;
 }
 

@@ -19,13 +19,13 @@ void BM_BetweenSubtree(benchmark::State& state) {
   WeightedGraph g = random_connected(n, 3 * n, rng);
   randomize_weights(g, 1, 100, rng);
   const auto tree = bfs_spanning_tree(g, 0);
-  const mincut::Instance inst = mincut::make_root_instance(g, tree, 0);
+  mincut::Instance inst = mincut::make_root_instance(g, tree, 0);
   const RootedTree t(inst.graph, tree, 0);
 
   minoragg::Ledger ledger;
   for (auto _ : state) {
     minoragg::Ledger run;
-    benchmark::DoNotOptimize(mincut::between_subtree_mincut(t, inst, run));
+    benchmark::DoNotOptimize(mincut::root_between_subtree_mincut(t, inst, run));
     ledger = run;
   }
   benchutil::export_ledger(state, ledger);

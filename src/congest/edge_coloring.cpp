@@ -4,28 +4,30 @@
 
 #include "util/assert.hpp"
 #include "util/math.hpp"
+#include "util/scratch.hpp"
 
 namespace umc::congest {
 
-EdgeColoring deterministic_edge_coloring(const WeightedGraph& g) {
+EdgeColoring deterministic_edge_coloring(const WeightedGraph& g, std::vector<int>& color) {
   EdgeColoring out;
-  out.color.assign(static_cast<std::size_t>(g.m()), -1);
+  color.assign(static_cast<std::size_t>(g.m()), -1);
   for (NodeId v = 0; v < g.n(); ++v) out.max_degree = std::max(out.max_degree, g.degree(v));
 
-  std::vector<bool> used;
+  ScratchLease<std::vector<bool>> used_s;
+  std::vector<bool>& used = *used_s;
   for (EdgeId e = 0; e < g.m(); ++e) {
     // mex over colors already used at either endpoint.
     used.assign(static_cast<std::size_t>(2 * out.max_degree), false);
     const Edge& ed = g.edge(e);
     for (const NodeId x : {ed.u, ed.v}) {
       for (const AdjEntry& a : g.adj(x)) {
-        const int c = out.color[static_cast<std::size_t>(a.edge)];
+        const int c = color[static_cast<std::size_t>(a.edge)];
         if (c >= 0) used[static_cast<std::size_t>(c)] = true;
       }
     }
     int c = 0;
     while (used[static_cast<std::size_t>(c)]) ++c;
-    out.color[static_cast<std::size_t>(e)] = c;
+    color[static_cast<std::size_t>(e)] = c;
     out.num_colors = std::max(out.num_colors, c + 1);
   }
   UMC_ASSERT_MSG(out.num_colors <= std::max(1, 2 * out.max_degree - 1),

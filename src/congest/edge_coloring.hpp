@@ -17,12 +17,14 @@
 namespace umc::congest {
 
 struct EdgeColoring {
-  std::vector<int> color;         // per edge, in [0, num_colors)
   int num_colors = 0;
   int max_degree = 0;
   std::int64_t congest_rounds = 0;  // Panconesi-Rizzi charge O(Δ + log* n)
 };
 
-[[nodiscard]] EdgeColoring deterministic_edge_coloring(const WeightedGraph& g);
+/// Colors every edge of g into `color` (per edge, in [0, num_colors);
+/// overwritten, so a leased row keeps its capacity).
+[[nodiscard]] EdgeColoring deterministic_edge_coloring(const WeightedGraph& g,
+                                                       std::vector<int>& color);
 
 }  // namespace umc::congest

@@ -22,8 +22,10 @@ void build_sub_instance(const InstanceCore& src, std::span<const NodeId> node_ma
   const WeightedGraph& g = src.graph;
   UMC_ASSERT(static_cast<NodeId>(node_map.size()) == g.n());
   UMC_ASSERT(static_cast<EdgeId>(src.origin.size()) == g.m());
+  UMC_ASSERT(static_cast<EdgeId>(src.cut.size()) == g.m());
   edge_map.assign(static_cast<std::size_t>(g.m()), kNoEdge);
   out.origin.clear();
+  out.cut.clear();
   ScratchLease<std::vector<Edge>> edges_s;
   std::vector<Edge>& edges = *edges_s;
   edges.clear();
@@ -36,9 +38,11 @@ void build_sub_instance(const InstanceCore& src, std::span<const NodeId> node_ma
     edge_map[static_cast<std::size_t>(e)] = static_cast<EdgeId>(edges.size());
     edges.push_back(Edge{u, v, ed.w});
     out.origin.push_back(src.origin[static_cast<std::size_t>(e)]);
+    out.cut.push_back(src.cut[static_cast<std::size_t>(e)]);
   }
   edges.insert(edges.end(), extra.begin(), extra.end());
   out.origin.resize(edges.size(), kNoEdge);
+  out.cut.resize(edges.size(), 0);
   out.graph.assign(new_n, edges);
   out.is_virtual.assign(static_cast<std::size_t>(new_n), false);
   for (NodeId v = 0; v < g.n(); ++v)

@@ -35,7 +35,8 @@ struct CutResult {
 };
 
 /// What every instance shape (general, path-to-path, star) carries: the
-/// graph, its virtual nodes, edge provenance and the tree root.
+/// graph, its virtual nodes, edge provenance, the tree root and the
+/// 1-respecting cut values of its tree.
 struct InstanceCore {
   WeightedGraph graph;
   std::vector<bool> is_virtual;  // per node
@@ -43,6 +44,13 @@ struct InstanceCore {
   /// candidate tree edges, kNoEdge otherwise.
   std::vector<EdgeId> origin;
   NodeId root = 0;
+  /// Per edge of `graph`: Cut_T(e) for the instance's tree edges, 0 for the
+  /// rest. The top of the 2-respecting recursion fills it with Theorem 18
+  /// once; every sub-instance is cut-equivalent to its parent on the tree
+  /// edges it keeps, so build_sub_instance carries the parent's values
+  /// over (DESIGN.md "Cut-equivalent sub-instances"). Hand-built instances
+  /// fill it with fill_cut_row (one_respect.hpp).
+  std::vector<Weight> cut;
 
   /// Number of virtual nodes (Theorem 14's beta).
   [[nodiscard]] int beta() const {
@@ -58,7 +66,9 @@ struct Instance : InstanceCore {
 };
 
 /// Builds the initial instance from a host graph and spanning tree: no
-/// virtual nodes; every tree edge is its own origin.
+/// virtual nodes; every tree edge is its own origin. The Cut row stays
+/// empty until the recursion's top step (root_between_subtree_mincut) or
+/// fill_cut_row fills it.
 [[nodiscard]] Instance make_root_instance(const WeightedGraph& g,
                                           std::span<const EdgeId> tree_edges, NodeId root);
 
@@ -67,10 +77,11 @@ struct Instance : InstanceCore {
 /// (its rows keep their capacity, so a leased one does not reallocate them)
 /// as `src` with node v renamed node_map[v] ∈ [0, new_n). Edges whose
 /// endpoints collide become self-loops and are dropped; the rest keep their
-/// order, weights and origins. A new node is virtual iff some node mapped
-/// to it is, and out.root = node_map[src.root]. edge_map[e] is source
-/// edge e's new id, or kNoEdge if it was dropped. The `extra` edges (new
-/// ids) follow the kept ones as auxiliary edges (origin kNoEdge).
+/// order, weights, origins and Cut values. A new node is virtual iff some
+/// node mapped to it is, and out.root = node_map[src.root]. edge_map[e] is
+/// source edge e's new id, or kNoEdge if it was dropped. The `extra` edges
+/// (new ids) follow the kept ones as auxiliary edges (origin kNoEdge, Cut
+/// 0: a caller that makes one a tree edge sets its Cut).
 void build_sub_instance(const InstanceCore& src, std::span<const NodeId> node_map,
                         NodeId new_n, InstanceCore& out, std::vector<EdgeId>& edge_map,
                         std::span<const Edge> extra = {});

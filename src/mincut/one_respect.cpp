@@ -1,6 +1,7 @@
 #include "mincut/one_respect.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "minoragg/network.hpp"
@@ -34,13 +35,34 @@ bool info_contains_top(const HlInfo& info, NodeId l) {
   return false;
 }
 
+/// The minimum of a Cut row over the candidate tree edges of `t`, absorbed
+/// in bottom-node order (ties keep the first), as Theorem 18 reports it.
+CutResult min_candidate_cut(const RootedTree& t, std::span<const EdgeId> origin,
+                            std::span<const Weight> cut) {
+  CutResult best;
+  for (NodeId v = 0; v < t.n(); ++v) {
+    const EdgeId pe = t.parent_edge(v);
+    if (pe == kNoEdge) continue;
+    const EdgeId orig = origin[static_cast<std::size_t>(pe)];
+    if (orig != kNoEdge) best.absorb(CutResult{cut[static_cast<std::size_t>(pe)], orig, kNoEdge});
+  }
+  return best;
+}
+
+std::atomic<CutRowProbe> g_cut_row_probe{nullptr};
+
 }  // namespace
 
-OneRespectResult one_respecting_cuts(const RootedTree& t, std::span<const EdgeId> origin,
-                                     const HeavyLightDecomposition& hld,
-                                     minoragg::Ledger& ledger) {
+std::int64_t one_respect_rounds(const RootedTree& t, const HeavyLightDecomposition& hld) {
+  return 3 + 2 * minoragg::hl_subtree_sum_rounds(t, hld);
+}
+
+CutResult one_respecting_cuts(const RootedTree& t, std::span<const EdgeId> origin,
+                              const HeavyLightDecomposition& hld, minoragg::Ledger& ledger,
+                              std::vector<Weight>& cut) {
   const WeightedGraph& g = t.host();
   UMC_ASSERT(static_cast<EdgeId>(origin.size()) == g.m());
+  const std::int64_t start = ledger.rounds();
   const minoragg::Network net(g, ledger);
   const auto un = static_cast<std::size_t>(g.n());
 
@@ -144,27 +166,45 @@ OneRespectResult one_respecting_cuts(const RootedTree& t, std::span<const EdgeId
     }
   }
 
-  // Step 3: Cut(parent_edge(x)) = subtree sum of A at x. Step 2b's subtree
-  // sum ran over the same tree, and a subtree sum's charge depends on the
-  // tree alone, not on the payload: it is charged the same again.
+  // Step 3: Cut(parent_edge(x)) = subtree sum of A at x.
   ScratchLease<std::vector<std::int64_t>> sums_s;
   const std::vector<std::int64_t>& sums = *sums_s;
-  const std::int64_t before = ledger.rounds();
   minoragg::hl_subtree_sums<SumAgg>(t, hld, std::span<const std::int64_t>(a.data(), a.size()),
                                     ledger, *sums_s);
-  ledger.charge(ledger.rounds() - before);
+  // Step 2b's subtree sum ran over the same tree, and a subtree sum's charge
+  // depends on the tree alone, not on the payload.
+  ledger.charge(minoragg::hl_subtree_sum_rounds(t, hld));
+  UMC_ASSERT_MSG(ledger.rounds() - start == one_respect_rounds(t, hld),
+                 "Theorem 18 charges what a carried Cut row is charged");
 
-  OneRespectResult out;
-  out.cut.assign(static_cast<std::size_t>(g.m()), 0);
+  cut.assign(static_cast<std::size_t>(g.m()), 0);
   for (NodeId v = 0; v < g.n(); ++v) {
     const EdgeId pe = t.parent_edge(v);
-    if (pe == kNoEdge) continue;
-    out.cut[static_cast<std::size_t>(pe)] = sums[static_cast<std::size_t>(v)];
-    const EdgeId orig = origin[static_cast<std::size_t>(pe)];
-    if (orig != kNoEdge)
-      out.best.absorb(CutResult{sums[static_cast<std::size_t>(v)], orig, kNoEdge});
+    if (pe != kNoEdge) cut[static_cast<std::size_t>(pe)] = sums[static_cast<std::size_t>(v)];
   }
-  return out;
+  return min_candidate_cut(t, origin, cut);
+}
+
+CutResult carried_one_respecting_cuts(CutRowSource source, const RootedTree& t,
+                                      const HeavyLightDecomposition& hld,
+                                      const InstanceCore& inst, minoragg::Ledger& ledger) {
+  UMC_ASSERT(&t.host() == &inst.graph);
+  UMC_ASSERT(static_cast<EdgeId>(inst.cut.size()) == inst.graph.m());
+  if (const CutRowProbe probe = g_cut_row_probe.load(std::memory_order_acquire))
+    probe(source, t, hld, inst);
+  ledger.charge(one_respect_rounds(t, hld));
+  return min_candidate_cut(t, inst.origin, inst.cut);
+}
+
+void fill_cut_row(InstanceCore& inst, std::span<const EdgeId> tree_edges) {
+  const RootedTree t(inst.graph, tree_edges, inst.root);
+  const HeavyLightDecomposition hld(t);
+  minoragg::Ledger uncharged;
+  (void)one_respecting_cuts(t, inst.origin, hld, uncharged, inst.cut);
+}
+
+void set_cut_row_probe(CutRowProbe probe) {
+  g_cut_row_probe.store(probe, std::memory_order_release);
 }
 
 }  // namespace umc::mincut

@@ -69,9 +69,10 @@ struct RowScan {
   std::ptrdiff_t argmin_candidate = -1; // steering split: candidate argmin index
 };
 
-/// Fixes one edge and evaluates Cut(e_fix, f_j) over the other path.
-RowScan scan_row(const PathInstance& inst, const Layout& lay, std::span<const Weight> cov1,
-                 bool fixed_on_p, std::size_t idx, minoragg::Ledger& ledger) {
+/// Fixes one edge and evaluates Cut(e_fix, f_j) = Cut(e_fix) + Cut(f_j) −
+/// 2·Cov(e_fix, f_j) over the other path, with Cut read off inst.cut.
+RowScan scan_row(const PathInstance& inst, const Layout& lay, bool fixed_on_p, std::size_t idx,
+                 minoragg::Ledger& ledger) {
   const auto& fixed_edges = fixed_on_p ? inst.edgesP : inst.edgesQ;
   const auto& other_edges = fixed_on_p ? inst.edgesQ : inst.edgesP;
   const EdgeId e_fix = fixed_edges[idx];
@@ -84,8 +85,8 @@ RowScan scan_row(const PathInstance& inst, const Layout& lay, std::span<const We
   Weight arg_best = kInfWeight;
   for (std::size_t j = 0; j < other_edges.size(); ++j) {
     const EdgeId f = other_edges[j];
-    const Weight cut = cov1[static_cast<std::size_t>(e_fix)] +
-                       cov1[static_cast<std::size_t>(f)] - 2 * cov[j];
+    const Weight cut = inst.cut[static_cast<std::size_t>(e_fix)] +
+                       inst.cut[static_cast<std::size_t>(f)] - 2 * cov[j];
     const bool f_cand = inst.origin[static_cast<std::size_t>(f)] != kNoEdge;
     if (f_cand && cut < arg_best) {
       arg_best = cut;
@@ -128,10 +129,10 @@ bool is_separable(const PathInstance& inst, const Layout& lay) {
 /// e_1 row and f_1 column (where top-incident cross edges break the
 /// decomposition) are scanned directly.
 CutResult solve_separable(const PathInstance& inst, const Layout& lay,
-                          std::span<const Weight> cov1, minoragg::Ledger& ledger) {
+                          minoragg::Ledger& ledger) {
   CutResult best;
-  best.absorb(scan_row(inst, lay, cov1, true, 0, ledger).best);
-  best.absorb(scan_row(inst, lay, cov1, false, 0, ledger).best);
+  best.absorb(scan_row(inst, lay, true, 0, ledger).best);
+  best.absorb(scan_row(inst, lay, false, 0, ledger).best);
 
   const NodeId bottom_p = inst.nodesP.back();
   const NodeId bottom_q = inst.nodesQ.back();
@@ -169,7 +170,7 @@ CutResult solve_separable(const PathInstance& inst, const Layout& lay,
     for (std::size_t i = 1; i < edges.size(); ++i) {
       const EdgeId e = edges[i];
       if (inst.origin[static_cast<std::size_t>(e)] == kNoEdge) continue;
-      const Weight f = cov1[static_cast<std::size_t>(e)] - 2 * csuffix[i];
+      const Weight f = inst.cut[static_cast<std::size_t>(e)] - 2 * csuffix[i];
       if (f < best_side.first) best_side = {f, inst.origin[static_cast<std::size_t>(e)]};
     }
     return best_side;
@@ -190,7 +191,11 @@ struct SubInstances {
 /// and `down` (rebuilt in place), by absorbing each discarded region into
 /// its boundary node: everything below the midpoint/best-response edges
 /// collapses into the (virtualized) bottom nodes of P_up/Q_up for G_up;
-/// everything above collapses into a fresh virtual root for G_down.
+/// everything above collapses into a fresh virtual root for G_down. Both
+/// keep their real tree edges' Cut values. G_down's connector {r_down, top}
+/// is a tree edge the parent lacks: the boundary edge e_a (f_b) it replaces
+/// stays behind as a plain edge parallel to it, so the connector's Cut is
+/// the parent's Cut(e_a) plus its own weight, and e_a's entry drops to 0.
 SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::size_t b,
                                  minoragg::Ledger& ledger, PathInstance& up,
                                  PathInstance& down) {
@@ -248,6 +253,14 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
     build_sub_instance(inst, map, static_cast<NodeId>(1 + lp + lq), down, edge_map, connectors);
     down.is_virtual[0] = true;  // r_down
     const EdgeId first_connector = down.graph.m() - 2;
+    for (int side = 0; side < 2; ++side) {
+      const auto boundary = static_cast<std::size_t>(side == 0 ? inst.edgesP[a] : inst.edgesQ[b]);
+      const EdgeId kept = edge_map[boundary];
+      UMC_ASSERT_MSG(kept != kNoEdge, "the boundary edge spans r_down and its path's top");
+      down.cut[static_cast<std::size_t>(first_connector + side)] =
+          inst.cut[boundary] + connectors[side].w;
+      down.cut[static_cast<std::size_t>(kept)] = 0;
+    }
     down.nodesP.assign(1, 1);
     down.edgesP.assign(1, first_connector);
     down.nodesQ.assign(1, static_cast<NodeId>(1 + lp));
@@ -259,7 +272,10 @@ SubInstances build_sub_instances(const PathInstance& inst, std::size_t a, std::s
   return out;
 }
 
-CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
+/// `source` names where the instance came from: a star's pair instance at
+/// depth 1, Lemma 23's G_up / G_down below.
+CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth,
+                CutRowSource source) {
   UMC_ASSERT(!inst.edgesP.empty() && !inst.edgesQ.empty());
   // Logical clock: the path-to-path halving depth.
   UMC_OBS_SPAN_VAR_L(obs_solve, "mincut/p2p_solve", "mincut", depth);
@@ -268,7 +284,7 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
   minoragg::Ledger local;
   local.set_max(minoragg::CounterId::max_p2p_depth, depth);
 
-  OneRespectResult r1;
+  CutResult best;
   {
     ScratchLease<std::vector<EdgeId>> tree_edges_s;
     std::vector<EdgeId>& tree_edges = *tree_edges_s;
@@ -278,9 +294,8 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
     ScratchLease<HeavyLightDecomposition> hld;
     t->rebuild(inst.graph, tree_edges, inst.root);
     minoragg::hl_construct(*t, local, *hld);
-    r1 = one_respecting_cuts(*t, inst.origin, *hld, local);
+    best = carried_one_respecting_cuts(source, *t, *hld, inst, local);
   }
-  CutResult best = r1.best;
   ScratchLease<Layout> lay_s;
   classify_into(inst, *lay_s);
   const Layout& lay = *lay_s;
@@ -297,24 +312,24 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
     const bool scan_p = np <= nq;
     const std::size_t len = scan_p ? np : nq;
     for (std::size_t i = 0; i < len; ++i)
-      best.absorb(scan_row(inst, lay, r1.cut, scan_p, i, local).best);
+      best.absorb(scan_row(inst, lay, scan_p, i, local).best);
     minoragg::settle_virtual_execution(parent, local, inst.beta());
     return best;
   }
 
   if (is_separable(inst, lay)) {
-    best.absorb(solve_separable(inst, lay, r1.cut, local));
+    best.absorb(solve_separable(inst, lay, local));
     minoragg::settle_virtual_execution(parent, local, inst.beta());
     return best;
   }
 
   // Lemma 23: midpoint + best candidate response, then Monge recursion.
   const std::size_t a = np / 2;
-  const RowScan row_a = scan_row(inst, lay, r1.cut, true, a, local);
+  const RowScan row_a = scan_row(inst, lay, true, a, local);
   best.absorb(row_a.best);
   UMC_ASSERT(row_a.argmin_candidate >= 0);  // Q has a candidate
   const std::size_t b = static_cast<std::size_t>(row_a.argmin_candidate);
-  best.absorb(scan_row(inst, lay, r1.cut, false, b, local).best);
+  best.absorb(scan_row(inst, lay, false, b, local).best);
 
   ScratchLease<PathInstance> up_s, down_s;
   const SubInstances subs = build_sub_instances(inst, a, b, local, *up_s, *down_s);
@@ -335,7 +350,7 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
         UMC_OBS_SPAN_VAR_L(obs_item, "mincut/ttr_item", "mincut", depth);
         obs_item.arg("kind", 3);  // 3 = path-to-path Monge half
         obs_item.arg("pool_thread", ThreadPool::current_index());
-        up_best = solve(up, up_ledger, depth + 1);
+        up_best = solve(up, up_ledger, depth + 1, CutRowSource::kUp);
       });
     }
     if (subs.down) {
@@ -344,7 +359,7 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
         UMC_OBS_SPAN_VAR_L(obs_item, "mincut/ttr_item", "mincut", depth);
         obs_item.arg("kind", 3);
         obs_item.arg("pool_thread", ThreadPool::current_index());
-        down_best = solve(down, down_ledger, depth + 1);
+        down_best = solve(down, down_ledger, depth + 1, CutRowSource::kDown);
       });
     }
     halves.join();
@@ -367,7 +382,7 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth) {
 }  // namespace
 
 CutResult path_to_path_mincut(const PathInstance& inst, minoragg::Ledger& ledger) {
-  return solve(inst, ledger, 1);
+  return solve(inst, ledger, 1, CutRowSource::kPair);
 }
 
 }  // namespace umc::mincut

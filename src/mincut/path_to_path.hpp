@@ -35,6 +35,7 @@ struct PathInstance : InstanceCore {
 
 /// min over candidate pairs (e ∈ P) × (f ∈ Q) of Cut(e, f), together with
 /// the 1-respecting minimum over candidate tree edges of the instance.
+/// Cut(e) comes from inst.cut, which the G_up / G_down recursion carries.
 [[nodiscard]] CutResult path_to_path_mincut(const PathInstance& inst, minoragg::Ledger& ledger);
 
 }  // namespace umc::mincut

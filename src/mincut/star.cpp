@@ -19,7 +19,8 @@ namespace {
 /// node outside the two paths (the root and all other paths, with whatever
 /// hangs off them) is absorbed into a fresh virtual pair-root. Real top
 /// edges {root, top} become the instance's root edges with their
-/// weights/origins intact.
+/// weights/origins intact, and every kept path edge its Cut value (the
+/// part of the star below it is the part of its path below it).
 void build_pair_instance(const StarInstance& inst, int i, int j, PathInstance& pair) {
   ScratchLease<std::vector<NodeId>> map_s;
   std::vector<NodeId>& map = *map_s;
@@ -83,7 +84,7 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger, PairMe
   obs_star.arg("n", inst.graph.n());
   minoragg::Ledger local;
 
-  // 1-respecting cuts over the whole star (Theorem 18).
+  // 1-respecting cuts over the whole star (Theorem 18), off the carried row.
   CutResult best;
   {
     ScratchLease<std::vector<EdgeId>> tree_edges_s;
@@ -95,7 +96,7 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger, PairMe
     ScratchLease<HeavyLightDecomposition> hld;
     t->rebuild(inst.graph, tree_edges, inst.root);
     minoragg::hl_construct(*t, local, *hld);
-    best = one_respecting_cuts(*t, inst.origin, *hld, local).best;
+    best = carried_one_respecting_cuts(CutRowSource::kStar, *t, *hld, inst, local);
   }
 
   if (inst.k() >= 2) {
@@ -121,7 +122,9 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger, PairMe
     ScratchLease<WeightedGraph> ig_s;
     WeightedGraph& ig = *ig_s;
     ig.assign(static_cast<NodeId>(inst.k()), ig_edges);
-    const congest::EdgeColoring coloring = congest::deterministic_edge_coloring(ig);
+    ScratchLease<std::vector<int>> color_s;
+    const std::vector<int>& color = *color_s;
+    const congest::EdgeColoring coloring = congest::deterministic_edge_coloring(ig, *color_s);
     local.charge(coloring.congest_rounds);
     local.set_max(minoragg::CounterId::max_interest_colors, coloring.num_colors);
 
@@ -139,7 +142,7 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger, PairMe
     items.clear();
     for (int c = 0; c < coloring.num_colors; ++c) {
       for (EdgeId e = 0; e < ig.m(); ++e) {
-        if (coloring.color[static_cast<std::size_t>(e)] != c) continue;
+        if (color[static_cast<std::size_t>(e)] != c) continue;
         items.push_back(PairItem{c, ig.edge(e).u, ig.edge(e).v});
       }
     }

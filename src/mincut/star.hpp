@@ -2,7 +2,8 @@
 
 // Star 2-respecting min-cut (Section 7, Theorem 27).
 //
-// Pipeline: 1-respecting cuts (Theorem 18) → interest lists (Lemma 32) →
+// Pipeline: 1-respecting cuts (Theorem 18, read off the Cut row the star
+// inherits from its between-subtree instance) → interest lists (Lemma 32) →
 // mutual-interest graph (Definition 33, max degree O(log n) by Lemma 30) →
 // deterministic O(Δ)-edge-coloring simulated on the interest graph
 // (Lemmas 34/35) → per color class, node-disjoint path-to-path calls
@@ -63,7 +64,9 @@ class PairMemo {
 [[nodiscard]] obs::Counter& p2p_pairs_counter(bool replayed);
 
 /// min of candidate 1-respecting cuts and candidate 2-respecting pairs on
-/// different paths. Counters: "max_interest_degree", "max_interest_colors".
+/// different paths; inst.cut holds the tree edges' Cut values, which the
+/// pair instances inherit. Counters: "max_interest_degree",
+/// "max_interest_colors".
 /// With a memo and inst.path_chain set, a pair of chains the memo holds is
 /// copied instead of solved, and every solved pair is recorded. `pairs`, if
 /// given, receives the number of path pairs examined.

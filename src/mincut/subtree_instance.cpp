@@ -26,10 +26,10 @@ struct Chain {
   std::span<const NodeId> nodes;
 };
 
-}  // namespace
-
-CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
-                                 minoragg::Ledger& ledger) {
+/// between_subtree_mincut, with the hub's 1-respecting step either read
+/// off inst.cut or, given `fill` (which is inst.cut), computed into it.
+CutResult between_subtree(const RootedTree& t, const InstanceCore& inst,
+                          minoragg::Ledger& ledger, std::vector<Weight>* fill) {
   UMC_ASSERT(&t.host() == &inst.graph);
   const WeightedGraph& g = inst.graph;
   const NodeId root = t.root();
@@ -37,7 +37,10 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
   ScratchLease<HeavyLightDecomposition> hld_s;
   minoragg::hl_construct(t, local, *hld_s);
   const HeavyLightDecomposition& hld = *hld_s;
-  CutResult best = one_respecting_cuts(t, inst.origin, hld, local).best;
+  CutResult best =
+      fill != nullptr
+          ? one_respecting_cuts(t, inst.origin, hld, local, *fill)
+          : carried_one_respecting_cuts(CutRowSource::kBranch, t, hld, inst, local);
 
   // Branch index per node: which child-of-root subtree it lives in (the
   // child's preorder range).
@@ -237,6 +240,18 @@ CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
     ledger.charge_sequential(slot.iter);
   }
   return best;
+}
+
+}  // namespace
+
+CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
+                                 minoragg::Ledger& ledger) {
+  return between_subtree(t, inst, ledger, nullptr);
+}
+
+CutResult root_between_subtree_mincut(const RootedTree& t, InstanceCore& inst,
+                                      minoragg::Ledger& ledger) {
+  return between_subtree(t, inst, ledger, &inst.cut);
 }
 
 }  // namespace umc::mincut

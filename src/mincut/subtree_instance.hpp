@@ -18,8 +18,17 @@ namespace umc::mincut {
 /// min of candidate 1-respecting cuts and candidate pairs (e, f) lying in
 /// DIFFERENT child branches of the hub `t.root()` (branch edges {root,
 /// child} belong to their branch). `t` spans `inst.graph` (`t.host()` is
-/// it); inst.root is not read. Counters: "subtree_star_calls".
+/// it); inst.root is not read. Cut(e) comes from the carried row inst.cut,
+/// and the 1-respecting step charges what Theorem 18 would
+/// (carried_one_respecting_cuts). Counters: "subtree_star_calls".
 [[nodiscard]] CutResult between_subtree_mincut(const RootedTree& t, const InstanceCore& inst,
                                                minoragg::Ledger& ledger);
+
+/// The top of the 2-respecting recursion, whose instance has no parent to
+/// carry Cut(e) from: runs Theorem 18 on the hub tree, charged, to fill
+/// inst.cut, then continues as between_subtree_mincut. The stars it builds
+/// inherit the row.
+[[nodiscard]] CutResult root_between_subtree_mincut(const RootedTree& t, InstanceCore& inst,
+                                                    minoragg::Ledger& ledger);
 
 }  // namespace umc::mincut

@@ -43,7 +43,9 @@ CutResult solve_base(const Instance& inst, minoragg::Ledger& ledger) {
 /// is node 1 + j. Each equals build_sub_instance over that node map — same
 /// edges, ids, origins and virtual flags — but one pass over the preorder
 /// and one over the edges serve every branch, instead of an n-sized map and
-/// an m-edge scan each. They are rebuilt in place into subs[0, k), a row
+/// an m-edge scan each. Each H_i keeps its tree edges' Cut values (Lemma
+/// 43: everything outside the branch sits on the far side of every branch
+/// tree edge). They are rebuilt in place into subs[0, k), a row
 /// that only grows, so a leased one keeps every instance's capacity.
 /// Returns k.
 std::size_t branch_instances(const Instance& inst, const RootedTree& t,
@@ -118,12 +120,14 @@ std::size_t branch_instances(const Instance& inst, const RootedTree& t,
     Instance& sub = subs[i];
     edges.clear();
     sub.origin.clear();
+    sub.cut.clear();
     for (std::size_t x = lo; x < hi; ++x) {
       const EdgeId e = bucket[x];
       const Edge& ed = g.edge(e);
       if (t.is_tree_edge(e)) tree_local[static_cast<std::size_t>(e)] = static_cast<EdgeId>(x - lo);
       edges.push_back(Edge{to_local(ed.u), to_local(ed.v), ed.w});
       sub.origin.push_back(inst.origin[static_cast<std::size_t>(e)]);
+      sub.cut.push_back(inst.cut[static_cast<std::size_t>(e)]);
     }
     const NodeId size = t.subtree_size(kids[i]);
     sub.graph.assign(1 + size, edges);
@@ -145,7 +149,9 @@ std::size_t branch_instances(const Instance& inst, const RootedTree& t,
   return k;
 }
 
-CutResult solve(const Instance& inst, minoragg::Ledger& parent, int depth) {
+/// The recursion's top (depth 1) fills inst.cut; every deeper call reads
+/// the row its branch instance inherited.
+CutResult solve(Instance& inst, minoragg::Ledger& parent, int depth) {
   parent.set_max(minoragg::CounterId::max_general_depth, depth);
   // Logical clock: the centroid-recursion depth.
   UMC_OBS_SPAN_VAR_L(obs_solve, "mincut/general_solve", "mincut", depth);
@@ -171,7 +177,8 @@ CutResult solve(const Instance& inst, minoragg::Ledger& parent, int depth) {
       c = minoragg::find_centroid_ma(t, *hld, local);
     }
     t.rebuild(inst.graph, inst.tree_edges, c);
-    best = between_subtree_mincut(t, inst, local);
+    best = depth == 1 ? root_between_subtree_mincut(t, inst, local)
+                      : between_subtree_mincut(t, inst, local);
     minoragg::settle_virtual_execution(parent, local, inst.beta());
 
     // Lemma 43: private cut-equivalent branch instances H_i, each with its
@@ -192,7 +199,7 @@ CutResult solve(const Instance& inst, minoragg::Ledger& parent, int depth) {
   {
     TaskGroup branches;
     for (std::size_t i = 0; i < k; ++i) {
-      const Instance& sub = subs[i];
+      Instance& sub = subs[i];
       CutResult& slot = branch_best[i];
       minoragg::Ledger& kid = kids[i];
       branches.spawn([&sub, &slot, &kid, depth] {
@@ -214,13 +221,10 @@ CutResult solve(const Instance& inst, minoragg::Ledger& parent, int depth) {
 
 }  // namespace
 
-CutResult two_respecting_mincut(const Instance& inst, minoragg::Ledger& ledger) {
-  return solve(inst, ledger, 1);
-}
-
 CutResult two_respecting_mincut(const WeightedGraph& g, std::span<const EdgeId> tree_edges,
                                 NodeId root, minoragg::Ledger& ledger) {
-  return two_respecting_mincut(make_root_instance(g, tree_edges, root), ledger);
+  Instance inst = make_root_instance(g, tree_edges, root);
+  return solve(inst, ledger, 1);
 }
 
 }  // namespace umc::mincut

@@ -11,19 +11,18 @@
 // simultaneously (Corollary 11); each call's local work is multiplied by
 // its own (beta + 1) virtual-node factor (Theorem 14), with beta <=
 // O(log n) because every recursion level adds exactly one virtual centroid.
+// Theorem 18 runs once, at the top; every sub-instance inherits its tree
+// edges' Cut values (InstanceCore::cut).
 
 #include "mincut/instance.hpp"
 #include "minoragg/ledger.hpp"
 
 namespace umc::mincut {
 
-/// min over candidate tree-edge pairs (e, f) of Cut(e, f), including e == f
-/// (the 1-respecting cuts). Results name ORIGINAL tree edges via
-/// inst.origin. Counters: "max_general_depth", "max_beta",
+/// min over tree-edge pairs (e, f) of Cut(e, f) for the spanning tree
+/// `tree_edges` of g, including e == f (the 1-respecting cuts). Results
+/// name edges of g. Counters: "max_general_depth", "max_beta",
 /// "subtree_star_calls".
-[[nodiscard]] CutResult two_respecting_mincut(const Instance& inst, minoragg::Ledger& ledger);
-
-/// Convenience entry point: builds the root instance over (g, tree, root).
 [[nodiscard]] CutResult two_respecting_mincut(const WeightedGraph& g,
                                               std::span<const EdgeId> tree_edges, NodeId root,
                                               minoragg::Ledger& ledger);

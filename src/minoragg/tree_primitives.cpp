@@ -47,6 +47,22 @@ void build_chain_layout(const RootedTree& t, const HeavyLightDecomposition& hld,
   }
 }
 
+std::int64_t hl_subtree_sum_rounds(const RootedTree& t, const HeavyLightDecomposition& hld) {
+  ScratchLease<std::vector<std::int64_t>> level_s;
+  std::vector<std::int64_t>& level = *level_s;  // per HL-depth: its costliest chain
+  level.assign(static_cast<std::size_t>(hld.max_hl_depth()) + 1, 0);
+  for (NodeId head = 0; head < t.n(); ++head) {
+    if (hld.chain_head(head) != head) continue;
+    std::uint64_t len = 0;
+    for (NodeId cur = head; cur != kNoNode; cur = hld.heavy_child(cur)) ++len;
+    std::int64_t& cost = level[static_cast<std::size_t>(hld.hl_depth(head))];
+    cost = std::max<std::int64_t>(cost, 2 + ceil_log2(len));
+  }
+  std::int64_t rounds = 0;
+  for (const std::int64_t cost : level) rounds += cost;
+  return rounds;
+}
+
 void detail::hl_merge_schedule(const RootedTree& t, Ledger& ledger) {
   const NodeId n = t.n();
   // Lemma 47 merging schedule over the part graph: parts start as

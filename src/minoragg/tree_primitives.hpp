@@ -158,6 +158,13 @@ std::vector<typename A::value_type> hl_subtree_sums(
   return s;
 }
 
+/// The rounds hl_subtree_sums charges on (t, hld), without running it: the
+/// charge depends on the chains alone, not on the payload. Each HL-depth
+/// level costs its longest chain's x_v round plus Lemma 45 pass,
+/// 2 + ceil(log2 length); levels add. No counters.
+[[nodiscard]] std::int64_t hl_subtree_sum_rounds(const RootedTree& t,
+                                                 const HeavyLightDecomposition& hld);
+
 /// Lemma 46 (ancestor sums): p_v = fold of input over anc(v) (v included).
 template <Aggregator A>
 std::vector<typename A::value_type> hl_ancestor_sums(

@@ -163,12 +163,13 @@ TEST(EdgeColoring, ProperWithAtMostTwoDeltaMinusOneColors) {
   Rng rng(9);
   for (int trial = 0; trial < 10; ++trial) {
     const WeightedGraph g = erdos_renyi_connected(30, 0.15, rng);
-    const EdgeColoring ec = deterministic_edge_coloring(g);
+    std::vector<int> color;
+    const EdgeColoring ec = deterministic_edge_coloring(g, color);
     EXPECT_LE(ec.num_colors, std::max(1, 2 * ec.max_degree - 1));
     for (NodeId v = 0; v < g.n(); ++v) {
       std::vector<bool> seen(static_cast<std::size_t>(ec.num_colors), false);
       for (const AdjEntry& a : g.adj(v)) {
-        const int c = ec.color[static_cast<std::size_t>(a.edge)];
+        const int c = color[static_cast<std::size_t>(a.edge)];
         EXPECT_FALSE(seen[static_cast<std::size_t>(c)]) << "conflict at node " << v;
         seen[static_cast<std::size_t>(c)] = true;
       }

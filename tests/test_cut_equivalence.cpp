@@ -4,24 +4,141 @@
 // surviving tree edges — Facts 24/25 and Lemma 43, checked against the
 // reference cut machinery on random instances — and the between-subtree
 // star minors built from a preorder supernode map are exactly the plain
-// edge-contraction minors of contract_reference.hpp.
+// edge-contraction minors of contract_reference.hpp. The 1-respecting cut
+// row every sub-instance of the 2-respecting recursion inherits
+// (InstanceCore::cut) is checked against Theorem 18 rerun on it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <mutex>
 #include <numeric>
+#include <string>
 
 #include "contract_reference.hpp"
 #include "graph/generators.hpp"
 #include "mincut/cut_values.hpp"
 #include "mincut/instance.hpp"
+#include "mincut/one_respect.hpp"
+#include "mincut/two_respect.hpp"
 #include "tree/centroid.hpp"
 #include "tree/rooted_tree.hpp"
 #include "tree/spanning.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace umc::mincut {
 namespace {
+
+/// What the Cut-row probe saw during the solves of one test: sub-instances
+/// per CutRowSource, G_down connectors compared, and every sub-instance
+/// whose carried row or charge disagreed with a Theorem 18 rerun.
+struct RowAudit {
+  std::mutex mu;
+  std::array<int, 5> instances{};
+  int connectors = 0;
+  std::vector<std::string> failures;
+};
+RowAudit* g_audit = nullptr;
+
+/// The probe: reruns Theorem 18 on the sub-instance whose carried row the
+/// recursion is about to read, and compares the whole row (Cut_T(e) on
+/// tree edges, 0 elsewhere) and the charge rule with what the rerun
+/// charged. Sibling star and pair tasks call it concurrently.
+void audit_carried_row(CutRowSource source, const RootedTree& t,
+                       const HeavyLightDecomposition& hld, const InstanceCore& inst) {
+  minoragg::Ledger ledger;
+  std::vector<Weight> fresh;
+  (void)one_respecting_cuts(t, inst.origin, hld, ledger, fresh);
+  const auto kind = static_cast<std::size_t>(source);
+  std::string failure;
+  if (ledger.rounds() != one_respect_rounds(t, hld))
+    failure = "kind " + std::to_string(kind) + ": Theorem 18 charged " +
+              std::to_string(ledger.rounds()) + ", the rule says " +
+              std::to_string(one_respect_rounds(t, hld));
+  int connectors = 0;  // tree edges that are no candidate: G_down's connectors
+  for (EdgeId e = 0; e < inst.graph.m(); ++e) {
+    const auto ue = static_cast<std::size_t>(e);
+    if (t.is_tree_edge(e) && inst.origin[ue] == kNoEdge) ++connectors;
+    if (failure.empty() && inst.cut[ue] != fresh[ue])
+      failure = "kind " + std::to_string(kind) + " edge " + std::to_string(e) +
+                (t.is_tree_edge(e) ? " (tree)" : " (non-tree)") + ": carried " +
+                std::to_string(inst.cut[ue]) + ", rerun " + std::to_string(fresh[ue]);
+  }
+  const std::lock_guard<std::mutex> lock(g_audit->mu);
+  ++g_audit->instances[kind];
+  if (source == CutRowSource::kDown) g_audit->connectors += connectors;
+  if (!failure.empty()) g_audit->failures.push_back(failure);
+}
+
+/// Installs the probe for one scope, and removes it on every exit path.
+struct ProbeScope {
+  explicit ProbeScope(RowAudit& audit) {
+    g_audit = &audit;
+    set_cut_row_probe(audit_carried_row);
+  }
+  ~ProbeScope() {
+    set_cut_row_probe(nullptr);
+    g_audit = nullptr;
+  }
+  ProbeScope(const ProbeScope&) = delete;
+  ProbeScope& operator=(const ProbeScope&) = delete;
+};
+
+TEST(CutEquivalence, CarriedCutRowMatchesTheorem18OnEverySubInstance) {
+  // Seeded grid, ER and tree-plus-chords instances (a random tree with
+  // chords, and a spider whose long legs drive the Lemma 23 recursion into
+  // G_up / G_down), solved at the configured pool width so sibling tasks
+  // read their parent's row concurrently.
+  RowAudit audit;
+  {
+    const ProbeScope probe(audit);
+    for (int which = 0; which < 8; ++which) {
+      Rng rng(700 + static_cast<std::uint64_t>(which));
+      WeightedGraph g;
+      std::vector<EdgeId> tree;
+      switch (which % 4) {
+        case 0:
+          g = random_planar_grid(8, 8, 0.4, rng);
+          randomize_weights(g, 1, 100, rng);
+          tree = wilson_random_spanning_tree(g, rng);
+          break;
+        case 1:
+          g = erdos_renyi_connected(56, 0.12, rng);
+          randomize_weights(g, 1, 50, rng);
+          tree = bfs_spanning_tree(g, 0);
+          break;
+        case 2:
+          g = random_tree(60, rng);
+          for (int c = 0; c < 70; ++c) {
+            const auto u = static_cast<NodeId>(rng.next_below(60));
+            const auto v = static_cast<NodeId>(rng.next_below(60));
+            if (u != v) g.add_edge(u, v, 1);
+          }
+          randomize_weights(g, 1, 30, rng);
+          tree.resize(59);  // random_tree's edges come first
+          std::iota(tree.begin(), tree.end(), EdgeId{0});
+          break;
+        default:
+          g = spider(3, 36, 130, rng);  // tree = the three 36-edge legs
+          randomize_weights(g, 1, 20, rng);
+          tree.resize(108);
+          std::iota(tree.begin(), tree.end(), EdgeId{0});
+          break;
+      }
+      minoragg::Ledger ledger;
+      TaskGraph::session(ThreadPool::configured_threads(),
+                         [&] { (void)two_respecting_mincut(g, tree, 0, ledger); });
+    }
+  }
+  EXPECT_TRUE(audit.failures.empty())
+      << audit.failures.size() << " sub-instances disagree; first: " << audit.failures.front();
+  const char* const names[] = {"branch", "star", "pair", "G_up", "G_down"};
+  for (std::size_t kind = 0; kind < audit.instances.size(); ++kind)
+    EXPECT_GT(audit.instances[kind], 0) << "no " << names[kind] << " sub-instance was checked";
+  EXPECT_GT(audit.connectors, 0) << "no G_down connector was checked";
+}
 
 TEST(CutEquivalence, Lemma43BranchGraphsPreserveAllPairs) {
   Rng rng(3);
@@ -37,8 +154,9 @@ TEST(CutEquivalence, Lemma43BranchGraphsPreserveAllPairs) {
     if (tc.children(c).empty()) continue;
 
     InstanceCore src{g, std::vector<bool>(static_cast<std::size_t>(n), false),
-                     std::vector<EdgeId>(static_cast<std::size_t>(g.m())), c};
+                     std::vector<EdgeId>(static_cast<std::size_t>(g.m())), c, {}};
     std::iota(src.origin.begin(), src.origin.end(), EdgeId{0});
+    fill_cut_row(src, tree);
 
     for (const NodeId child : tc.children(c)) {
       // Build H_i exactly as two_respect does: branch nodes keep their
@@ -100,8 +218,9 @@ TEST(CutEquivalence, Fact25StyleDownRegionAbsorption) {
       kept.push_back(len + 1 + j);
     }
     InstanceCore src{g, std::vector<bool>(static_cast<std::size_t>(g.n()), false),
-                     std::vector<EdgeId>(static_cast<std::size_t>(g.m())), 0};
+                     std::vector<EdgeId>(static_cast<std::size_t>(g.m())), 0, {}};
     std::iota(src.origin.begin(), src.origin.end(), EdgeId{0});
+    fill_cut_row(src, tree);
     InstanceCore rg;
     std::vector<EdgeId> edge_map;
     // Synthetic connectors r_down -> tops (weight never counted for pairs),
@@ -164,10 +283,11 @@ TEST(CutEquivalence, PreorderSupernodeMapAndBuilderReproduceContractEdges) {
       contract[static_cast<std::size_t>(e)] =
           keep_mode == 0 || (keep_mode != 1 && rng.next_below(2) == 0);
     InstanceCore src{g, std::vector<bool>(static_cast<std::size_t>(n), false),
-                     std::vector<EdgeId>(static_cast<std::size_t>(g.m())), root};
+                     std::vector<EdgeId>(static_cast<std::size_t>(g.m())), root, {}};
     for (NodeId v = 0; v < n; ++v) src.is_virtual[static_cast<std::size_t>(v)] = rng.next_below(4) == 0;
     for (EdgeId e = 0; e < g.m(); ++e)
       src.origin[static_cast<std::size_t>(e)] = rng.next_below(5) == 0 ? kNoEdge : 1000 + e;
+    fill_cut_row(src, tree);
 
     const DerivedGraph want = contract_edges(g, contract);
     const NodeId count = contracted_node_map(
@@ -191,6 +311,7 @@ TEST(CutEquivalence, PreorderSupernodeMapAndBuilderReproduceContractEdges) {
       EXPECT_EQ(ge.w, we.w);
       const EdgeId source = want.edge_origin[static_cast<std::size_t>(e)];
       EXPECT_EQ(got.origin[static_cast<std::size_t>(e)], src.origin[static_cast<std::size_t>(source)]);
+      EXPECT_EQ(got.cut[static_cast<std::size_t>(e)], src.cut[static_cast<std::size_t>(source)]);
       want_edge_map[static_cast<std::size_t>(source)] = e;
     }
     EXPECT_EQ(edge_map, want_edge_map) << "trial " << trial;

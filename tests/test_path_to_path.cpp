@@ -9,6 +9,7 @@
 #include "baseline/naive_two_respect.hpp"
 #include "graph/generators.hpp"
 #include "mincut/cut_values.hpp"
+#include "mincut/one_respect.hpp"
 #include "mincut/path_to_path.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -32,6 +33,9 @@ PathInstance broom_instance(const WeightedGraph& g, NodeId len) {
     inst.edgesQ.push_back(len + i);
     inst.origin[static_cast<std::size_t>(len + i)] = len + i;
   }
+  std::vector<EdgeId> tree(inst.edgesP.begin(), inst.edgesP.end());
+  tree.insert(tree.end(), inst.edgesQ.begin(), inst.edgesQ.end());
+  fill_cut_row(inst, tree);
   return inst;
 }
 

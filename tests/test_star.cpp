@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "mincut/cut_values.hpp"
 #include "mincut/interest.hpp"
+#include "mincut/one_respect.hpp"
 #include "mincut/star.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -37,6 +38,9 @@ StarInstance spider_instance(const WeightedGraph& g, int k, NodeId len) {
     inst.path_nodes.push_back(std::move(nodes));
     inst.path_edges.push_back(std::move(edges));
   }
+  std::vector<EdgeId> tree;
+  for (const auto& pe : inst.path_edges) tree.insert(tree.end(), pe.begin(), pe.end());
+  fill_cut_row(inst, tree);
   return inst;
 }
 

@@ -40,10 +40,10 @@ TEST(BetweenSubtree, MatchesOracleAcrossBranches) {
     const auto tree = bfs_spanning_tree(g, 0);
     const RootedTree t(g, tree, 0);
     if (t.children(0).size() < 2) continue;  // needs >= 2 branches
-    const Instance inst = make_root_instance(g, tree, 0);
+    Instance inst = make_root_instance(g, tree, 0);
     minoragg::Ledger ledger;
     const CutResult got =
-        between_subtree_mincut(RootedTree(inst.graph, tree, 0), inst, ledger);
+        root_between_subtree_mincut(RootedTree(inst.graph, tree, 0), inst, ledger);
 
     // Oracle restricted to cross-branch pairs plus 1-respecting cuts.
     std::vector<int> branch(static_cast<std::size_t>(g.n()), -1);
