@@ -18,10 +18,11 @@ void BM_ColeVishkin(benchmark::State& state) {
   std::vector<int> out(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) out[static_cast<std::size_t>(v)] = v + 1 < n ? v + 1 : -1;
   minoragg::Ledger ledger;
+  minoragg::ColeVishkinScratch scratch;
   for (auto _ : state) {
     minoragg::Ledger run;
     std::vector<int> color;
-    minoragg::cole_vishkin_3color(out, run, color);
+    minoragg::cole_vishkin_3color(out, run, color, scratch);
     benchmark::DoNotOptimize(color);
     ledger = run;
   }

@@ -86,10 +86,11 @@ void BM_StarMerge(benchmark::State& state) {
   const RootedTree t(g, ids, 0);
 
   std::pair<int, std::int64_t> det{}, rnd{};
+  minoragg::StarMergeScratch scratch;
   for (auto _ : state) {
-    det = merge_to_one(t, [](std::span<const int> out, minoragg::Ledger& l) {
+    det = merge_to_one(t, [&scratch](std::span<const int> out, minoragg::Ledger& l) {
       minoragg::StarMergeResult res;
-      minoragg::star_merge(out, l, res);
+      minoragg::star_merge(out, l, res, scratch);
       return res;
     });
     Rng coin(99);

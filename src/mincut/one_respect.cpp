@@ -6,6 +6,7 @@
 
 #include "minoragg/network.hpp"
 #include "minoragg/tree_primitives.hpp"
+#include "util/math.hpp"
 #include "util/scratch.hpp"
 
 namespace umc::mincut {
@@ -35,13 +36,15 @@ bool info_contains_top(const HlInfo& info, NodeId l) {
   return false;
 }
 
-/// The minimum of a Cut row over the candidate tree edges of `t`, absorbed
-/// in bottom-node order (ties keep the first), as Theorem 18 reports it.
-CutResult min_candidate_cut(const RootedTree& t, std::span<const EdgeId> origin,
+/// The minimum of a Cut row over the candidate tree edges of a tree on n
+/// nodes, absorbed in bottom-node order (ties keep the first), as Theorem
+/// 18 reports it. parent_edge(v) is v's parent edge (kNoEdge at the root).
+template <typename ParentEdge>
+CutResult min_candidate_cut(NodeId n, ParentEdge&& parent_edge, std::span<const EdgeId> origin,
                             std::span<const Weight> cut) {
   CutResult best;
-  for (NodeId v = 0; v < t.n(); ++v) {
-    const EdgeId pe = t.parent_edge(v);
+  for (NodeId v = 0; v < n; ++v) {
+    const EdgeId pe = parent_edge(v);
     if (pe == kNoEdge) continue;
     const EdgeId orig = origin[static_cast<std::size_t>(pe)];
     if (orig != kNoEdge) best.absorb(CutResult{cut[static_cast<std::size_t>(pe)], orig, kNoEdge});
@@ -182,7 +185,8 @@ CutResult one_respecting_cuts(const RootedTree& t, std::span<const EdgeId> origi
     const EdgeId pe = t.parent_edge(v);
     if (pe != kNoEdge) cut[static_cast<std::size_t>(pe)] = sums[static_cast<std::size_t>(v)];
   }
-  return min_candidate_cut(t, origin, cut);
+  return min_candidate_cut(
+      t.n(), [&t](NodeId v) { return t.parent_edge(v); }, origin, cut);
 }
 
 CutResult carried_one_respecting_cuts(CutRowSource source, const RootedTree& t,
@@ -190,10 +194,94 @@ CutResult carried_one_respecting_cuts(CutRowSource source, const RootedTree& t,
                                       const InstanceCore& inst, minoragg::Ledger& ledger) {
   UMC_ASSERT(&t.host() == &inst.graph);
   UMC_ASSERT(static_cast<EdgeId>(inst.cut.size()) == inst.graph.m());
-  if (const CutRowProbe probe = g_cut_row_probe.load(std::memory_order_acquire))
-    probe(source, t, hld, inst);
-  ledger.charge(one_respect_rounds(t, hld));
-  return min_candidate_cut(t, inst.origin, inst.cut);
+  const std::int64_t rounds = one_respect_rounds(t, hld);
+  if (const CutRowProbe probe = g_cut_row_probe.load(std::memory_order_acquire)) {
+    ScratchLease<std::vector<EdgeId>> tree_s;
+    std::vector<EdgeId>& tree = *tree_s;
+    tree.clear();
+    for (NodeId v = 0; v < t.n(); ++v)
+      if (t.parent_edge(v) != kNoEdge) tree.push_back(t.parent_edge(v));
+    probe(source, inst, t.root(), tree, rounds);
+  }
+  ledger.charge(rounds);
+  return min_candidate_cut(
+      t.n(), [&t](NodeId v) { return t.parent_edge(v); }, inst.origin, inst.cut);
+}
+
+bool canonical_path_pair(NodeId root, std::span<const SpiderLeg> legs) {
+  if (root != 0 || legs.size() != 2) return false;
+  NodeId next = 1;
+  for (const SpiderLeg& leg : legs)
+    for (const NodeId v : leg.nodes)
+      if (v != next++) return false;
+  return true;
+}
+
+std::int64_t spider_one_respect_rounds(std::span<const SpiderLeg> legs) {
+  std::uint64_t l1 = 0, l2 = 0;  // the two longest legs, l1 >= l2
+  for (const SpiderLeg& leg : legs) {
+    const std::uint64_t len = leg.nodes.size();
+    UMC_ASSERT(len >= 1);
+    if (len > l1) {
+      l2 = l1;
+      l1 = len;
+    } else if (len > l2) {
+      l2 = len;
+    }
+  }
+  std::int64_t sum_rounds = 2 + ceil_log2(l1 + 1);
+  if (legs.size() >= 2) sum_rounds += 2 + ceil_log2(l2);
+  return 3 + 2 * sum_rounds;
+}
+
+CutResult carried_spider_cuts(CutRowSource source, const InstanceCore& inst,
+                              std::span<const SpiderLeg> legs, minoragg::Ledger& ledger) {
+  const auto n = static_cast<std::size_t>(inst.graph.n());
+  UMC_ASSERT(!legs.empty());
+  UMC_ASSERT(static_cast<EdgeId>(inst.cut.size()) == inst.graph.m());
+  // Each node's parent and parent edge, straight from the legs.
+  ScratchLease<std::vector<NodeId>> parents_s;
+  ScratchLease<std::vector<EdgeId>> parent_edge_s;
+  std::vector<NodeId>& parents = *parents_s;
+  std::vector<EdgeId>& parent_edge = *parent_edge_s;
+  parents.assign(n, kNoNode);
+  parent_edge.assign(n, kNoEdge);
+  std::size_t placed = 1;  // the root
+  for (const SpiderLeg& leg : legs) {
+    UMC_ASSERT(leg.nodes.size() == leg.edges.size());
+    NodeId up = inst.root;
+    for (std::size_t i = 0; i < leg.nodes.size(); ++i) {
+      const auto v = static_cast<std::size_t>(leg.nodes[i]);
+      UMC_ASSERT_MSG(leg.nodes[i] != inst.root && parent_edge[v] == kNoEdge,
+                     "spider legs are disjoint and avoid the root");
+      UMC_ASSERT(inst.graph.edge(leg.edges[i]).other(leg.nodes[i]) == up);
+      parents[v] = up;
+      parent_edge[v] = leg.edges[i];
+      up = leg.nodes[i];
+    }
+    placed += leg.nodes.size();
+  }
+  UMC_ASSERT_MSG(placed == n, "the spider spans the instance graph");
+
+  // Lemma 47: the HL construction's charge.
+  if (canonical_path_pair(inst.root, legs))
+    minoragg::hl_path_pair_schedule_charge(legs[0].nodes.size(), legs[1].nodes.size(), ledger);
+  else
+    minoragg::hl_schedule_charge(parents, ledger);
+
+  // Theorem 18, read off the carried row.
+  const std::int64_t rounds = spider_one_respect_rounds(legs);
+  if (const CutRowProbe probe = g_cut_row_probe.load(std::memory_order_acquire)) {
+    ScratchLease<std::vector<EdgeId>> tree_s;
+    std::vector<EdgeId>& tree = *tree_s;
+    tree.clear();
+    for (const SpiderLeg& leg : legs) tree.insert(tree.end(), leg.edges.begin(), leg.edges.end());
+    probe(source, inst, inst.root, tree, rounds);
+  }
+  ledger.charge(rounds);
+  return min_candidate_cut(
+      inst.graph.n(), [&parent_edge](NodeId v) { return parent_edge[static_cast<std::size_t>(v)]; },
+      inst.origin, inst.cut);
 }
 
 void fill_cut_row(InstanceCore& inst, std::span<const EdgeId> tree_edges) {

@@ -58,17 +58,49 @@ enum class CutRowSource : std::uint8_t { kBranch, kStar, kPair, kUp, kDown };
                                                     const InstanceCore& inst,
                                                     minoragg::Ledger& ledger);
 
+/// One leg of a spider, a tree whose non-root nodes form paths hanging off
+/// the root (stars and path-to-path instances): its nodes top (child of the
+/// root) to bottom, and each node's parent edge.
+struct SpiderLeg {
+  std::span<const NodeId> nodes;
+  std::span<const EdgeId> edges;
+};
+
+/// True iff `legs` are two legs numbered canonically under `root` 0: the
+/// first leg is nodes 1..p and the second p+1..p+q, each top to bottom.
+/// Every path-to-path instance builder numbers its instances this way.
+[[nodiscard]] bool canonical_path_pair(NodeId root, std::span<const SpiderLeg> legs);
+
+/// one_respect_rounds on a spider, in closed form. Its HL-depth-0 chain is
+/// the root plus a longest leg, and every other leg is a chain of HL-depth
+/// 1, so with L1 >= L2 the two longest legs it is
+///   3 + 2 * [(2 + ceil(log2(L1 + 1))) + (k >= 2 ? 2 + ceil(log2 L2) : 0)].
+[[nodiscard]] std::int64_t spider_one_respect_rounds(std::span<const SpiderLeg> legs);
+
+/// hl_construct + carried_one_respecting_cuts on an instance whose tree is
+/// the spider `legs` rooted at inst.root, with no tree built: the parent
+/// row comes straight from the legs and replays the Lemma 47 charge
+/// (minoragg::hl_schedule_charge, or hl_path_pair_schedule_charge for a
+/// canonical path pair), Theorem 18 charges spider_one_respect_rounds, and
+/// the minimum is read off inst.cut in node-id order, which is Theorem 18's
+/// bottom-node order. Same result and ledger as the tree-built route.
+[[nodiscard]] CutResult carried_spider_cuts(CutRowSource source, const InstanceCore& inst,
+                                            std::span<const SpiderLeg> legs,
+                                            minoragg::Ledger& ledger);
+
 /// Fills the Cut row of an instance built by hand, for the tree
 /// `tree_edges` of inst.graph rooted at inst.root. Uncharged: a caller
 /// that needs the charge runs one_respecting_cuts itself.
 void fill_cut_row(InstanceCore& inst, std::span<const EdgeId> tree_edges);
 
-/// Test probe of the carried-row contract: when set, every
-/// carried_one_respecting_cuts call hands it its arguments before reading
-/// the row. Sibling star and pair tasks call it concurrently. Set it only
-/// while no solve runs; nullptr (the default) turns it off.
-using CutRowProbe = void (*)(CutRowSource, const RootedTree&, const HeavyLightDecomposition&,
-                             const InstanceCore&);
+/// Test probe of the carried-row contract: when set, every carried Cut row
+/// read (carried_one_respecting_cuts, carried_spider_cuts) hands it the
+/// instance, the root and tree edges of the tree it is read for, and the
+/// Theorem 18 rounds it charges, before reading the row. Sibling star and
+/// pair tasks call it concurrently. Set it only while no solve runs;
+/// nullptr (the default) turns it off.
+using CutRowProbe = void (*)(CutRowSource, const InstanceCore&, NodeId root,
+                             std::span<const EdgeId> tree_edges, std::int64_t rounds);
 void set_cut_row_probe(CutRowProbe probe);
 
 }  // namespace umc::mincut

@@ -1,10 +1,10 @@
 #include "mincut/path_to_path.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "mincut/one_respect.hpp"
 #include "minoragg/path_sums.hpp"
-#include "minoragg/tree_primitives.hpp"
 #include "minoragg/virtual_graph.hpp"
 #include "obs/trace.hpp"
 #include "util/scratch.hpp"
@@ -284,18 +284,15 @@ CutResult solve(const PathInstance& inst, minoragg::Ledger& parent, int depth,
   minoragg::Ledger local;
   local.set_max(minoragg::CounterId::max_p2p_depth, depth);
 
-  CutResult best;
-  {
-    ScratchLease<std::vector<EdgeId>> tree_edges_s;
-    std::vector<EdgeId>& tree_edges = *tree_edges_s;
-    tree_edges.assign(inst.edgesP.begin(), inst.edgesP.end());
-    tree_edges.insert(tree_edges.end(), inst.edgesQ.begin(), inst.edgesQ.end());
-    ScratchLease<RootedTree> t;
-    ScratchLease<HeavyLightDecomposition> hld;
-    t->rebuild(inst.graph, tree_edges, inst.root);
-    minoragg::hl_construct(*t, local, *hld);
-    best = carried_one_respecting_cuts(source, *t, *hld, inst, local);
-  }
+  // HL construction (Lemma 47) and 1-respecting cuts (Theorem 18) off the
+  // carried row, with no tree built: the instance is a two-leg spider, and
+  // its canonical numbering makes the Lemma 47 charge a function of
+  // (|P|, |Q|).
+  const std::array<SpiderLeg, 2> legs{SpiderLeg{inst.nodesP, inst.edgesP},
+                                      SpiderLeg{inst.nodesQ, inst.edgesQ}};
+  UMC_ASSERT_MSG(canonical_path_pair(inst.root, legs),
+                 "path instances number root 0, then P, then Q");
+  CutResult best = carried_spider_cuts(source, inst, legs, local);
   ScratchLease<Layout> lay_s;
   classify_into(inst, *lay_s);
   const Layout& lay = *lay_s;

@@ -5,9 +5,9 @@
 #include "congest/edge_coloring.hpp"
 #include "mincut/one_respect.hpp"
 #include "mincut/path_to_path.hpp"
-#include "minoragg/tree_primitives.hpp"
 #include "minoragg/virtual_graph.hpp"
 #include "obs/trace.hpp"
+#include "util/math.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -59,7 +59,60 @@ struct PairSlot {
   CutResult best;
 };
 
+/// PairMemo's key of chain pair (a, b), a < b.
+std::uint64_t pair_key(int a, int b) {
+  UMC_ASSERT(0 <= a && a < b);
+  return static_cast<std::uint64_t>(a) << 32 | static_cast<std::uint32_t>(b);
+}
+
 }  // namespace
+
+PairMemo::PairMemo() {
+  entries_->clear();
+  slots_->clear();
+}
+
+std::int32_t PairMemo::lookup(std::uint64_t key) {
+  const std::vector<std::int32_t>& slots = *slots_;
+  if (slots.empty()) return -1;
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t s = mix64(key) & mask;; s = (s + 1) & mask) {
+    const std::int32_t i = slots[s];
+    if (i < 0 || (*entries_)[static_cast<std::size_t>(i)].key == key) return i;
+  }
+}
+
+void PairMemo::place(std::uint64_t key, std::int32_t index) {
+  std::vector<std::int32_t>& slots = *slots_;
+  const std::size_t mask = slots.size() - 1;
+  std::size_t s = mix64(key) & mask;
+  while (slots[s] >= 0) s = (s + 1) & mask;
+  slots[s] = index;
+}
+
+bool PairMemo::find(int a, int b, CutResult& best, minoragg::Ledger& kid) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const std::int32_t i = lookup(pair_key(a, b));
+  if (i < 0) return false;
+  const Entry& e = (*entries_)[static_cast<std::size_t>(i)];
+  best = e.best;
+  kid = e.kid;
+  return true;
+}
+
+void PairMemo::insert(int a, int b, const CutResult& best, const minoragg::Ledger& kid) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t key = pair_key(a, b);
+  if (lookup(key) >= 0) return;  // a racing solve inserted first
+  std::vector<Entry>& entries = *entries_;
+  if (2 * (entries.size() + 1) > slots_->size()) {  // grow: stay at most half full
+    slots_->assign(std::max<std::size_t>(16, 2 * slots_->size()), -1);
+    for (std::size_t i = 0; i < entries.size(); ++i)
+      place(entries[i].key, static_cast<std::int32_t>(i));
+  }
+  place(key, static_cast<std::int32_t>(entries.size()));
+  entries.push_back(Entry{key, best, kid});
+}
 
 obs::Counter& p2p_pairs_counter(bool replayed) {
   static obs::Counter* const counters[2] = {
@@ -84,19 +137,17 @@ CutResult star_mincut(const StarInstance& inst, minoragg::Ledger& ledger, PairMe
   obs_star.arg("n", inst.graph.n());
   minoragg::Ledger local;
 
-  // 1-respecting cuts over the whole star (Theorem 18), off the carried row.
+  // The star's HL construction (Lemma 47) and 1-respecting cuts (Theorem
+  // 18), off the carried row: the star is a spider, so no tree is built.
   CutResult best;
   {
-    ScratchLease<std::vector<EdgeId>> tree_edges_s;
-    std::vector<EdgeId>& tree_edges = *tree_edges_s;
-    tree_edges.clear();
-    for (const auto& pe : inst.path_edges)
-      tree_edges.insert(tree_edges.end(), pe.begin(), pe.end());
-    ScratchLease<RootedTree> t;
-    ScratchLease<HeavyLightDecomposition> hld;
-    t->rebuild(inst.graph, tree_edges, inst.root);
-    minoragg::hl_construct(*t, local, *hld);
-    best = carried_one_respecting_cuts(CutRowSource::kStar, *t, *hld, inst, local);
+    ScratchLease<std::vector<SpiderLeg>> legs_s;
+    std::vector<SpiderLeg>& legs = *legs_s;
+    legs.clear();
+    for (int i = 0; i < inst.k(); ++i)
+      legs.push_back(SpiderLeg{inst.path_nodes[static_cast<std::size_t>(i)],
+                               inst.path_edges[static_cast<std::size_t>(i)]});
+    best = carried_spider_cuts(CutRowSource::kStar, inst, legs, local);
   }
 
   if (inst.k() >= 2) {

@@ -12,12 +12,13 @@
 
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
+#include <vector>
 
 #include "mincut/instance.hpp"
 #include "mincut/interest.hpp"
 #include "minoragg/ledger.hpp"
 #include "obs/metrics.hpp"
+#include "util/scratch.hpp"
 
 namespace umc::mincut {
 
@@ -27,35 +28,32 @@ namespace umc::mincut {
 /// (DESIGN.md "Pair replay"), so a recorded result stands for a fresh
 /// solve. Thread-safe: every lookup and insert takes one mutex. Two tasks
 /// may both miss on a key and both solve it; their results are identical,
-/// and the first insert is kept.
+/// and the first insert is kept. The table is open addressing over two
+/// leased flat rows (entries, and a power-of-two slot row at most half
+/// full), so a memo reuses the capacity earlier calls on its thread grew.
 class PairMemo {
  public:
+  PairMemo();
+
   /// Copies the recorded result of chain pair (a, b) into (best, kid);
   /// false if there is none yet.
-  bool find(int a, int b, CutResult& best, minoragg::Ledger& kid) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = done_.find(key(a, b));
-    if (it == done_.end()) return false;
-    best = it->second.best;
-    kid = it->second.kid;
-    return true;
-  }
-  void insert(int a, int b, const CutResult& best, const minoragg::Ledger& kid) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    done_.try_emplace(key(a, b), Entry{best, kid});
-  }
+  bool find(int a, int b, CutResult& best, minoragg::Ledger& kid);
+  void insert(int a, int b, const CutResult& best, const minoragg::Ledger& kid);
 
  private:
   struct Entry {
+    std::uint64_t key;
     CutResult best;
     minoragg::Ledger kid;
   };
-  static std::uint64_t key(int a, int b) {
-    UMC_ASSERT(0 <= a && a < b);
-    return static_cast<std::uint64_t>(a) << 32 | static_cast<std::uint32_t>(b);
-  }
+  /// The entry index of `key`, or -1. Caller holds mu_.
+  [[nodiscard]] std::int32_t lookup(std::uint64_t key);
+  /// Puts entry `index` into the first free slot of its probe sequence.
+  void place(std::uint64_t key, std::int32_t index);
+
   std::mutex mu_;
-  std::unordered_map<std::uint64_t, Entry> done_;
+  ScratchLease<std::vector<Entry>> entries_;
+  ScratchLease<std::vector<std::int32_t>> slots_;  // entry index, or -1
 };
 
 /// Registry counter umc_mincut_p2p_pairs_total{outcome}: star path pairs

@@ -26,6 +26,14 @@ struct Chain {
   std::span<const NodeId> nodes;
 };
 
+/// A star configuration task's private result row.
+struct StarSlot {
+  minoragg::Ledger iter;
+  CutResult best;
+  bool ran_star = false;
+  int pairs = 0;  // path pairs the star examined
+};
+
 /// between_subtree_mincut, with the hub's 1-respecting step either read
 /// off inst.cut or, given `fill` (which is inst.cut), computed into it.
 CutResult between_subtree(const RootedTree& t, const InstanceCore& inst,
@@ -138,13 +146,9 @@ CutResult between_subtree(const RootedTree& t, const InstanceCore& inst,
     }
   }
 
-  struct StarSlot {
-    minoragg::Ledger iter;
-    CutResult best;
-    bool ran_star = false;
-    int pairs = 0;  // path pairs the star examined
-  };
-  std::vector<StarSlot> slots(configs.size());
+  ScratchLease<std::vector<StarSlot>> slots_s;
+  std::vector<StarSlot>& slots = *slots_s;
+  slots.assign(configs.size(), StarSlot{});
   PairMemo memo;  // every star of this call shares its chain pairs' solves
   {
     TaskGroup stars;

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "util/assert.hpp"
-#include "util/scratch.hpp"
 
 namespace umc::minoragg {
 
@@ -24,15 +23,14 @@ int pick_not_in(int banned1, int banned2) {
 
 }  // namespace
 
-void cole_vishkin_3color(std::span<const int> out, Ledger& ledger, std::vector<int>& result) {
+void cole_vishkin_3color(std::span<const int> out, Ledger& ledger, std::vector<int>& result,
+                         ColeVishkinScratch& scratch) {
   const std::size_t n = out.size();
-  // The color tables are per-thread scratch (star merging calls this once
-  // per merge iteration, thousands of times per solve): every iteration
-  // writes the fresh table in full and swaps it in, so nothing reallocates.
-  ScratchLease<std::vector<std::uint64_t>> color_s, next_s, shifted_s;
-  std::vector<std::uint64_t>& color = *color_s;
-  std::vector<std::uint64_t>& next = *next_s;
-  std::vector<std::uint64_t>& shifted = *shifted_s;
+  // Every iteration writes the fresh table in full and swaps it in, so
+  // nothing reallocates.
+  std::vector<std::uint64_t>& color = scratch.color;
+  std::vector<std::uint64_t>& next = scratch.next;
+  std::vector<std::uint64_t>& shifted = scratch.shifted;
   color.resize(n);
   next.resize(n);
   shifted.resize(n);

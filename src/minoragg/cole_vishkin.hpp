@@ -10,6 +10,7 @@
 // pointing at it); the ledger is charged accordingly, and the iteration
 // count is recorded in the "cv_iterations" counter.
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -22,6 +23,15 @@ namespace umc::minoragg {
 /// parts mark arbitrary adjacent edges). Returns a proper coloring with
 /// colors in {0, 1, 2} ("proper" w.r.t. the underlying undirected edges)
 /// in `color` (overwritten).
-void cole_vishkin_3color(std::span<const int> out, Ledger& ledger, std::vector<int>& color);
+///
+/// The working color tables live in caller scratch: star merging runs this
+/// once per merge iteration, thousands of times per solve, so a schedule
+/// keeps one ColeVishkinScratch for all of its iterations. Contents are
+/// overwritten; only the capacity carries over.
+struct ColeVishkinScratch {
+  std::vector<std::uint64_t> color, next, shifted;
+};
+void cole_vishkin_3color(std::span<const int> out, Ledger& ledger, std::vector<int>& color,
+                         ColeVishkinScratch& scratch);
 
 }  // namespace umc::minoragg

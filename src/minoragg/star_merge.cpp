@@ -2,16 +2,14 @@
 
 #include <array>
 
-#include "minoragg/cole_vishkin.hpp"
 #include "util/assert.hpp"
-#include "util/scratch.hpp"
 
 namespace umc::minoragg {
 
-void star_merge(std::span<const int> out, Ledger& ledger, StarMergeResult& res) {
-  ScratchLease<std::vector<int>> color_s;
-  const std::vector<int>& color = *color_s;
-  cole_vishkin_3color(out, ledger, *color_s);
+void star_merge(std::span<const int> out, Ledger& ledger, StarMergeResult& res,
+                StarMergeScratch& scratch) {
+  cole_vishkin_3color(out, ledger, scratch.color, scratch.cv);
+  const std::vector<int>& color = scratch.color;
 
   // One counting round: N_k = #{v in O : color k}; pick the most frequent.
   std::array<int, 3> count{0, 0, 0};

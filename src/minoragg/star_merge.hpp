@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "minoragg/cole_vishkin.hpp"
 #include "minoragg/ledger.hpp"
 
 namespace umc::minoragg {
@@ -25,8 +26,16 @@ struct StarMergeResult {
   int out_degree_one = 0;  // |O|
 };
 
+/// Caller scratch of one star merge: its Cole-Vishkin tables and coloring.
+/// A merging schedule keeps one for all of its iterations.
+struct StarMergeScratch {
+  ColeVishkinScratch cv;
+  std::vector<int> color;
+};
+
 /// out[p] = out-neighbor part of p, or -1. Charges the Cole-Vishkin rounds
 /// plus one counting round. Rebuilds `res` in place.
-void star_merge(std::span<const int> out, Ledger& ledger, StarMergeResult& res);
+void star_merge(std::span<const int> out, Ledger& ledger, StarMergeResult& res,
+                StarMergeScratch& scratch);
 
 }  // namespace umc::minoragg

@@ -1,6 +1,8 @@
 #include "minoragg/tree_primitives.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 
 #include "graph/dsu.hpp"
 #include "minoragg/star_merge.hpp"
@@ -63,57 +65,59 @@ std::int64_t hl_subtree_sum_rounds(const RootedTree& t, const HeavyLightDecompos
   return rounds;
 }
 
-void detail::hl_merge_schedule(const RootedTree& t, Ledger& ledger) {
-  const NodeId n = t.n();
+namespace {
+
+/// Rows of one Lemma 47 schedule run, leased once per call.
+struct ScheduleRows {
+  std::vector<std::int32_t> part;  // per node: its part's index
+  std::vector<NodeId> top;         // per part: its top (minimum-depth) node
+  std::vector<int> out;            // per part: the part its top's parent lies in, or -1
+  std::vector<std::int32_t> next;  // per part: its index after this iteration's merges
+  StarMergeResult sm;
+  StarMergeScratch merge;
+};
+
+}  // namespace
+
+void detail::hl_merge_schedule(std::span<const NodeId> parents, Ledger& ledger) {
+  const std::size_t n = parents.size();
   // Lemma 47 merging schedule over the part graph: parts start as
   // singletons; every non-root part marks its parent edge; deterministic
-  // star-merging merges >= 1/3 of the parts per iteration.
-  ScratchLease<Dsu> parts_s;
-  Dsu& parts = *parts_s;
-  parts.reset(n);
+  // star-merging merges >= 1/3 of the parts per iteration. A part's index
+  // is the rank of its smallest node, and its top node (the one whose
+  // parent edge leaves it) is tracked directly: a joiner hangs below its
+  // receiver, so a merged part keeps the receiver's top.
   const std::int64_t lemma46_cost =
       2 * (static_cast<std::int64_t>(ceil_log2(static_cast<std::uint64_t>(n) + 1)) + 2);
-  // Merge-loop scratch: these tables are rebuilt every iteration (this loop
-  // dominates the solve's allocation count), so lease them once per call
-  // and let assign() recycle the capacity.
-  ScratchLease<std::vector<NodeId>> rep_of_s, part_rep_s, top_s;
-  ScratchLease<std::vector<int>> out_s;
-  ScratchLease<StarMergeResult> sm_s;
-  const StarMergeResult& sm = *sm_s;
-  std::vector<NodeId>& rep_of = *rep_of_s;
-  std::vector<NodeId>& part_rep = *part_rep_s;
-  std::vector<NodeId>& top = *top_s;
-  std::vector<int>& out = *out_s;
-  while (parts.num_components() > 1) {
-    // Build the parts graph: part -> parent part (via the part's top node).
-    rep_of.assign(static_cast<std::size_t>(n), kNoNode);
-    part_rep.clear();
-    for (NodeId v = 0; v < n; ++v) {
-      const NodeId r = parts.find(v);
-      if (rep_of[static_cast<std::size_t>(r)] == kNoNode) {
-        rep_of[static_cast<std::size_t>(r)] = static_cast<NodeId>(part_rep.size());
-        part_rep.push_back(r);
-      }
-    }
-    const std::size_t k = part_rep.size();
-    out.assign(k, -1);
-    // The part's top node is its minimum-depth node; its parent edge leaves
-    // the part. Compute tops by scanning (model: one subtree-sum round,
-    // charged inside lemma46_cost below).
-    top.assign(k, kNoNode);
-    for (NodeId v = 0; v < n; ++v) {
-      const std::size_t p = static_cast<std::size_t>(rep_of[static_cast<std::size_t>(parts.find(v))]);
-      if (top[p] == kNoNode || t.depth(v) < t.depth(top[p])) top[p] = v;
-    }
+  ScratchLease<ScheduleRows> rows_s;
+  ScheduleRows& r = *rows_s;
+  r.part.resize(n);
+  r.top.resize(n);
+  std::iota(r.part.begin(), r.part.end(), 0);
+  std::iota(r.top.begin(), r.top.end(), NodeId{0});
+  std::size_t k = n;
+  while (k > 1) {
+    r.out.resize(k);
     for (std::size_t p = 0; p < k; ++p) {
-      const NodeId parent = t.parent(top[p]);
-      if (parent == kNoNode) continue;  // root part marks nothing
-      out[p] = rep_of[static_cast<std::size_t>(parts.find(parent))];
+      const NodeId up = parents[static_cast<std::size_t>(r.top[p])];
+      r.out[p] = up == kNoNode ? -1 : r.part[static_cast<std::size_t>(up)];
     }
-    star_merge(out, ledger, *sm_s);
+    star_merge(std::span<const int>(r.out.data(), k), ledger, r.sm, r.merge);
+    // Merged parts keep index order: scanning old parts by index meets a
+    // merged part first at its smallest node's old part. Indices only
+    // shrink (next[p] <= p), so tops move down in place.
+    r.next.assign(k, -1);
+    std::int32_t merged = 0;
     for (std::size_t p = 0; p < k; ++p) {
-      if (sm.is_joiner[p]) parts.unite(part_rep[p], top[static_cast<std::size_t>(out[p])]);
+      const std::size_t into = r.sm.is_joiner[p] ? static_cast<std::size_t>(r.out[p]) : p;
+      if (r.next[into] < 0) r.next[into] = merged++;
+      if (into == p)
+        r.top[static_cast<std::size_t>(r.next[p])] = r.top[p];
+      else
+        r.next[p] = r.next[into];
     }
+    for (std::int32_t& x : r.part) x = r.next[static_cast<std::size_t>(x)];
+    k = static_cast<std::size_t>(merged);
     // Within-part relabeling: subtree sizes + HL-info via two Lemma 46
     // calls on the merged parts (node-disjoint, so the cost is the max —
     // bounded by the full-tree Lemma 46 cost charged here).
@@ -138,6 +142,19 @@ struct ScheduleCharge {
     if (cv != 0) ledger.bump(CounterId::cv_iterations, cv);
   }
 };
+
+/// Runs the schedule of the tree `parents` onto a fresh ledger and returns
+/// what it charged.
+ScheduleCharge run_schedule(std::span<const NodeId> parents) {
+  Ledger fresh;
+  detail::hl_merge_schedule(parents, fresh);
+  const ScheduleCharge charge{fresh.rounds(), fresh.counter(CounterId::hl_merge_iterations),
+                              fresh.counter(CounterId::cv_iterations)};
+  UMC_ASSERT_MSG(fresh.num_counters() ==
+                     static_cast<std::size_t>((charge.merges != 0) + (charge.cv != 0)),
+                 "the replayed charge covers every counter the schedule bumps");
+  return charge;
+}
 
 /// Per-thread table from a tree's parent array to its schedule's charge.
 /// Keys are stored in full and compared element-wise; the hash picks the
@@ -201,23 +218,58 @@ std::uint64_t hash_parents(std::span<const NodeId> parents) {
 
 }  // namespace
 
-void hl_construct(const RootedTree& t, Ledger& ledger, HeavyLightDecomposition& out) {
+void hl_schedule_charge(std::span<const NodeId> parents, Ledger& ledger) {
   thread_local ScheduleTable table;
-  const std::span<const NodeId> key = t.parents();
-  const std::uint64_t hash = hash_parents(key);
-  if (const ScheduleCharge* hit = table.find(key, hash)) {
+  const std::uint64_t hash = hash_parents(parents);
+  if (const ScheduleCharge* hit = table.find(parents, hash)) {
     hit->apply(ledger);
-  } else {
-    Ledger fresh;
-    detail::hl_merge_schedule(t, fresh);
-    const ScheduleCharge charge{fresh.rounds(), fresh.counter(CounterId::hl_merge_iterations),
-                                fresh.counter(CounterId::cv_iterations)};
-    UMC_ASSERT_MSG(fresh.num_counters() ==
-                       static_cast<std::size_t>((charge.merges != 0) + (charge.cv != 0)),
-                   "the replayed charge covers every counter the schedule bumps");
-    table.insert(key, hash, charge);
-    charge.apply(ledger);
+    return;
   }
+  const ScheduleCharge charge = run_schedule(parents);
+  table.insert(parents, hash, charge);
+  charge.apply(ledger);
+}
+
+void hl_path_pair_schedule_charge(std::size_t p, std::size_t q, Ledger& ledger) {
+  UMC_ASSERT(p >= 1 && q >= 1);
+  // The canonical parent array: root 0, the first leg 1..p, the second
+  // p+1..p+q, each leg top to bottom.
+  const auto parents_into = [p, q](std::vector<NodeId>& parents) {
+    parents.resize(1 + p + q);
+    std::iota(parents.begin(), parents.end(), NodeId{-1});
+    parents[p + 1] = 0;
+  };
+  constexpr std::size_t kSide = detail::kHlPathPairSide;
+  if (p > kSide || q > kSide) {
+    ScratchLease<std::vector<NodeId>> parents;
+    parents_into(*parents);
+    hl_schedule_charge(*parents, ledger);
+    return;
+  }
+  // Per-thread (p, q) table, row p - 1 holding every q; rows are added as
+  // longer first legs show up, so a thread touches only the rows it uses.
+  // A two-leg spider always merges, so rounds == 0 marks a slot whose
+  // schedule has not run on this thread yet.
+  struct PairCharge {
+    std::int32_t rounds = 0, merges = 0, cv = 0;
+  };
+  thread_local std::vector<PairCharge> table;
+  if (table.size() < p * kSide) table.resize(p * kSide);
+  PairCharge& slot = table[(p - 1) * kSide + (q - 1)];
+  if (slot.rounds == 0) {
+    ScratchLease<std::vector<NodeId>> parents;
+    parents_into(*parents);
+    const ScheduleCharge charge = run_schedule(*parents);
+    UMC_ASSERT(charge.rounds > 0 && charge.rounds <= INT32_MAX);
+    slot = PairCharge{static_cast<std::int32_t>(charge.rounds),
+                      static_cast<std::int32_t>(charge.merges),
+                      static_cast<std::int32_t>(charge.cv)};
+  }
+  ScheduleCharge{slot.rounds, slot.merges, slot.cv}.apply(ledger);
+}
+
+void hl_construct(const RootedTree& t, Ledger& ledger, HeavyLightDecomposition& out) {
+  hl_schedule_charge(t.parents(), ledger);
   out.rebuild(t);
 }
 
@@ -269,10 +321,11 @@ RootedTree orient_tree(const WeightedGraph& g, std::span<const EdgeId> tree_edge
   Dsu parts(n);
   const std::int64_t fix_cost =
       2 * (static_cast<std::int64_t>(ceil_log2(static_cast<std::uint64_t>(n) + 1)) + 2);
-  // Same merge-loop scratch pattern as hl_construct above.
+  // Merge-loop scratch, leased once per call: assign() recycles capacity.
   ScratchLease<std::vector<NodeId>> rep_of_s, part_rep_s, via_s;
   ScratchLease<std::vector<int>> out_s;
   ScratchLease<StarMergeResult> sm_s;
+  ScratchLease<StarMergeScratch> merge_s;
   const StarMergeResult& sm = *sm_s;
   std::vector<NodeId>& rep_of = *rep_of_s;
   std::vector<NodeId>& part_rep = *part_rep_s;
@@ -309,7 +362,7 @@ RootedTree orient_tree(const WeightedGraph& g, std::span<const EdgeId> tree_edge
         }
       }
     }
-    star_merge(out, ledger, *sm_s);
+    star_merge(out, ledger, *sm_s, *merge_s);
     // A spanning tree gives every non-root part an outgoing edge, so
     // Lemma 44 guarantees a joiner; none means the edges do not span g.
     UMC_ASSERT_MSG(sm.num_joiners > 0, "orient_tree: tree edges do not span the graph");

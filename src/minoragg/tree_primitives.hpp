@@ -202,31 +202,51 @@ std::vector<typename A::value_type> hl_ancestor_sums(
 }
 
 /// Lemma 47 / Theorem 48: deterministic heavy-light construction. Charges
-/// the real merging schedule (star merges over the part graph) and builds
-/// the decomposition into `out` (rebuilt in place, so a leased one does not
-/// allocate). Counters: "hl_merge_iterations", "cv_iterations".
-///
-/// The schedule's charge is a pure function of the tree's parent array, and
-/// the 2-respecting recursion builds the same small trees over and over. So
-/// each thread keeps a bounded table from exact parent arrays (compared in
-/// full, never by hash alone) to the charge their schedule made: the first
-/// sighting of a labelled tree on a thread runs the schedule, repeats replay
-/// its charge — the same rounds and counter bumps, so ledgers are
-/// byte-identical either way.
+/// the real merging schedule (star merges over the part graph) through
+/// hl_schedule_charge(t.parents()) and builds the decomposition into `out`
+/// (rebuilt in place, so a leased one does not allocate). Counters:
+/// "hl_merge_iterations", "cv_iterations". Callers that need only the
+/// charge, such as the 2-respecting recursion's spider instances (stars and
+/// path pairs), call hl_schedule_charge or hl_path_pair_schedule_charge and
+/// build no tree.
 void hl_construct(const RootedTree& t, Ledger& ledger, HeavyLightDecomposition& out);
 [[nodiscard]] HeavyLightDecomposition hl_construct(const RootedTree& t, Ledger& ledger);
 
+/// The Lemma 47 schedule's charge for the tree whose parent array is
+/// `parents` (kNoNode at the root), without building anything. The charge
+/// is a pure function of the parent array, and the 2-respecting recursion
+/// schedules the same small trees over and over. So each thread keeps a
+/// bounded table from exact parent arrays (compared in full, never by hash
+/// alone) to the charge their schedule made: the first sighting of a
+/// labelled tree on a thread runs the schedule, repeats replay its charge —
+/// the same rounds and counter bumps, so ledgers are byte-identical either
+/// way.
+void hl_schedule_charge(std::span<const NodeId> parents, Ledger& ledger);
+
+/// hl_schedule_charge of a canonically numbered two-leg spider: root 0,
+/// the first leg 1..p and the second p+1..p+q, each top to bottom (how
+/// path-to-path instances are numbered). Legs up to
+/// detail::kHlPathPairSide nodes read a per-thread (p, q) table; longer
+/// ones go through the parent-array table.
+void hl_path_pair_schedule_charge(std::size_t p, std::size_t q, Ledger& ledger);
+
 namespace detail {
-/// Bounds of hl_construct's per-thread schedule table: at most this many
-/// trees and this many stored parent ids in all; the table is cleared when
-/// either would overflow, and a larger tree is never stored.
+/// Bounds of hl_schedule_charge's per-thread table: at most this many trees
+/// and this many stored parent ids in all; the table is cleared when either
+/// would overflow, and a larger tree is never stored.
 inline constexpr std::size_t kHlScheduleEntries = 256;
 inline constexpr std::size_t kHlScheduleKeyIds = std::size_t{1} << 16;
 
-/// The Lemma 47 merging schedule of `t`, always run in full and charged to
-/// `ledger`; hl_construct's replay table sits in front of it. Exposed so
-/// tests can compare replayed charges against fresh runs.
-void hl_merge_schedule(const RootedTree& t, Ledger& ledger);
+/// Longest leg of hl_path_pair_schedule_charge's per-thread (p, q) table:
+/// kHlPathPairSide² entries of three int32s (48 KiB per thread).
+inline constexpr std::size_t kHlPathPairSide = 64;
+
+/// The Lemma 47 merging schedule of the tree `parents`, always run in full
+/// and charged to `ledger`; the replay tables sit in front of it. Parts are
+/// tracked in a dense row indexed by the rank of their smallest node, which
+/// Cole–Vishkin reads as the parts' initial colors. Exposed so tests can
+/// compare replayed charges against fresh runs.
+void hl_merge_schedule(std::span<const NodeId> parents, Ledger& ledger);
 }  // namespace detail
 
 /// Lemma 42: centroid via one subtree-sum plus two constant rounds.

@@ -77,15 +77,16 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace {
 
 /// operator new calls per solve, averaged over the three counted solves, as
-/// measured with the 1-respecting Cut row carried down the recursion
-/// instead of recomputed per star and path pair, and the interest graph's
-/// edge colors written into a leased row (g++ 12, libstdc++). Before those
-/// two: 26,283 (fixed-slot Ledger counters, CSR sub-instance graphs, the
-/// flat Step 2b delta arena, flat interest rows and leased Lemma 47
-/// schedule rows); pair replay alone made 223,858; one sub-instance
-/// builder 274,632; the flat tree layouts 286,275; the layout before them
-/// 791,718. Budget = achieved + 10%.
-constexpr std::int64_t kAchievedPerSolve = 19'645;
+/// measured with tree-free star and path-pair charges, leased
+/// between-subtree star slots and a pair memo over leased flat rows
+/// (g++ 12, libstdc++). Before those: 19,645 (the 1-respecting Cut row
+/// carried down the recursion and the interest graph's edge colors in a
+/// leased row); 26,283 before that (fixed-slot Ledger counters, CSR
+/// sub-instance graphs, the flat Step 2b delta arena, flat interest rows
+/// and leased Lemma 47 schedule rows); pair replay alone made 223,858; one
+/// sub-instance builder 274,632; the flat tree layouts 286,275; the layout
+/// before them 791,718. Budget = achieved + 10%.
+constexpr std::int64_t kAchievedPerSolve = 17'176;
 constexpr std::int64_t kBudgetPerSolve = kAchievedPerSolve + kAchievedPerSolve / 10;
 
 umc::WeightedGraph planar_instance(std::uint64_t seed) {

@@ -42,21 +42,24 @@ struct RowAudit {
 };
 RowAudit* g_audit = nullptr;
 
-/// The probe: reruns Theorem 18 on the sub-instance whose carried row the
-/// recursion is about to read, and compares the whole row (Cut_T(e) on
-/// tree edges, 0 elsewhere) and the charge rule with what the rerun
-/// charged. Sibling star and pair tasks call it concurrently.
-void audit_carried_row(CutRowSource source, const RootedTree& t,
-                       const HeavyLightDecomposition& hld, const InstanceCore& inst) {
+/// The probe: builds the tree of the sub-instance whose carried row the
+/// recursion is about to read, reruns Theorem 18 on it, and compares the
+/// whole row (Cut_T(e) on tree edges, 0 elsewhere) and the rounds the read
+/// charges with what the rerun computed and charged. Sibling star and pair
+/// tasks call it concurrently.
+void audit_carried_row(CutRowSource source, const InstanceCore& inst, NodeId root,
+                       std::span<const EdgeId> tree_edges, std::int64_t rounds) {
+  const RootedTree t(inst.graph, tree_edges, root);
+  const HeavyLightDecomposition hld(t);
   minoragg::Ledger ledger;
   std::vector<Weight> fresh;
   (void)one_respecting_cuts(t, inst.origin, hld, ledger, fresh);
   const auto kind = static_cast<std::size_t>(source);
   std::string failure;
-  if (ledger.rounds() != one_respect_rounds(t, hld))
+  if (ledger.rounds() != rounds)
     failure = "kind " + std::to_string(kind) + ": Theorem 18 charged " +
-              std::to_string(ledger.rounds()) + ", the rule says " +
-              std::to_string(one_respect_rounds(t, hld));
+              std::to_string(ledger.rounds()) + ", the carried read charges " +
+              std::to_string(rounds);
   int connectors = 0;  // tree edges that are no candidate: G_down's connectors
   for (EdgeId e = 0; e < inst.graph.m(); ++e) {
     const auto ue = static_cast<std::size_t>(e);

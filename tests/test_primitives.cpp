@@ -9,6 +9,7 @@
 #include <string>
 
 #include "graph/generators.hpp"
+#include "hl_schedule_reference.hpp"
 #include "minoragg/boruvka.hpp"
 #include "minoragg/cole_vishkin.hpp"
 #include "minoragg/path_sums.hpp"
@@ -44,7 +45,8 @@ TEST(ColeVishkin, ProperOnChains) {
     for (int v = 0; v < n; ++v) out[static_cast<std::size_t>(v)] = v + 1 < n ? v + 1 : -1;
     Ledger ledger;
     std::vector<int> color;
-    cole_vishkin_3color(out, ledger, color);
+    ColeVishkinScratch scratch;
+    cole_vishkin_3color(out, ledger, color, scratch);
     expect_proper(out, color);
     // O(log* n) bit-reduction iterations: tiny even for n = 1000.
     EXPECT_LE(ledger.counter("cv_iterations"), 6);
@@ -65,7 +67,8 @@ TEST(ColeVishkin, ProperOnRandomForestsAndTwoCycles) {
     }
     Ledger ledger;
     std::vector<int> color;
-    cole_vishkin_3color(out, ledger, color);
+    ColeVishkinScratch scratch;
+    cole_vishkin_3color(out, ledger, color, scratch);
     expect_proper(out, color);
   }
 }
@@ -80,7 +83,8 @@ TEST(StarMerge, Lemma44Guarantees) {
       out[static_cast<std::size_t>(v)] = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(v)));
     Ledger ledger;
     StarMergeResult res;
-    star_merge(out, ledger, res);
+    StarMergeScratch scratch;
+    star_merge(out, ledger, res, scratch);
     EXPECT_EQ(res.out_degree_one, n - 1);
     EXPECT_GE(3 * res.num_joiners, res.out_degree_one);     // (1)
     for (int v = 0; v < n; ++v) {
@@ -217,7 +221,7 @@ void expect_replay_matches_fresh(const RootedTree& t) {
     return l;
   };
   Ledger fresh = seeded();
-  detail::hl_merge_schedule(t, fresh);
+  detail::hl_merge_schedule(t.parents(), fresh);
   Ledger first = seeded();
   const HeavyLightDecomposition built_first = hl_construct(t, first);
   Ledger again = seeded();
@@ -287,7 +291,7 @@ TEST(TreePrimitives, HlConstructReplayAcrossTableClears) {
   for (std::size_t i = 0; i < count; ++i) {
     graphs.push_back(random_tree(static_cast<NodeId>(5 + rng.next_below(60)), rng));
     Ledger fresh;
-    detail::hl_merge_schedule(tree_of(graphs.back()), fresh);
+    detail::hl_merge_schedule(tree_of(graphs.back()).parents(), fresh);
     want.push_back(fresh.to_json());
   }
   for (int pass = 0; pass < 2; ++pass) {
@@ -302,6 +306,96 @@ TEST(TreePrimitives, HlConstructReplayAcrossTableClears) {
   // and is still charged exactly.
   expect_replay_matches_fresh(
       tree_of(random_tree(static_cast<NodeId>(detail::kHlScheduleKeyIds) + 1, rng)));
+}
+
+/// A random labelling of one tree shape on n nodes (n >= 1), with a random
+/// root: 0 = path, 1 = spider (random leg lengths), 2 = star, 3 =
+/// caterpillar (a spine with leaves on random spine nodes), 4 = random tree.
+RootedTree labelled_tree(int shape, NodeId n, Rng& rng, WeightedGraph& g) {
+  const auto below = [&rng](NodeId x) {
+    return static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(x)));
+  };
+  WeightedGraph shaped(n);
+  switch (shape) {
+    case 0:
+      for (NodeId v = 1; v < n; ++v) shaped.add_edge(v - 1, v);
+      break;
+    case 1: {
+      const int legs = 1 + static_cast<int>(rng.next_below(6));
+      NodeId prev = 0;
+      for (NodeId v = 1; v < n; ++v) {
+        // Start a new leg off node 0 with chance legs / n.
+        if (rng.next_below(static_cast<std::uint64_t>(n)) < static_cast<std::uint64_t>(legs))
+          prev = 0;
+        shaped.add_edge(prev, v);
+        prev = v;
+      }
+      break;
+    }
+    case 2:
+      for (NodeId v = 1; v < n; ++v) shaped.add_edge(0, v);
+      break;
+    case 3: {
+      const NodeId spine = 1 + below(n);
+      for (NodeId v = 1; v < spine; ++v) shaped.add_edge(v - 1, v);
+      for (NodeId v = spine; v < n; ++v) shaped.add_edge(below(spine), v);
+      break;
+    }
+    default:
+      shaped = random_tree(n, rng);
+      break;
+  }
+  std::vector<NodeId> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), NodeId{0});
+  rng.shuffle(perm);
+  g = relabel(shaped, perm);
+  return tree_of(g, below(n));
+}
+
+TEST(TreePrimitives, ScheduleMatchesDsuReference) {
+  // The dense part-index schedule charges exactly what the DSU reference
+  // charges — rounds, merge iterations and Cole–Vishkin iterations — on
+  // random labellings of paths, spiders, stars, caterpillars and random
+  // trees with random roots.
+  Rng rng(71);
+  for (int trial = 0; trial < 4200; ++trial) {
+    const int shape = trial % 5;
+    const NodeId n = 1 + static_cast<NodeId>(rng.next_below(300));
+    WeightedGraph g;
+    const RootedTree t = labelled_tree(shape, n, rng, g);
+    Ledger lean, reference;
+    detail::hl_merge_schedule(t.parents(), lean);
+    reference_hl_merge_schedule(t, reference);
+    ASSERT_EQ(lean.rounds(), reference.rounds()) << "shape " << shape << ", n " << n;
+    ASSERT_EQ(lean.counter(CounterId::hl_merge_iterations),
+              reference.counter(CounterId::hl_merge_iterations))
+        << "shape " << shape << ", n " << n;
+    ASSERT_EQ(lean.counter(CounterId::cv_iterations), reference.counter(CounterId::cv_iterations))
+        << "shape " << shape << ", n " << n;
+    ASSERT_EQ(lean.to_json(), reference.to_json()) << "shape " << shape << ", n " << n;
+  }
+}
+
+TEST(TreePrimitives, PathPairChargeMatchesTheParentArrayCharge) {
+  // hl_path_pair_schedule_charge reads a per-thread (p, q) table for legs
+  // up to kHlPathPairSide nodes and the parent-array table beyond; both
+  // must charge what a fresh schedule of the canonical spider charges,
+  // first sighting and repeat alike.
+  const auto side = static_cast<std::size_t>(detail::kHlPathPairSide);
+  for (const auto& [p, q] : {std::pair<std::size_t, std::size_t>{1, 1}, {1, 2}, {2, 1},
+                             {7, 40}, {40, 7}, {side, side}, {side, side + 1},
+                             {side + 1, 3}, {90, 90}}) {
+    std::vector<NodeId> parents(1 + p + q);
+    std::iota(parents.begin(), parents.end(), NodeId{-1});
+    parents[p + 1] = 0;
+    Ledger fresh;
+    detail::hl_merge_schedule(parents, fresh);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      Ledger got;
+      hl_path_pair_schedule_charge(p, q, got);
+      EXPECT_EQ(got.to_json(), fresh.to_json()) << "p " << p << ", q " << q;
+    }
+  }
 }
 
 TEST(TreePrimitives, CentroidMatchesFact41) {
